@@ -36,7 +36,6 @@ family from the refresh silently removes its gates)::
         --json bench-anytime-cloud.json
     python benchmarks/bench_anytime_ladder.py --scenario approx \
         --json bench-anytime-approx.json
-    python benchmarks/bench_lp_kernels.py --json bench-lp-kernels.json
     python benchmarks/bench_serving.py --json bench-serving.json
     python benchmarks/bench_store.py --json bench-store.json
     python benchmarks/bench_compare.py refresh \
@@ -45,7 +44,6 @@ family from the refresh silently removes its gates)::
         --throughput bench-batch-throughput.json \
         bench-topology-star.json \
         --anytime bench-anytime-cloud.json bench-anytime-approx.json \
-        --lpkernels bench-lp-kernels.json \
         --serving bench-serving.json \
         --store bench-store.json
 
@@ -76,14 +74,24 @@ def _load(path: str) -> dict:
 
 
 def _fig12_metrics(path: str) -> dict[str, dict]:
-    """Tracked metrics from a pytest-benchmark Figure 12 artifact."""
+    """Tracked metrics from a pytest-benchmark Figure 12 artifact.
+
+    Points run under the default engine (``"options": "default"``)
+    gate only their LP count, as ``lp.<shape>.t<n>p<p>.lps_solved``.
+    """
     metrics: dict[str, dict] = {}
     for bench in _load(path).get("benchmarks", []):
         info = bench.get("extra_info", {})
         if "tables" not in info:
             continue
-        tag = (f"fig12.{info.get('shape', '?')}"
-               f".t{info['tables']}p{info.get('params', 1)}")
+        point = (f"{info.get('shape', '?')}"
+                 f".t{info['tables']}p{info.get('params', 1)}")
+        if info.get("options") == "default":
+            metrics[f"lp.{point}.lps_solved"] = {
+                "value": info["lps_solved"], "direction": "lower",
+                "tolerance": DEFAULT_TOLERANCE, "gate": True}
+            continue
+        tag = f"fig12.{point}"
         metrics[f"{tag}.lps_solved"] = {
             "value": info["lps_solved"], "direction": "lower",
             "tolerance": DEFAULT_TOLERANCE, "gate": True}
@@ -178,85 +186,6 @@ def _anytime_metrics(path: str) -> dict[str, dict]:
     return metrics
 
 
-def _lp_kernel_metrics(path: str) -> dict[str, dict]:
-    """Tracked metrics from the stacked-simplex microbenchmark JSON.
-
-    Pivot rounds, batch occupancy and the scalar-fallback count are
-    deterministic (stable CRC-seeded LPs) and gated: rounds grow when
-    pivot trajectories regress, occupancy grows toward 1.0 when
-    finished problems stop freezing, and any fallback means the kernel
-    stopped handling its own workload.  Timings/speedups are
-    informational.
-
-    The same artifact carries the deferred-queue smoke probe
-    (``"lp_queue"``): per-point queue counters plus the headline
-    ``lp.median_stacked_group_size`` — the LP-weighted median size of
-    the groups the stacked kernel executed, merged over the probe's
-    workload points.  That metric carries an absolute ``floor`` of 8
-    (the stacking crossover, ``repro.lp.solver.MIN_STACK_GROUP``):
-    besides the usual relative-regression check, the compare fails
-    whenever the current value sinks below the floor, however the
-    baseline moves — the metric is 0.0 when the kernel never engages,
-    so a queue that stops feeding the kernel fails loudly.
-    """
-    doc = _load(path)
-    metrics: dict[str, dict] = {}
-    for point in doc.get("lp_kernels", []):
-        tag = (f"lpkernels.{point['n_vars']}x{point['n_constraints']}"
-               f".b{point['batch']}")
-        metrics[f"{tag}.rounds"] = {
-            "value": point["rounds"], "direction": "lower",
-            "tolerance": DEFAULT_TOLERANCE, "gate": True}
-        metrics[f"{tag}.occupancy"] = {
-            "value": point["occupancy"], "direction": "lower",
-            "tolerance": DEFAULT_TOLERANCE, "gate": True}
-        metrics[f"{tag}.fallbacks"] = {
-            "value": point["fallbacks"], "direction": "lower",
-            "tolerance": DEFAULT_TOLERANCE, "gate": True}
-        metrics[f"{tag}.speedup"] = {
-            "value": point["speedup"], "direction": "higher",
-            "tolerance": DEFAULT_TOLERANCE, "gate": False}
-    queue = doc.get("lp_queue")
-    if queue:
-        for point in queue.get("points", []):
-            tag = (f"lpqueue.{point['shape']}"
-                   f".t{point['num_tables']}p{point['num_params']}")
-            metrics[f"{tag}.lps_solved"] = {
-                "value": point["lps_solved"], "direction": "lower",
-                "tolerance": DEFAULT_TOLERANCE, "gate": True}
-            # Deterministic queue counters: enqueued and batch_solves
-            # shrinking means the deferred path (or the stacked kernel
-            # behind it) is silently disengaging.
-            metrics[f"{tag}.queue_enqueued"] = {
-                "value": point["queue_enqueued"], "direction": "higher",
-                "tolerance": DEFAULT_TOLERANCE, "gate": True}
-            metrics[f"{tag}.batch_solves"] = {
-                "value": point["batch_solves"], "direction": "higher",
-                "tolerance": DEFAULT_TOLERANCE, "gate": True}
-            metrics[f"{tag}.median_stacked_group_size"] = {
-                "value": point["median_stacked_group_size"],
-                "direction": "higher", "tolerance": DEFAULT_TOLERANCE,
-                "gate": True}
-            # Flush-cause mix is descriptive (legitimate restructurings
-            # move flushes between causes), so tracked but ungated.
-            for cause in ("flush_size", "flush_demand",
-                          "flush_explicit"):
-                metrics[f"{tag}.{cause}"] = {
-                    "value": point[cause], "direction": "lower",
-                    "tolerance": DEFAULT_TOLERANCE, "gate": False}
-            metrics[f"{tag}.emptiness_lp_seconds"] = {
-                "value": point["emptiness_lp_seconds"],
-                "direction": "lower", "tolerance": DEFAULT_TOLERANCE,
-                "gate": False}
-        # The headline gate: floor 8 == repro.lp.solver.MIN_STACK_GROUP
-        # (the stacking crossover).
-        metrics["lp.median_stacked_group_size"] = {
-            "value": queue["median_stacked_group_size"],
-            "direction": "higher", "tolerance": DEFAULT_TOLERANCE,
-            "gate": True, "floor": 8.0}
-    return metrics
-
-
 def _serving_metrics(path: str) -> dict[str, dict]:
     """Tracked metrics from the serving-gateway benchmark JSON.
 
@@ -313,9 +242,10 @@ def _store_metrics(path: str) -> dict[str, dict]:
     """Tracked metrics from the plan-set store benchmark JSON.
 
     The store bench replays recurring query families with drifting
-    statistics (CRC-seeded, so every counter is deterministic).  Three
-    absolute floors ride on top of the usual relative gates, with the
-    same semantics as ``lp.median_stacked_group_size``:
+    statistics (CRC-seeded, so every counter is deterministic).  Absolute
+    floors ride on top of the usual relative gates: besides the relative
+    check, the compare fails whenever the current value sinks below the
+    floor, however the baseline moves:
 
     * ``store.hit_rate`` (floor 1.0) — a repeated identical query must
       *always* be an exact store hit; any miss means the persistent
@@ -448,8 +378,6 @@ def collect_metrics(args) -> dict[str, dict]:
         metrics.update(_throughput_metrics(path))
     for path in args.anytime or ():
         metrics.update(_anytime_metrics(path))
-    if args.lpkernels:
-        metrics.update(_lp_kernel_metrics(args.lpkernels))
     if args.serving:
         metrics.update(_serving_metrics(args.serving))
     if args.store:
@@ -565,9 +493,6 @@ def main() -> int:
     parser.add_argument("--anytime", nargs="*", default=(),
                         help="anytime-ladder (time-to-first-guarantee) "
                              "JSON report(s)")
-    parser.add_argument("--lpkernels", default=None,
-                        help="stacked-simplex microbenchmark JSON "
-                             "(bench_lp_kernels.py --json)")
     parser.add_argument("--serving", default=None,
                         help="serving-gateway benchmark JSON "
                              "(bench_serving.py --json)")

@@ -34,24 +34,9 @@ def main() -> None:
           f"({stats.plans_created} plans generated, "
           f"{stats.lps_solved} LPs solved)")
     # The LP substrate's own accounting: wall time inside LP backends
-    # and, when miss groups were wide enough to stack, the stacked
-    # simplex kernel's lockstep counters.
+    # and the answers the per-run LP memo served without a solve.
     print(f"LP substrate: {stats.lp_seconds:.2f}s in backends, "
-          f"{stats.batch_lp_solves} LPs stacked over "
-          f"{stats.batch_lp_rounds} lockstep rounds "
-          f"(occupancy {stats.batch_lp_occupancy:.2f}, "
-          f"{stats.batch_lp_fallbacks} fallbacks)")
-    # The deferred futures queue feeding the stacked kernel: how many
-    # LPs were deferred instead of solved eagerly, what triggered their
-    # flushes, and the median group size the kernel actually saw — the
-    # number the CI perf gate holds at or above the stacking crossover
-    # (see docs/counters.md for how to read these).
-    print(f"Deferred queue: {stats.lp_queue_enqueued} LPs enqueued, "
-          f"flushes size/demand/explicit="
-          f"{stats.lp_queue_flush_size}/{stats.lp_queue_flush_demand}"
-          f"/{stats.lp_queue_flush_explicit}, "
-          f"median stacked-group size "
-          f"{stats.lp_median_stacked_group_size:g}\n")
+          f"{stats.lp_stats.cache_hits} memo hits\n")
 
     # Run time: a user submits the query with a concrete predicate value
     # whose selectivity turns out to be 0.3.

@@ -2,15 +2,13 @@
 (batch, streaming, pool-regime) reporting."""
 
 from .reporting import (ascii_log_chart, figure12_report,
-                        format_anytime_ladder, format_lp_kernel_table,
-                        format_pool_comparison, format_streaming_table,
-                        format_throughput_table, format_table)
-from .runner import (LP_QUEUE_SMOKE_POINTS, PAPER_FAITHFUL, AggregatedPoint,
-                     AnytimeLadderReport, AnytimeRungPoint, LPKernelPoint,
-                     LPQueuePoint, LPQueueReport, Measurement,
-                     StreamingPoint, ThroughputPoint, run_anytime_ladder,
-                     run_batch_throughput, run_lp_kernel_sweep,
-                     run_lp_queue_probe, run_point, run_pool_comparison,
+                        format_anytime_ladder, format_pool_comparison,
+                        format_streaming_table, format_throughput_table,
+                        format_table)
+from .runner import (PAPER_FAITHFUL, AggregatedPoint, AnytimeLadderReport,
+                     AnytimeRungPoint, Measurement, StreamingPoint,
+                     ThroughputPoint, run_anytime_ladder,
+                     run_batch_throughput, run_point, run_pool_comparison,
                      run_query_measurement, run_streaming_throughput,
                      run_sweep)
 from .workloads import (FULL, QUICK, SweepPoint, SweepProfile,
@@ -19,15 +17,11 @@ from .workloads import (FULL, QUICK, SweepPoint, SweepProfile,
 
 __all__ = [
     "FULL",
-    "LP_QUEUE_SMOKE_POINTS",
     "PAPER_FAITHFUL",
     "QUICK",
     "AggregatedPoint",
     "AnytimeLadderReport",
     "AnytimeRungPoint",
-    "LPKernelPoint",
-    "LPQueuePoint",
-    "LPQueueReport",
     "Measurement",
     "StreamingPoint",
     "SweepPoint",
@@ -37,7 +31,6 @@ __all__ = [
     "drift_statistics",
     "figure12_report",
     "format_anytime_ladder",
-    "format_lp_kernel_table",
     "format_pool_comparison",
     "format_streaming_table",
     "format_table",
@@ -45,8 +38,6 @@ __all__ = [
     "queries_for_point",
     "run_anytime_ladder",
     "run_batch_throughput",
-    "run_lp_kernel_sweep",
-    "run_lp_queue_probe",
     "run_point",
     "run_pool_comparison",
     "run_query_measurement",

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .runner import (AggregatedPoint, AnytimeLadderReport, LPKernelPoint,
-                     StreamingPoint, ThroughputPoint)
+from .runner import (AggregatedPoint, AnytimeLadderReport, StreamingPoint,
+                     ThroughputPoint)
 
 
 def format_table(points: Sequence[AggregatedPoint]) -> str:
@@ -85,29 +85,6 @@ def format_streaming_table(points: Sequence[StreamingPoint]) -> str:
             f"{sp.queries:>8} {sp.workers:>8} {sp.seconds:>10.3f} "
             f"{sp.first_result_seconds:>9.3f} {sp.qps:>8.2f} "
             f"{sp.failures:>5}")
-    return "\n".join(lines)
-
-
-def format_lp_kernel_table(points: Sequence[LPKernelPoint]) -> str:
-    """Render the stacked-vs-scalar simplex sweep as an aligned table.
-
-    Shows the deterministic kernel counters (lockstep pivot rounds,
-    batch occupancy, scalar fallbacks) next to the per-LP timings, so
-    nightly artifacts track batch occupancy and the stacked kernel's
-    crossover point over time.
-    """
-    header = (f"{'vars':>5} {'cons':>5} {'batch':>6} {'rounds':>7} "
-              f"{'occ':>6} {'fallbk':>6} {'scalar[us]':>11} "
-              f"{'stacked[us]':>12} {'speedup':>8}")
-    lines = [header, "-" * len(header)]
-    for point in points:
-        lines.append(
-            f"{point.n_vars:>5} {point.n_constraints:>5} "
-            f"{point.batch:>6} {point.rounds:>7} "
-            f"{point.occupancy:>6.2f} {point.fallbacks:>6} "
-            f"{point.scalar_seconds * 1e6:>11.1f} "
-            f"{point.stacked_seconds * 1e6:>12.1f} "
-            f"{point.speedup:>7.2f}x")
     return "\n".join(lines)
 
 

@@ -54,24 +54,6 @@ class Measurement:
         emptiness_lp_seconds: LP wall time of the region-emptiness cost
             center (the ``emptiness`` + ``chebyshev`` purposes) — the
             quantity the batched geometry kernels shrink.
-        batch_lp_rounds: Lockstep pivot rounds of the stacked simplex
-            kernel (deterministic; 0 when no miss group reached the
-            stacking threshold).
-        batch_lp_solves: LPs the stacked kernel answered.
-        batch_lp_fallbacks: Stacked-kernel stragglers re-solved on the
-            scalar path.
-        batch_lp_occupancy: Mean fraction of each stacked group still
-            pivoting per lockstep round.
-        lp_queue_enqueued: LPs routed through the deferred futures queue
-            (0 under eager/scalar dispatch).
-        lp_queue_flush_size: Queue flushes triggered by a bucket
-            reaching the flush size.
-        lp_queue_flush_demand: Queue flushes triggered by a demanded
-            ``result()``.
-        lp_queue_flush_explicit: Explicit end-of-scope queue flushes.
-        lp_median_stacked_group_size: LP-weighted median size of the
-            groups the stacked kernel executed (0.0 when it never
-            engaged).
     """
 
     point: SweepPoint
@@ -81,15 +63,6 @@ class Measurement:
     pareto_plans: int
     lp_seconds: float = 0.0
     emptiness_lp_seconds: float = 0.0
-    batch_lp_rounds: int = 0
-    batch_lp_solves: int = 0
-    batch_lp_fallbacks: int = 0
-    batch_lp_occupancy: float = 0.0
-    lp_queue_enqueued: int = 0
-    lp_queue_flush_size: int = 0
-    lp_queue_flush_demand: int = 0
-    lp_queue_flush_explicit: int = 0
-    lp_median_stacked_group_size: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -133,17 +106,7 @@ def run_query_measurement(query, point: SweepPoint,
                        lps_solved=stats.lps_solved,
                        pareto_plans=len(result.entries),
                        lp_seconds=stats.lp_seconds,
-                       emptiness_lp_seconds=stats.emptiness_lp_seconds,
-                       batch_lp_rounds=stats.batch_lp_rounds,
-                       batch_lp_solves=stats.batch_lp_solves,
-                       batch_lp_fallbacks=stats.batch_lp_fallbacks,
-                       batch_lp_occupancy=stats.batch_lp_occupancy,
-                       lp_queue_enqueued=stats.lp_queue_enqueued,
-                       lp_queue_flush_size=stats.lp_queue_flush_size,
-                       lp_queue_flush_demand=stats.lp_queue_flush_demand,
-                       lp_queue_flush_explicit=stats.lp_queue_flush_explicit,
-                       lp_median_stacked_group_size=(
-                           stats.lp_median_stacked_group_size))
+                       emptiness_lp_seconds=stats.emptiness_lp_seconds)
 
 
 def run_point(point: SweepPoint, queries_per_point: int,
@@ -170,281 +133,6 @@ def run_sweep(profile: SweepProfile, shape: str,
     return [run_point(point, profile.queries_per_point, options=options,
                       base_seed=base_seed)
             for point in sweep_points(profile, shape)]
-
-
-# ----------------------------------------------------------------------
-# Stacked-simplex kernel microbenchmark
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LPKernelPoint:
-    """Stacked vs. per-LP simplex at one (shape, batch size) point.
-
-    The pivot-round, occupancy and fallback numbers are deterministic
-    (stable CRC-seeded LPs), so they join the gated CI perf baseline;
-    the timings and the speedup are informational.
-
-    Attributes:
-        n_vars / n_constraints: LP shape of every problem in the batch.
-        batch: Problems stacked per kernel call.
-        rounds: Lockstep pivot rounds one kernel call executed.
-        occupancy: Mean fraction of the batch still pivoting per round.
-        fallbacks: Problems flagged back to the scalar path.
-        scalar_seconds: Per-LP wall time of the scalar simplex.
-        stacked_seconds: Per-LP wall time of the stacked kernel.
-        speedup: ``scalar_seconds / stacked_seconds``.
-    """
-
-    n_vars: int
-    n_constraints: int
-    batch: int
-    rounds: int
-    occupancy: float
-    fallbacks: int
-    scalar_seconds: float
-    stacked_seconds: float
-    speedup: float
-
-    def as_dict(self) -> dict:
-        """JSON-ready representation (used by the CI bench artifact)."""
-        return {"n_vars": self.n_vars,
-                "n_constraints": self.n_constraints,
-                "batch": self.batch, "rounds": self.rounds,
-                "occupancy": self.occupancy,
-                "fallbacks": self.fallbacks,
-                "scalar_seconds": self.scalar_seconds,
-                "stacked_seconds": self.stacked_seconds,
-                "speedup": self.speedup}
-
-
-def _lp_kernel_batch(n_vars: int, n_constraints: int, batch: int,
-                     label: str) -> list[tuple]:
-    """Deterministic same-signature LP batch for the kernel sweep.
-
-    Seeds derive from a stable CRC32 digest of the point label (like
-    :func:`repro.bench.workloads.queries_for_point`), so counters are
-    machine- and Python-version-independent.  The first two constraint
-    rows get negative right-hand sides, giving every problem the same
-    artificial-column count (one stacking signature per point); every
-    fourth problem is made infeasible so the sweep exercises the
-    infeasibility path too.
-    """
-    import zlib
-
-    import numpy as np
-
-    problems = []
-    for index in range(batch):
-        seed = zlib.crc32(f"lpkernels-{label}-{index}".encode())
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(n_constraints, n_vars))
-        anchor = rng.uniform(-1.0, 1.0, size=n_vars)
-        b = a @ anchor + rng.uniform(0.1, 2.0, size=n_constraints)
-        # Exactly two rows with negative right-hand sides, so every
-        # problem of the point shares one two-artificial signature.
-        b[:2] = -np.abs(b[:2]) - 0.1
-        b[2:] = np.abs(b[2:]) + 0.1
-        if index % 4 == 3:
-            # Contradictory pair: a[0] @ x <= -1 and -a[0] @ x <= -1.
-            a[1] = -a[0]
-            b[0] = b[1] = -1.0
-        c = rng.normal(size=n_vars)
-        problems.append((c, a, b, [(None, None)] * n_vars))
-    return problems
-
-
-def run_lp_kernel_sweep(shapes: tuple[tuple[int, int], ...] = (
-                            (3, 8), (4, 14), (6, 24)),
-                        batch_sizes: tuple[int, ...] = (1, 2, 4, 8, 16,
-                                                        64),
-                        repeats: int = 5) -> list[LPKernelPoint]:
-    """Microbenchmark the stacked-tableau kernel against the scalar path.
-
-    Every point solves the *same* deterministic LP batch twice — once
-    per problem through :func:`repro.lp.solve_simplex`, once as one
-    stacked :func:`repro.lp.solve_simplex_batch` call — asserts the
-    answers are bit-identical, and reports the kernel's deterministic
-    pivot counters next to the wall-clock speedup.
-    """
-    from ..lp import solve_simplex
-    from ..lp.batch_simplex import solve_simplex_batch, standard_form
-
-    points = []
-    for n_vars, n_constraints in shapes:
-        for batch in batch_sizes:
-            label = f"{n_vars}x{n_constraints}b{batch}"
-            problems = _lp_kernel_batch(n_vars, n_constraints, batch,
-                                        label)
-            signatures = {standard_form(*problem).signature
-                          for problem in problems}
-            if len(signatures) != 1:  # pragma: no cover - generator bug
-                raise RuntimeError(f"mixed signatures at {label}")
-            report = None
-            started = time.perf_counter()
-            for __ in range(repeats):
-                # Time the conversion too — the product path pays it
-                # per miss, and the scalar leg's solve_simplex includes
-                # the same work (symmetric comparison).
-                forms = [standard_form(*problem)
-                         for problem in problems]
-                report = solve_simplex_batch(forms)
-            stacked = (time.perf_counter() - started) / (repeats * batch)
-            scalar_results = None
-            started = time.perf_counter()
-            for __ in range(repeats):
-                scalar_results = [solve_simplex(*problem)
-                                  for problem in problems]
-            scalar = (time.perf_counter() - started) / (repeats * batch)
-            for got, want in zip(report.results, scalar_results):
-                if got is None:
-                    continue  # flagged straggler: solved by fallback
-                assert got.status == want.status
-                if got.status == "optimal":
-                    assert (got.x == want.x).all()
-                    assert got.objective == want.objective
-            occupancy = (report.active_rounds / report.round_slots
-                         if report.round_slots else 0.0)
-            points.append(LPKernelPoint(
-                n_vars=n_vars, n_constraints=n_constraints, batch=batch,
-                rounds=report.rounds, occupancy=occupancy,
-                fallbacks=report.fallbacks, scalar_seconds=scalar,
-                stacked_seconds=stacked,
-                speedup=scalar / stacked if stacked > 0 else float("inf")))
-    return points
-
-
-# ----------------------------------------------------------------------
-# Deferred-queue smoke probe
-# ----------------------------------------------------------------------
-
-#: Smoke workload points probed by :func:`run_lp_queue_probe` — the
-#: QUICK profile's heaviest one- and two-parameter points, where region
-#: maintenance issues enough emptiness work for the queue to batch.
-LP_QUEUE_SMOKE_POINTS = (
-    SweepPoint(num_tables=5, shape="chain", num_params=1, resolution=2),
-    SweepPoint(num_tables=4, shape="star", num_params=1, resolution=2),
-    SweepPoint(num_tables=4, shape="chain", num_params=2, resolution=1),
-)
-
-
-@dataclass(frozen=True)
-class LPQueuePoint:
-    """Deferred-queue counters for one smoke workload point.
-
-    All counter fields are deterministic (stable CRC-seeded queries,
-    counter-identical queue dispatch), so they join the gated CI perf
-    baseline; the timing fields are informational.
-
-    Attributes:
-        num_tables / shape / num_params / resolution: The sweep point.
-        lps_solved: Linear programs solved during the run.
-        queue_enqueued: LPs routed through the deferred futures queue.
-        flush_size / flush_demand / flush_explicit: Queue flushes by
-            trigger (bucket reached the flush size / a ``result()`` was
-            demanded / explicit end-of-scope drain).
-        batch_solves: LPs answered by the stacked kernel.
-        median_stacked_group_size: LP-weighted median size of the
-            groups the stacked kernel executed at this point.
-        emptiness_lp_seconds: LP wall time of the region-emptiness cost
-            center (informational).
-        seconds: Optimization wall-clock time (informational).
-    """
-
-    num_tables: int
-    shape: str
-    num_params: int
-    resolution: int
-    lps_solved: int
-    queue_enqueued: int
-    flush_size: int
-    flush_demand: int
-    flush_explicit: int
-    batch_solves: int
-    median_stacked_group_size: float
-    emptiness_lp_seconds: float
-    seconds: float
-
-    def as_dict(self) -> dict:
-        """JSON-ready representation (used by the CI bench artifact)."""
-        return {"num_tables": self.num_tables, "shape": self.shape,
-                "num_params": self.num_params,
-                "resolution": self.resolution,
-                "lps_solved": self.lps_solved,
-                "queue_enqueued": self.queue_enqueued,
-                "flush_size": self.flush_size,
-                "flush_demand": self.flush_demand,
-                "flush_explicit": self.flush_explicit,
-                "batch_solves": self.batch_solves,
-                "median_stacked_group_size":
-                    self.median_stacked_group_size,
-                "emptiness_lp_seconds": self.emptiness_lp_seconds,
-                "seconds": self.seconds}
-
-
-@dataclass(frozen=True)
-class LPQueueReport:
-    """Queue probe results plus the cross-point headline median.
-
-    Attributes:
-        points: Per-workload-point counters.
-        median_stacked_group_size: LP-weighted median stacked-group size
-            over the *merged* histogram of all probed points — the
-            number the CI gate holds at or above the stacking crossover
-            (``lp.median_stacked_group_size``).
-    """
-
-    points: tuple[LPQueuePoint, ...]
-    median_stacked_group_size: float
-
-    def as_dict(self) -> dict:
-        """JSON-ready representation (used by the CI bench artifact)."""
-        return {"points": [point.as_dict() for point in self.points],
-                "median_stacked_group_size":
-                    self.median_stacked_group_size}
-
-
-def run_lp_queue_probe(points: tuple[SweepPoint, ...]
-                       = LP_QUEUE_SMOKE_POINTS,
-                       base_seed: int = 0) -> LPQueueReport:
-    """Measure the deferred LP queue on the smoke workload.
-
-    Runs one CRC-seeded query per point through the *accelerated*
-    engine (default :class:`PWLRRPAOptions` — the deferred queue and
-    the stacked kernel need the memo/vectorized path, which
-    :data:`PAPER_FAITHFUL` disables on purpose) and reports the queue
-    counters: how many LPs were deferred, what triggered their flushes,
-    and the LP-weighted median size of the groups the stacked kernel
-    executed.  All counters are deterministic, so they gate in CI.
-    """
-    from ..lp import LPStats
-
-    merged = LPStats()
-    probe_points = []
-    for point in points:
-        query = queries_for_point(point, 1, base_seed=base_seed)[0]
-        optimizer = PWLRRPA(
-            cost_model_factory=lambda q, point=point: CloudCostModel(
-                q, resolution=point.resolution),
-            options=PWLRRPAOptions())
-        result = optimizer.optimize(query)
-        stats = result.stats
-        merged.merge(stats.lp_stats)
-        probe_points.append(LPQueuePoint(
-            num_tables=point.num_tables, shape=point.shape,
-            num_params=point.num_params, resolution=point.resolution,
-            lps_solved=stats.lps_solved,
-            queue_enqueued=stats.lp_queue_enqueued,
-            flush_size=stats.lp_queue_flush_size,
-            flush_demand=stats.lp_queue_flush_demand,
-            flush_explicit=stats.lp_queue_flush_explicit,
-            batch_solves=stats.batch_lp_solves,
-            median_stacked_group_size=(
-                stats.lp_median_stacked_group_size),
-            emptiness_lp_seconds=stats.emptiness_lp_seconds,
-            seconds=stats.optimization_seconds))
-    return LPQueueReport(
-        points=tuple(probe_points),
-        median_stacked_group_size=merged.median_stacked_group_size())
 
 
 # ----------------------------------------------------------------------

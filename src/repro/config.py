@@ -70,15 +70,9 @@ KNOBS: tuple[Knob, ...] = (
     Knob(name="REPRO_SCALAR_KERNELS",
          default=None,
          kind="flag",
-         doc="Force the scalar (oracle) geometry/LP kernels; implies "
-             "eager LP dispatch.  The equivalence suites sweep both "
+         doc="Force the scalar (oracle) geometry kernels instead of "
+             "the batched ones.  The equivalence suites sweep both "
              "sides of this switch."),
-    Knob(name="REPRO_DEFERRED_LP",
-         default="1",
-         kind="flag",
-         doc="Route LPs through the deferred futures queue so the "
-             "stacked kernel sees real batches; set to 0 for eager "
-             "per-call-site dispatch."),
     Knob(name="REPRO_STORE_SEED",
          default="1",
          kind="switch",

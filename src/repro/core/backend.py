@@ -97,11 +97,9 @@ class RRPABackend(ABC):
     def regions_empty_many(self, regions: Sequence[Any]) -> list[bool]:
         """:meth:`region_is_empty` for a batch of independent regions.
 
-        The default delegates to the per-region check; backends whose
-        emptiness tests bottom out in LPs (see :class:`repro.core
-        .pwl_backend.PWLBackend`) override this to drive the checks in
-        lockstep so their LPs batch.  Results — and any stats the
-        per-region check records — must equal the sequential loop's.
+        The default delegates to the per-region check, in order.
+        Overrides must return — and record in any stats — exactly what
+        the sequential loop does.
         """
         return [self.region_is_empty(region) for region in regions]
 

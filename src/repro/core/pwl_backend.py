@@ -24,10 +24,8 @@ from ..cost import (MultiObjectivePWL, accumulator_map,
                     batch_dominance_aligned)
 from ..geometry import (ConvexPolytope, RelevanceRegion,
                         default_relevance_points)
-from ..geometry import regions_empty_many as geometry_regions_empty_many
 from ..lp import LinearProgramSolver, LPStats
 from ..plans import JoinOperator, ScanOperator, ScanPlan
-from ..util import deferred_lp_enabled
 from .backend import RRPABackend
 from .stats import OptimizerStats
 
@@ -241,34 +239,12 @@ class PWLBackend(RRPABackend):
 
     def regions_empty_many(self, regions: Sequence[RelevanceRegion]
                            ) -> list[bool]:
-        """Lockstep-batched :meth:`region_is_empty` over many regions.
+        """:meth:`region_is_empty` over many regions, in order.
 
-        Witness-point shortcuts and the per-check stats are applied
-        per region exactly as in the sequential loop; the remaining
-        checks run through :func:`repro.geometry.regions_empty_many`,
-        which co-flushes their same-round LPs through the deferred
-        queue.  Falls back to the sequential loop under eager dispatch.
+        Same as the inherited default; defined here so the traced run of
+        ``perfbench/`` can wrap it by name on this class.
         """
-        if not deferred_lp_enabled():
-            return [self.region_is_empty(region) for region in regions]
-        results: list[bool | None] = [None] * len(regions)
-        needs_lp: list[int] = []
-        for index, region in enumerate(regions):
-            if region.relevance_points:
-                if self.stats is not None:
-                    self.stats.emptiness_checks_skipped += 1
-                results[index] = False
-                continue
-            if self.stats is not None:
-                self.stats.emptiness_checks += 1
-            needs_lp.append(index)
-        if needs_lp:
-            answers = geometry_regions_empty_many(
-                [regions[i] for i in needs_lp], self.solver,
-                strategy=self.options.emptiness_strategy)
-            for index, empty in zip(needs_lp, answers):
-                results[index] = empty
-        return results
+        return [self.region_is_empty(region) for region in regions]
 
     def on_run_start(self) -> None:
         self._point_template = None

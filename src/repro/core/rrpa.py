@@ -135,10 +135,8 @@ def prune_into(backend: RRPABackend, entries: list[PlanEntry],
                 stats.plans_discarded_new += 1
                 return
     # The new plan is relevant somewhere: displace dominated incumbents.
-    # Reductions are LP-free (they only record cutouts), so apply them
-    # all first and then decide every incumbent's emptiness in one
-    # lockstep pass — each region's check is an independent LP chain,
-    # which is exactly the shape the deferred queue batches across.
+    # Reductions are LP-free (they only record cutouts), so all of them
+    # can go first and the emptiness checks follow as one batch.
     survivors = []
     dom_lists = backend.dominance_many_rev(
         new_cost, [old.cost for old in entries])

@@ -69,51 +69,6 @@ class OptimizerStats:
         return (by_purpose.get("emptiness", 0.0)
                 + by_purpose.get("chebyshev", 0.0))
 
-    @property
-    def batch_lp_rounds(self) -> int:
-        """Lockstep pivot rounds executed by the stacked simplex kernel."""
-        return self.lp_stats.batch_rounds
-
-    @property
-    def batch_lp_solves(self) -> int:
-        """LPs answered by the stacked kernel (subset of ``lps_solved``)."""
-        return self.lp_stats.batch_solves
-
-    @property
-    def batch_lp_fallbacks(self) -> int:
-        """Stacked-kernel stragglers re-solved on the scalar path."""
-        return self.lp_stats.batch_fallbacks
-
-    @property
-    def batch_lp_occupancy(self) -> float:
-        """Mean fraction of each stacked group still pivoting per round."""
-        return self.lp_stats.batch_occupancy()
-
-    @property
-    def lp_queue_enqueued(self) -> int:
-        """LPs routed through the deferred futures queue."""
-        return self.lp_stats.queue_enqueued
-
-    @property
-    def lp_queue_flush_size(self) -> int:
-        """Queue flushes triggered by a bucket reaching the flush size."""
-        return self.lp_stats.queue_flush_size
-
-    @property
-    def lp_queue_flush_demand(self) -> int:
-        """Queue flushes triggered by a demanded ``result()``."""
-        return self.lp_stats.queue_flush_demand
-
-    @property
-    def lp_queue_flush_explicit(self) -> int:
-        """Queue flushes requested via an explicit ``flush()`` call."""
-        return self.lp_stats.queue_flush_explicit
-
-    @property
-    def lp_median_stacked_group_size(self) -> float:
-        """LP-weighted median size of the stacked kernel's groups."""
-        return self.lp_stats.median_stacked_group_size()
-
     def summary(self) -> dict[str, float]:
         """Return the headline numbers as a plain dict (for reporting)."""
         return {
@@ -128,14 +83,5 @@ class OptimizerStats:
             "lp_cache_hits": self.lp_stats.cache_hits,
             "lp_seconds": self.lp_seconds,
             "emptiness_lp_seconds": self.emptiness_lp_seconds,
-            "batch_lp_rounds": self.batch_lp_rounds,
-            "batch_lp_solves": self.batch_lp_solves,
-            "batch_lp_fallbacks": self.batch_lp_fallbacks,
-            "batch_lp_occupancy": self.batch_lp_occupancy,
-            "lp_queue_enqueued": self.lp_queue_enqueued,
-            "lp_queue_flush_size": self.lp_queue_flush_size,
-            "lp_queue_flush_demand": self.lp_queue_flush_demand,
-            "lp_queue_flush_explicit": self.lp_queue_flush_explicit,
-            "lp_median_stacked_group_size": self.lp_median_stacked_group_size,
             "optimization_seconds": self.optimization_seconds,
         }

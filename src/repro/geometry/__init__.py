@@ -11,12 +11,7 @@ Public API:
   batches one cut across many bases with batched emptiness LPs.
 * :func:`emptiness_many` / :func:`chebyshev_many` /
   :func:`has_interior_many` — batched polytope predicates backed by
-  :meth:`repro.lp.LinearProgramSolver.solve_many`; the ``*_deferred``
-  variants enqueue into the deferred LP futures queue and return
-  :class:`repro.lp.LazyValue` handles (see ``docs/lp-substrate.md``).
-* :func:`regions_empty_many` — lockstep-batched emptiness over many
-  relevance regions, the driver that feeds the stacked simplex kernel
-  its cross-region batches.
+  :meth:`repro.lp.LinearProgramSolver.solve_many`.
 * :func:`envelope` / :func:`union_as_polytope` — Bemporad-style convexity
   recognition of polytope unions (used by Algorithm 2's ``IsEmpty``).
 * :class:`RelevanceRegion` — complement-of-cutouts region with the paper's
@@ -25,17 +20,14 @@ Public API:
   approximation of nonlinear cost functions.
 """
 
-from .batchops import (chebyshev_many, chebyshev_many_deferred,
-                       emptiness_many, emptiness_many_deferred,
-                       has_interior_many, has_interior_many_deferred)
+from .batchops import chebyshev_many, emptiness_many, has_interior_many
 from .constraints import GEOMETRY_EPS, LinearConstraint, constraints_to_arrays
 from .convexity import constraint_valid_for, envelope, union_as_polytope
-from .difference import (exhaust, subtract_polytope, subtract_polytope_many,
-                         subtract_polytope_many_iter, subtract_polytopes,
-                         subtract_polytopes_iter, union_covers)
+from .difference import (subtract_polytope, subtract_polytope_many,
+                         subtract_polytopes, union_covers)
 from .polytope import INTERIOR_EPS, ConvexPolytope
 from .region import (EMPTINESS_STRATEGIES, RelevanceRegion,
-                     default_relevance_points, regions_empty_many)
+                     default_relevance_points)
 from .simplex_grid import (Simplex, box_simplices, interval_pieces,
                            kuhn_triangulation_unit_cell)
 
@@ -49,24 +41,17 @@ __all__ = [
     "Simplex",
     "box_simplices",
     "chebyshev_many",
-    "chebyshev_many_deferred",
     "constraint_valid_for",
     "constraints_to_arrays",
     "default_relevance_points",
     "emptiness_many",
-    "emptiness_many_deferred",
     "envelope",
-    "exhaust",
     "has_interior_many",
-    "has_interior_many_deferred",
     "interval_pieces",
     "kuhn_triangulation_unit_cell",
-    "regions_empty_many",
     "subtract_polytope",
     "subtract_polytope_many",
-    "subtract_polytope_many_iter",
     "subtract_polytopes",
-    "subtract_polytopes_iter",
     "union_as_polytope",
     "union_covers",
 ]

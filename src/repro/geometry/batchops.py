@@ -20,8 +20,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..lp import LazyValue, LinearProgramSolver
-from ..util import deferred_lp_enabled
+from ..lp import LinearProgramSolver
 from .polytope import INTERIOR_EPS, ConvexPolytope
 
 
@@ -101,137 +100,3 @@ def has_interior_many(polytopes: Sequence[ConvexPolytope],
     return [radius > eps
             for __, radius in chebyshev_many(polytopes, solver)]
 
-
-def _emptiness_from_result(result) -> bool:
-    return result.is_infeasible
-
-
-def emptiness_many_deferred(polytopes: Sequence[ConvexPolytope],
-                            solver: LinearProgramSolver
-                            ) -> list[LazyValue]:
-    """Deferred-queue :func:`emptiness_many`: enqueue now, decide later.
-
-    Returns one :class:`~repro.lp.LazyValue` of ``bool`` per polytope.
-    Trivially decidable and cached instances resolve immediately with no
-    LP (exactly the scalar decisions); the rest enqueue their feasibility
-    LP into the solver's deferred queue and resolve at flush, when a
-    callback also fills the polytope's own emptiness cache so later
-    direct ``is_empty`` calls see the answer just as they would under
-    eager dispatch.
-
-    Accounting matches the eager helper bit for bit: a polytope whose LP
-    is *still pending* from an earlier call reuses the pending future
-    (the eager path would have had the instance cache filled by then —
-    zero LPs, zero cache hits either way), while duplicates of one
-    instance *within* a single call enqueue duplicate LPs, just as the
-    eager helper hands ``solve_many`` an in-batch duplicate (one memo
-    hit when a cache is installed).
-
-    With the queue disabled (``REPRO_DEFERRED_LP=0`` or the scalar
-    oracle active) this delegates to :func:`emptiness_many` and returns
-    already-resolved values, so generator-style call sites work
-    unchanged in eager mode.
-    """
-    if not deferred_lp_enabled():
-        return [LazyValue.resolved(empty)
-                for empty in emptiness_many(polytopes, solver)]
-    queue = solver.deferred_queue()
-    out: list[LazyValue | None] = [None] * len(polytopes)
-    enqueued_here: set[int] = set()
-    for position, poly in enumerate(polytopes):
-        if poly._empty_cache is not None:
-            out[position] = LazyValue.resolved(poly._empty_cache)
-            continue
-        if poly.has_trivially_infeasible():
-            poly._empty_cache = True
-            out[position] = LazyValue.resolved(True)
-            continue
-        if not poly.constraints:
-            poly._empty_cache = False
-            out[position] = LazyValue.resolved(False)
-            continue
-        note_key = ("empty", id(poly))
-        if id(poly) not in enqueued_here and note_key in queue.notes:
-            # Pending from an earlier call: share its future (the eager
-            # path would find the instance cache already filled here).
-            __, future = queue.notes[note_key]
-            out[position] = LazyValue.deferred(future,
-                                               _emptiness_from_result)
-            continue
-
-        def _install(result, poly=poly):
-            poly._empty_cache = result.is_infeasible
-
-        future = queue.enqueue(np.zeros(poly.dim), poly._a, poly._b, None,
-                               purpose="emptiness", on_resolve=_install)
-        if id(poly) not in enqueued_here:
-            enqueued_here.add(id(poly))
-            queue.notes[note_key] = (poly, future)
-        out[position] = LazyValue.deferred(future, _emptiness_from_result)
-    return out
-
-
-def chebyshev_many_deferred(polytopes: Sequence[ConvexPolytope],
-                            solver: LinearProgramSolver
-                            ) -> list[LazyValue]:
-    """Deferred-queue :func:`chebyshev_many`; see
-    :func:`emptiness_many_deferred` for the shared contract.
-
-    Each returned :class:`~repro.lp.LazyValue` yields the
-    ``(center, radius)`` pair of the scalar method.
-    """
-    if not deferred_lp_enabled():
-        return [LazyValue.resolved(pair)
-                for pair in chebyshev_many(polytopes, solver)]
-    queue = solver.deferred_queue()
-    out: list[LazyValue | None] = [None] * len(polytopes)
-    enqueued_here: set[int] = set()
-    for position, poly in enumerate(polytopes):
-        if poly._cheb_cache is not None:
-            out[position] = LazyValue.resolved(poly._cheb_cache)
-            continue
-        if poly.has_trivially_infeasible():
-            poly._cheb_cache = (None, -np.inf)
-            out[position] = LazyValue.resolved(poly._cheb_cache)
-            continue
-        if not poly.constraints:
-            poly._cheb_cache = (None, np.inf)
-            out[position] = LazyValue.resolved(poly._cheb_cache)
-            continue
-
-        def _read(result, dim=poly.dim):
-            if result.is_infeasible:
-                return (None, -np.inf)
-            if result.status == "unbounded":
-                return (None, np.inf)
-            return (result.x[:dim], float(result.x[-1]))
-
-        note_key = ("cheb", id(poly))
-        if id(poly) not in enqueued_here and note_key in queue.notes:
-            __, future = queue.notes[note_key]
-            out[position] = LazyValue.deferred(future, _read)
-            continue
-
-        def _install(result, poly=poly, read=_read):
-            poly._cheb_cache = read(result)
-
-        m = poly._a.shape[0]
-        a_ext = np.hstack([poly._a, np.ones((m, 1))])
-        c = np.zeros(poly.dim + 1)
-        c[-1] = -1.0  # maximize r
-        future = queue.enqueue(c, a_ext, poly._b, None,
-                               purpose="chebyshev", on_resolve=_install)
-        if id(poly) not in enqueued_here:
-            enqueued_here.add(id(poly))
-            queue.notes[note_key] = (poly, future)
-        out[position] = LazyValue.deferred(future, _read)
-    return out
-
-
-def has_interior_many_deferred(polytopes: Sequence[ConvexPolytope],
-                               solver: LinearProgramSolver,
-                               eps: float = INTERIOR_EPS
-                               ) -> list[LazyValue]:
-    """Deferred-queue :func:`has_interior_many` (lazy ``bool`` per input)."""
-    return [lazy.map(lambda pair, eps=eps: pair[1] > eps)
-            for lazy in chebyshev_many_deferred(polytopes, solver)]

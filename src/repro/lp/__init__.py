@@ -5,19 +5,8 @@ Public API:
 * :class:`LinearProgramSolver` / :func:`make_solver` — LP facade with
   pluggable backends (scipy HiGHS or the built-in simplex); its
   :meth:`~LinearProgramSolver.solve_many` solves a batch of independent
-  LPs with memo-backed in-batch deduplication and routes same-shape
-  groups through the stacked-tableau batch simplex (the entry point of
-  the batched geometry kernels).
-* :func:`solve_simplex_batch` / :func:`standard_form` — the stacked
-  kernel itself: same-shape LPs pivoted in lockstep 3-D NumPy tableaus,
-  bit-identical to the scalar simplex (see :mod:`repro.lp.batch_simplex`).
-* :class:`DeferredLPQueue` / :class:`LPFuture` / :class:`LazyValue` — the
-  deferred-flush futures queue: call sites enqueue LPs instead of solving
-  eagerly, and the queue flushes whole stacking groups through
-  ``solve_many`` so the stacked kernel sees real batches (see
-  :mod:`repro.lp.futures` and ``docs/lp-substrate.md``).
-* :func:`stack_prekey` — the conversion-free grouping key shared by
-  ``solve_many``'s miss grouping and the queue's accumulation buckets.
+  LPs with memo-backed in-batch deduplication (the entry point of the
+  batched geometry kernels).
 * :class:`LPResult` — solve outcome.
 * :class:`LPResultCache` — bounded LRU memo over canonicalized LP inputs.
 * :func:`install_shared_lp_cache` / :func:`shared_lp_cache` — process-wide
@@ -29,33 +18,20 @@ Public API:
   as a testing oracle.
 """
 
-from .batch_simplex import (BatchReport, StandardForm, solve_simplex_batch,
-                            standard_form)
 from .counters import LPStats, default_stats
-from .futures import QUEUE_FLUSH_SIZE, DeferredLPQueue, LazyValue, LPFuture
 from .simplex import SimplexResult, solve_simplex
 from .solver import (LinearProgramSolver, LPResult, LPResultCache,
-                     install_shared_lp_cache, make_solver, shared_lp_cache,
-                     stack_prekey)
+                     install_shared_lp_cache, make_solver, shared_lp_cache)
 
 __all__ = [
-    "BatchReport",
-    "DeferredLPQueue",
-    "LPFuture",
     "LPResult",
     "LPResultCache",
     "LPStats",
-    "LazyValue",
     "LinearProgramSolver",
-    "QUEUE_FLUSH_SIZE",
     "SimplexResult",
-    "StandardForm",
     "default_stats",
     "install_shared_lp_cache",
     "make_solver",
     "shared_lp_cache",
     "solve_simplex",
-    "solve_simplex_batch",
-    "stack_prekey",
-    "standard_form",
 ]

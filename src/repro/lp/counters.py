@@ -27,27 +27,8 @@ class LPStats:
             a backend (not counted in ``solved`` — the paper's "#solved
             linear programs" metric reports actual solver work).
         seconds: Total wall-clock time spent inside LP backends.
-        batch_groups: Same-shape LP groups executed by the stacked
-            simplex kernel (:mod:`repro.lp.batch_simplex`).
-        batch_solves: LPs answered by the stacked kernel (each is also
-            counted in ``solved`` — batching changes *how* an LP is
-            pivoted, never whether it counts).
-        batch_rounds: Lockstep pivot rounds executed across all groups.
-        batch_active_rounds: Total problem-rounds — per round, how many
-            problems were still pivoting (occupancy numerator).
-        batch_round_slots: ``rounds * group size`` summed over groups
-            (occupancy denominator).
-        batch_fallbacks: Problems the stacked kernel flagged back to the
-            per-problem scalar/scipy path (numerically nasty stragglers).
-        queue_enqueued: LPs enqueued into a deferred futures queue
-            (:mod:`repro.lp.futures`) instead of being solved eagerly.
-        queue_flush_size: Queue flushes triggered by a stacking group
-            reaching the crossover size (the productive kind: the group
-            is wide enough for the stacked kernel).
-        queue_flush_demand: Flushes triggered by a future's ``result()``
-            being demanded before its group filled up.
-        queue_flush_explicit: Flushes requested via an explicit
-            ``flush()`` call (end-of-scope drains).
+        batch_solves: Always 0.  Kept for the end-to-end benchmark's
+            ``lp.stacked_frac`` metric; every LP is solved one at a time.
     """
 
     solved: int = 0
@@ -57,27 +38,7 @@ class LPStats:
     optimizations: int = 0
     cache_hits: int = 0
     seconds: float = 0.0
-    batch_groups: int = 0
     batch_solves: int = 0
-    batch_rounds: int = 0
-    batch_active_rounds: int = 0
-    batch_round_slots: int = 0
-    batch_fallbacks: int = 0
-    queue_enqueued: int = 0
-    queue_flush_size: int = 0
-    queue_flush_demand: int = 0
-    queue_flush_explicit: int = 0
-    #: Histogram of stacking-group sizes — for every ``solve_many`` call,
-    #: the post-dedupe miss set is grouped by conversion-free stacking
-    #: pre-key and each group's size is recorded here (size -> count).
-    #: This is the quantity the deferred queue exists to push up: groups
-    #: below ``MIN_STACK_GROUP`` never reach the stacked kernel.
-    _group_sizes: dict[int, int] = field(default_factory=dict)
-    #: Histogram of the groups the stacked kernel actually executed
-    #: (size -> count), maintained by :meth:`record_batch`.  Zero entries
-    #: mean the kernel never engaged; the median over this histogram is
-    #: the headline "median stacked-group size" metric.
-    _stacked_group_sizes: dict[int, int] = field(default_factory=dict)
     _by_purpose: dict[str, int] = field(default_factory=dict)
     _seconds_by_purpose: dict[str, float] = field(default_factory=dict)
 
@@ -113,135 +74,6 @@ class LPStats:
         """Record a solve answered from the memo cache (no solver work)."""
         self.cache_hits += 1
 
-    def record_batch(self, *, group_size: int, solved: int, rounds: int,
-                     active_rounds: int, fallbacks: int) -> None:
-        """Record one stacked-simplex group execution.
-
-        Args:
-            group_size: Problems stacked into the group.
-            solved: Problems the kernel answered (the rest fell back).
-            rounds: Lockstep pivot rounds the group executed.
-            active_rounds: Problem-rounds actually pivoted (frozen
-                problems stop counting once they finish).
-            fallbacks: Problems flagged for the scalar fallback.
-        """
-        self.batch_groups += 1
-        self.batch_solves += solved
-        self.batch_rounds += rounds
-        self.batch_active_rounds += active_rounds
-        self.batch_round_slots += rounds * group_size
-        self.batch_fallbacks += fallbacks
-        self._stacked_group_sizes[group_size] = (
-            self._stacked_group_sizes.get(group_size, 0) + 1)
-
-    def record_queue_enqueued(self, count: int = 1) -> None:
-        """Record LPs handed to a deferred futures queue."""
-        self.queue_enqueued += count
-
-    def record_queue_flush(self, cause: str) -> None:
-        """Record one deferred-queue flush event by its trigger.
-
-        Args:
-            cause: ``"size"`` (a stacking group reached the crossover),
-                ``"demand"`` (a future's result was demanded) or
-                ``"explicit"`` (a direct ``flush()`` call).
-        """
-        if cause == "size":
-            self.queue_flush_size += 1
-        elif cause == "demand":
-            self.queue_flush_demand += 1
-        elif cause == "explicit":
-            self.queue_flush_explicit += 1
-        else:
-            raise ValueError(f"unknown queue flush cause: {cause!r}")
-
-    def record_group_size(self, size: int) -> None:
-        """Record the size of one stacking pre-key group of a miss set."""
-        self._group_sizes[size] = self._group_sizes.get(size, 0) + 1
-
-    def group_size_histogram(self) -> dict[int, int]:
-        """Return a copy of the stacking-group-size histogram.
-
-        Covers *every* miss group, including the sub-crossover fragments
-        solved per problem; compare with
-        :meth:`stacked_group_size_histogram` to see how much of the LP
-        mass travels in stacked batches.
-        """
-        return dict(self._group_sizes)
-
-    def stacked_group_size_histogram(self) -> dict[int, int]:
-        """Return a copy of the stacked-kernel group-size histogram."""
-        return dict(self._stacked_group_sizes)
-
-    @staticmethod
-    def _weighted_median(histogram: dict[int, int]) -> float:
-        """LP-weighted median of a ``size -> group count`` histogram.
-
-        The median is taken over *LPs*, not over groups: a group of size
-        ``s`` contributes ``s`` observations of value ``s``.  This makes
-        the metric answer the question that matters for the stacked
-        kernel — "how big is the group the typical LP travels in?" —
-        instead of letting a swarm of stragglers outvote one wide batch
-        that carries most of the actual work.  0.0 when the histogram is
-        empty.
-        """
-        if not histogram:
-            return 0.0
-        total = sum(size * count for size, count in histogram.items())
-        half = total / 2.0
-        seen = 0
-        sizes = sorted(histogram)
-        for position, size in enumerate(sizes):
-            seen += size * histogram[size]
-            if seen > half:
-                return float(size)
-            if seen == half and position + 1 < len(sizes):
-                return (size + sizes[position + 1]) / 2.0
-        return float(sizes[-1])
-
-    def median_group_size(self) -> float:
-        """LP-weighted median size over *all* miss groups.
-
-        Dominated by the sub-crossover fragments that control-flow
-        decision points force out of the queue (a chain that needs an
-        answer *now* cannot wait for its group to fill), so this stays
-        low even when the stacked kernel carries most of the heavy LPs;
-        see :meth:`median_stacked_group_size` for the headline metric.
-        """
-        return self._weighted_median(self._group_sizes)
-
-    def median_stacked_group_size(self) -> float:
-        """LP-weighted median size of the groups the stacked kernel ran.
-
-        0.0 when the kernel never engaged — the bench gate on this
-        metric therefore fails loudly if the deferred queue stops
-        feeding the kernel groups at or above the stacking crossover.
-        """
-        return self._weighted_median(self._stacked_group_sizes)
-
-    def add_seconds(self, purpose: str, seconds: float) -> None:
-        """Charge backend wall time to a purpose without counting a solve.
-
-        Used to attribute a stacked group's shared wall clock to each
-        member's own purpose (the per-group attribution fix): members
-        that fall back get their share of the group time here and their
-        solve is recorded by the scalar re-solve.
-        """
-        self.seconds += seconds
-        self._seconds_by_purpose[purpose] = (
-            self._seconds_by_purpose.get(purpose, 0.0) + seconds)
-
-    def batch_occupancy(self) -> float:
-        """Mean fraction of each stacked group still pivoting per round.
-
-        1.0 means every problem pivoted in every round of its group;
-        lower values mean finished problems froze while stragglers kept
-        going.  0.0 when no stacked group ran.
-        """
-        if self.batch_round_slots == 0:
-            return 0.0
-        return self.batch_active_rounds / self.batch_round_slots
-
     def by_purpose(self) -> dict[str, int]:
         """Return a copy of the per-purpose LP counts."""
         return dict(self._by_purpose)
@@ -259,18 +91,6 @@ class LPStats:
         self.optimizations = 0
         self.cache_hits = 0
         self.seconds = 0.0
-        self.batch_groups = 0
-        self.batch_solves = 0
-        self.batch_rounds = 0
-        self.batch_active_rounds = 0
-        self.batch_round_slots = 0
-        self.batch_fallbacks = 0
-        self.queue_enqueued = 0
-        self.queue_flush_size = 0
-        self.queue_flush_demand = 0
-        self.queue_flush_explicit = 0
-        self._group_sizes.clear()
-        self._stacked_group_sizes.clear()
         self._by_purpose.clear()
         self._seconds_by_purpose.clear()
 
@@ -283,21 +103,6 @@ class LPStats:
         self.optimizations += other.optimizations
         self.cache_hits += other.cache_hits
         self.seconds += other.seconds
-        self.batch_groups += other.batch_groups
-        self.batch_solves += other.batch_solves
-        self.batch_rounds += other.batch_rounds
-        self.batch_active_rounds += other.batch_active_rounds
-        self.batch_round_slots += other.batch_round_slots
-        self.batch_fallbacks += other.batch_fallbacks
-        self.queue_enqueued += other.queue_enqueued
-        self.queue_flush_size += other.queue_flush_size
-        self.queue_flush_demand += other.queue_flush_demand
-        self.queue_flush_explicit += other.queue_flush_explicit
-        for key, value in other._group_sizes.items():
-            self._group_sizes[key] = self._group_sizes.get(key, 0) + value
-        for key, value in other._stacked_group_sizes.items():
-            self._stacked_group_sizes[key] = (
-                self._stacked_group_sizes.get(key, 0) + value)
         for key, value in other._by_purpose.items():
             self._by_purpose[key] = self._by_purpose.get(key, 0) + value
         for key, value in other._seconds_by_purpose.items():

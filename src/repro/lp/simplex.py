@@ -51,10 +51,9 @@ try:  # pragma: no cover - numpy-version dependent import
     def _basis_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``np.linalg.solve`` for float64 systems, minus wrapper overhead.
 
-        Accepts the wrapper's stacked forms too: ``(m, m) @ (m,)`` or
-        ``(k, m, m) @ (k, m)`` with one right-hand side per slice.
-        Raises :class:`numpy.linalg.LinAlgError` when any slice is
-        singular, like the wrapper.
+        Solves one ``(m, m) @ (m,)`` system and raises
+        :class:`numpy.linalg.LinAlgError` when it is singular, like the
+        wrapper.
         """
         try:
             out = _umath_linalg.solve1(a, b, signature="dd->d")
@@ -67,47 +66,11 @@ try:  # pragma: no cover - numpy-version dependent import
         if total != total:  # NaN marks a singular (or poisoned) slice
             raise np.linalg.LinAlgError("Singular matrix")
         return out
-
-    def _basis_solve_masked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Stacked solve returning NaN-filled rows for singular slices.
-
-        Unlike :func:`_basis_solve` this never raises: LAPACK solves
-        every slice independently (good slices keep their exact
-        :func:`np.linalg.solve` bits even when a sibling is singular),
-        so callers can mask out the NaN rows and keep going — the
-        stacked simplex kernel flags exactly those problems for its
-        scalar fallback.  When warnings are promoted to errors the
-        gufunc's invalid-value warning aborts the whole stack, so the
-        rare singular round re-solves per slice through the public
-        wrapper (identical bits) instead.
-        """
-        try:
-            return _umath_linalg.solve1(a, b, signature="dd->d")
-        except RuntimeWarning:  # warnings-as-errors consumers
-            out = np.full_like(b, np.nan)
-            for i in range(a.shape[0]):
-                try:
-                    out[i] = np.linalg.solve(a[i], b[i])
-                except np.linalg.LinAlgError:
-                    pass
-            return out
 except (ImportError, AttributeError, TypeError):  # pragma: no cover
     # Exercised on numpy relayouts (module, gufunc or kwargs gone).
     def _basis_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Fallback via the public wrapper (identical bits, more overhead)."""
-        if a.ndim == 2:
-            return np.linalg.solve(a, b)
-        return np.linalg.solve(a, b[..., None])[..., 0]
-
-    def _basis_solve_masked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Fallback stacked solve: per-slice wrapper calls, NaN on singular."""
-        out = np.full_like(b, np.nan)
-        for i in range(a.shape[0]):
-            try:
-                out[i] = np.linalg.solve(a[i], b[i])
-            except np.linalg.LinAlgError:
-                pass
-        return out
+        return np.linalg.solve(a, b)
 
 
 @dataclass(frozen=True)

@@ -6,17 +6,17 @@ solve through :class:`LinearProgramSolver` so the number of solved LPs can
 be reported per optimization run — one of the three quantities plotted in
 Figure 12 of the paper.
 
-Two backends are available:
+Three backends are available:
 
-* ``"scipy"`` — :func:`scipy.optimize.linprog` with the HiGHS method
-  (default when scipy is importable).
+* ``"hybrid"`` — the simplex below first, scipy when it raises
+  :class:`~repro.errors.SolverError` (default when scipy is importable).
 * ``"simplex"`` — the pure-Python two-phase simplex from
-  :mod:`repro.lp.simplex`, used as fallback and as testing oracle.
+  :mod:`repro.lp.simplex`, used without scipy and as testing oracle.
+* ``"scipy"`` — :func:`scipy.optimize.linprog` with the HiGHS method.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from dataclasses import dataclass
@@ -26,8 +26,7 @@ import numpy as np
 
 from ..errors import SolverError
 from ..faults import failpoint
-from ..util import BoundedLRU, scalar_kernels_enabled
-from .batch_simplex import is_stackable, solve_simplex_batch, standard_form
+from ..util import BoundedLRU
 from .counters import LPStats, default_stats
 from .simplex import solve_simplex
 
@@ -37,33 +36,6 @@ try:  # pragma: no cover - exercised implicitly on import
 except ImportError:  # pragma: no cover
     _scipy_linprog = None
     _HAVE_SCIPY = False
-
-#: Smallest same-shape miss group routed through the stacked simplex.
-#: Below this size the lockstep kernel's per-round NumPy dispatch
-#: overhead outweighs what it amortizes over the batch (measured
-#: crossover ~8 on this workload's tiny LPs; see
-#: ``benchmarks/bench_lp_kernels.py``), so smaller groups keep the
-#: per-problem scalar path.
-MIN_STACK_GROUP = 8
-
-
-def stack_prekey(c: np.ndarray, a_ub: np.ndarray | None, bounds) -> tuple:
-    """Conversion-free stacking pre-key of one prepared LP.
-
-    Groups problems by ``(n_vars, n_constraints, bounds finiteness
-    pattern)`` — a cheap over-approximation of the exact stacking
-    signature (which additionally splits by artificial-column count and
-    requires a standard-form conversion to compute).  Two LPs with equal
-    pre-keys *may* stack; two with different pre-keys never do.  Shared
-    by :meth:`LinearProgramSolver.solve_many`'s miss grouping and the
-    deferred futures queue's accumulation buckets
-    (:class:`repro.lp.futures.DeferredLPQueue`).
-    """
-    pattern = tuple(
-        (lo is not None and math.isfinite(lo),
-         hi is not None and math.isfinite(hi))
-        for lo, hi in bounds)
-    return (c.shape[0], a_ub.shape[0] if a_ub is not None else 0, pattern)
 
 
 @dataclass(frozen=True)
@@ -241,8 +213,8 @@ class LinearProgramSolver:
     Args:
         stats: Counter object to charge solves against.  Defaults to the
             process-wide counter from :func:`repro.lp.counters.default_stats`.
-        backend: ``"scipy"``, ``"simplex"`` or ``"auto"`` (scipy when
-            available, simplex otherwise).
+        backend: ``"scipy"``, ``"simplex"``, ``"hybrid"`` or ``"auto"``
+            (hybrid when scipy is available, simplex otherwise).
         cache_size: Size of the LP-result memo cache; ``0`` (the default)
             disables memoization so counters reflect every solve.
         cache: Explicit memo cache to use, overriding both ``cache_size``
@@ -274,22 +246,6 @@ class LinearProgramSolver:
                           else LPResultCache(cache_size))
         else:
             self.cache = None
-        #: Lazily created per-solver deferred futures queue; see
-        #: :meth:`deferred_queue`.
-        self._deferred_queue = None
-
-    def deferred_queue(self):
-        """The per-solver :class:`repro.lp.futures.DeferredLPQueue`.
-
-        Created on first use so solvers that never defer pay nothing.
-        All deferred call sites of one solver share this queue — that is
-        what lets LPs born in different regions and call sites co-flush
-        into one stacked group.
-        """
-        if self._deferred_queue is None:
-            from .futures import DeferredLPQueue
-            self._deferred_queue = DeferredLPQueue(self)
-        return self._deferred_queue
 
     def solve(self, c, a_ub=None, b_ub=None, bounds=None, *,
               purpose: str = "generic") -> LPResult:
@@ -336,25 +292,16 @@ class LinearProgramSolver:
         (results *and* accounting) it equals calling :meth:`solve` per
         problem: every backend solve is recorded, every memoized answer
         is a cache hit, and answers are bit-identical to the per-problem
-        path.  The batch form buys two things: memo-backed deduplication
-        (results solved earlier in the same batch answer later
-        duplicates) and — for the ``simplex``/``hybrid`` backends — the
-        stacked-tableau kernel of :mod:`repro.lp.batch_simplex`, which
-        groups the post-dedupe miss set by canonical standard-form shape
-        and pivots each group in lockstep NumPy rounds instead of one LP
-        at a time.  Stragglers the kernel flags (singular bases,
-        iteration overflow) fall back to the per-problem path, so
-        results match today's answers exactly.  ``REPRO_SCALAR_KERNELS=1``
-        disables the stacked kernel entirely.
+        path.  The batch form buys memo-backed deduplication: every
+        problem is prepared and looked up first, then each distinct miss
+        is solved once, in input order, and results solved earlier in
+        the same batch answer later duplicates.
 
         Args:
             problems: Sequence of ``(c, a_ub, b_ub, bounds)`` tuples, each
                 accepted exactly as by :meth:`solve`.
             purpose: Tag recorded in the LP statistics — one string for
-                the whole batch, or one per problem.  Per-problem tags
-                keep the per-purpose wall-time attribution exact when one
-                stacked shape group spans several purposes: each member
-                is charged its own share of the group's wall clock.
+                the whole batch, or one per problem.
 
         Returns:
             One :class:`LPResult` per problem, in input order.
@@ -392,23 +339,7 @@ class LinearProgramSolver:
                     continue
                 pending[key] = index
             misses.append(index)
-        pregroups: dict[tuple, list[int]] = {}
         for index in misses:
-            c, a_ub, __, bounds = prepared[index]
-            pregroups.setdefault(stack_prekey(c, a_ub, bounds),
-                                 []).append(index)
-        for premembers in pregroups.values():
-            # The group-size histogram behind the "median stacked-group
-            # size" metric: how wide the stacking-eligible groups of this
-            # batch actually are (recorded whether or not they stack).
-            self.stats.record_group_size(len(premembers))
-        remaining = misses
-        if (len(misses) >= MIN_STACK_GROUP
-                and self.backend in ("simplex", "hybrid")
-                and not scalar_kernels_enabled()):
-            remaining = self._solve_misses_stacked(
-                pregroups, prepared, keys, purposes, results)
-        for index in remaining:
             result = self._solve_prepared(*prepared[index],
                                           purpose=purposes[index])
             if keys[index] is not None:
@@ -416,7 +347,7 @@ class LinearProgramSolver:
             results[index] = result
         for index in duplicates:
             cached = self.cache.get(keys[index])
-            if cached is None:  # pragma: no cover - evicted in between
+            if cached is None:  # evicted by a later miss of this batch
                 cached = self._solve_prepared(*prepared[index],
                                               purpose=purposes[index])
                 self.cache.put(keys[index], cached)
@@ -424,88 +355,6 @@ class LinearProgramSolver:
                 self.stats.record_cache_hit()
             results[index] = cached
         return results
-
-    def _solve_misses_stacked(self, pregroups: dict[tuple, list[int]],
-                              prepared: list, keys: list,
-                              purposes: list[str],
-                              results: list) -> list[int]:
-        """Route same-shape miss groups through the stacked kernel.
-
-        Takes the miss set already grouped by conversion-free stacking
-        pre-key (see :func:`stack_prekey`) and runs every group of
-        :data:`MIN_STACK_GROUP` or more through
-        :func:`repro.lp.batch_simplex.solve_simplex_batch`, recording
-        each answered problem exactly as the per-problem path would
-        (same ``solved``/purpose counters; the group's wall clock is
-        split over members proportionally to the pivot rounds each was
-        active, attributed to each member's own purpose).  Returns the
-        indices still unsolved — members of too-small groups,
-        unstackable shapes and flagged stragglers — for the per-problem
-        path.  Grouping happens in two stages so small groups never pay
-        a standard-form conversion they cannot use: the pre-key first,
-        then the exact stacking signature (which additionally splits by
-        artificial-column count) within large-enough pre-groups; the
-        conversion time of members that still end up unstacked is
-        charged to their purpose as plain wall time.
-        """
-        leftover: list[int] = []
-        forms: dict[int, object] = {}
-        groups: dict[tuple, list[int]] = {}
-        for premembers in pregroups.values():
-            if len(premembers) < MIN_STACK_GROUP:
-                leftover.extend(premembers)
-                continue
-            for index in premembers:
-                form = standard_form(*prepared[index])
-                if not is_stackable(form.signature):
-                    self.stats.add_seconds(purposes[index], form.seconds)
-                    leftover.append(index)
-                    continue
-                forms[index] = form
-                groups.setdefault(form.signature, []).append(index)
-        for members in groups.values():
-            if len(members) < MIN_STACK_GROUP:
-                for index in members:
-                    # The conversion could not be used; its wall time
-                    # was still spent on this purpose.
-                    self.stats.add_seconds(purposes[index],
-                                           forms[index].seconds)
-                leftover.extend(members)
-                continue
-            report = solve_simplex_batch([forms[i] for i in members])
-            solved = [(i, res) for i, res in zip(members, report.results)
-                      if res is not None]
-            fallbacks = [i for i, res in zip(members, report.results)
-                         if res is None]
-            self.stats.record_batch(
-                group_size=len(members), solved=len(solved),
-                rounds=report.rounds,
-                active_rounds=report.active_rounds,
-                fallbacks=len(fallbacks))
-            total_rounds = max(int(report.problem_rounds.sum()), 1)
-            for position, index in enumerate(members):
-                share = (report.seconds * int(report.problem_rounds[
-                    position]) / total_rounds) + forms[index].seconds
-                res = report.results[position]
-                if res is None:
-                    # The straggler's solve is recorded by the scalar
-                    # re-solve; charge only its share of the group time.
-                    self.stats.add_seconds(purposes[index], share)
-                    continue
-                c = prepared[index][0]
-                self.stats.record(
-                    purpose=purposes[index],
-                    feasible=res.status != "infeasible",
-                    bounded=res.status != "unbounded",
-                    objective=bool(np.any(c != 0.0)),
-                    seconds=share)
-                result = LPResult(res.status, res.x, res.objective)
-                if keys[index] is not None:
-                    self.cache.put(keys[index], result)
-                results[index] = result
-            leftover.extend(fallbacks)
-        leftover.sort()
-        return leftover
 
     def _prepare(self, c, a_ub, b_ub, bounds) -> tuple:
         """Normalize one LP's inputs to canonical arrays (shared by

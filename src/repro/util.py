@@ -30,26 +30,6 @@ def scalar_kernels_enabled() -> bool:
     return config.enabled("REPRO_SCALAR_KERNELS")
 
 
-def deferred_lp_enabled() -> bool:
-    """Whether call sites route LPs through the deferred futures queue.
-
-    The deferred queue (:mod:`repro.lp.futures`) accumulates LPs across
-    call sites and regions so the stacked simplex kernel sees real
-    batches; it is on by default and produces bit-identical results and
-    unchanged LP accounting relative to the eager path.  Setting
-    ``REPRO_DEFERRED_LP=0`` forces every call site back to eager
-    ``solve``/``solve_many`` dispatch (the equivalence suite sweeps both
-    sides).  ``REPRO_SCALAR_KERNELS=1`` implies eager dispatch: the
-    scalar oracle loops must not depend on any batching machinery.
-
-    Read per call, like :func:`scalar_kernels_enabled`, so tests can flip
-    the environment variable with ``monkeypatch.setenv``.
-    """
-    if scalar_kernels_enabled():
-        return False
-    return config.enabled("REPRO_DEFERRED_LP")
-
-
 class BoundedLRU:
     """A mapping bounded to ``maxsize`` entries with LRU eviction.
 

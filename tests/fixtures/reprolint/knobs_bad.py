@@ -10,7 +10,7 @@ from repro import config
 
 def read_direct():
     flag = os.environ.get("REPRO_SCALAR_KERNELS")  # EXPECT REP201
-    raw = os.getenv("REPRO_DEFERRED_LP", "1")  # EXPECT REP201
+    raw = os.getenv("REPRO_STORE_SEED", "1")  # EXPECT REP201
     path = os.environ["REPRO_STORE_PERSIST_DB"]  # EXPECT REP201
     return flag, raw, path
 

@@ -20,7 +20,7 @@ import pytest
 
 from repro import config
 from repro.core.run import SEED_JUMP_ALPHA
-from repro.util import deferred_lp_enabled, scalar_kernels_enabled
+from repro.util import scalar_kernels_enabled
 
 
 class TestRegistry:
@@ -65,20 +65,6 @@ class TestFlagSemantics:
     def test_scalar_kernels_default_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_SCALAR_KERNELS", raising=False)
         assert scalar_kernels_enabled() is False
-
-    def test_deferred_lp_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DEFERRED_LP", raising=False)
-        monkeypatch.delenv("REPRO_SCALAR_KERNELS", raising=False)
-        assert deferred_lp_enabled() is True
-
-    def test_deferred_lp_zero_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DEFERRED_LP", "0")
-        assert deferred_lp_enabled() is False
-
-    def test_scalar_kernels_implies_eager(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DEFERRED_LP", "1")
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "1")
-        assert deferred_lp_enabled() is False
 
 
 class TestSwitchSemantics:

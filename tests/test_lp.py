@@ -111,19 +111,6 @@ class TestBasisSolve:
             with pytest.raises(np.linalg.LinAlgError):
                 _basis_solve(np.zeros((2, 2)), np.ones(2))
 
-    def test_masked_stack_isolates_singular_slice(self):
-        import warnings
-        from repro.lp.simplex import _basis_solve_masked
-        mats = np.stack([np.eye(2), np.zeros((2, 2)), 2 * np.eye(2)])
-        vecs = np.ones((3, 2))
-        for action in ("error", "ignore"):
-            with warnings.catch_warnings():
-                warnings.simplefilter(action)
-                out = _basis_solve_masked(mats, vecs)
-            assert (out[0] == np.ones(2)).all()
-            assert np.isnan(out[1]).all()
-            assert (out[2] == 0.5 * np.ones(2)).all()
-
 
 class TestLinearProgramSolver:
     def test_counts_recorded(self):
@@ -158,6 +145,48 @@ class TestLinearProgramSolver:
         res = s.solve([1.0], [[-1.0]], [-2.0])
         assert res.is_optimal
         assert res.x[0] == pytest.approx(2.0)
+
+
+class TestSolveMany:
+    """The batched entry point: in-batch dedupe and purpose attribution."""
+
+    @staticmethod
+    def _problems(count: int, seed: int = 7) -> list[tuple]:
+        rng = np.random.default_rng(seed)
+        problems = []
+        for __ in range(count):
+            a = rng.normal(size=(10, 3))
+            anchor = rng.uniform(-1, 1, size=3)
+            b = a @ anchor + rng.uniform(0.1, 2.0, size=10)
+            problems.append((rng.normal(size=3), a, b, None))
+        return problems
+
+    def test_in_batch_duplicates_stay_cache_hits(self):
+        problems = self._problems(8)
+        solver = LinearProgramSolver(stats=LPStats(), cache_size=64)
+        results = solver.solve_many(problems + problems[:3], purpose="unit")
+        assert solver.stats.solved == len(problems)
+        assert solver.stats.cache_hits == 3
+        for original, duplicate in zip(results[:3], results[-3:]):
+            assert original is duplicate
+
+    def test_purpose_count_mismatch_rejected(self):
+        solver = LinearProgramSolver(stats=LPStats())
+        with pytest.raises(SolverError):
+            solver.solve_many(self._problems(4), purpose=["only-one"])
+
+    def test_per_problem_purposes_attributed(self):
+        problems = self._problems(10)
+        purposes = ["alpha" if i % 2 == 0 else "beta"
+                    for i in range(len(problems))]
+        solver = LinearProgramSolver(stats=LPStats())
+        solver.solve_many(problems, purpose=purposes)
+        assert solver.stats.by_purpose() == {"alpha": 5, "beta": 5}
+        seconds = solver.stats.seconds_by_purpose()
+        assert seconds["alpha"] > 0.0
+        assert seconds["beta"] > 0.0
+        assert solver.stats.seconds == pytest.approx(
+            seconds["alpha"] + seconds["beta"])
 
 
 class TestLPStats:

@@ -18,7 +18,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import encode_result
+from repro.core import PWLRRPAOptions, encode_result
 from repro.core.serialize import _encode_polytope
 from repro.cost import MultiObjectivePWL, PiecewiseLinearFunction
 from repro.geometry import (ConvexPolytope, LinearConstraint,
@@ -85,6 +85,38 @@ class TestFullRunEquivalence:
                         "plans_discarded_new", "plans_displaced_old"):
             assert (getattr(batched.stats, counter)
                     == getattr(scalar.stats, counter)), counter
+
+    @pytest.mark.parametrize("scenario,seed,shape", [
+        ("cloud", 0, "chain"),
+        ("cloud", 7, "star"),
+        ("approx", 1, "chain"),
+    ])
+    def test_two_params_across_memo_sizes(self, monkeypatch, scenario,
+                                          seed, shape):
+        """2-parameter runs at the default memo and at one small enough
+        to evict: plan sets and pruning counters match the scalar
+        oracle, and the LP requests (solved + memo hits) do not depend
+        on what the memo evicted."""
+        query = QueryGenerator(seed=seed).generate(3, shape, 2)
+        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "1")
+        scalar = get_scenario(scenario).optimize(query, resolution=1)
+        scalar_doc = json.dumps(encode_result(scalar), sort_keys=True)
+        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "")
+        requests = set()
+        for cache_size in (PWLRRPAOptions().lp_cache_size, 32):
+            batched = get_scenario(scenario).optimize(
+                query, resolution=1,
+                options=PWLRRPAOptions(lp_cache_size=cache_size))
+            assert json.dumps(encode_result(batched),
+                              sort_keys=True) == scalar_doc
+            for counter in ("plans_created", "plans_inserted",
+                            "plans_discarded_new", "plans_displaced_old",
+                            "pruning_comparisons"):
+                assert (getattr(batched.stats, counter)
+                        == getattr(scalar.stats, counter)), counter
+            requests.add(batched.stats.lps_solved
+                         + batched.stats.lp_stats.cache_hits)
+        assert len(requests) == 1
 
 
 class TestUnalignedKernelEquivalence:

@@ -56,10 +56,6 @@ WALLCLOCK_ALLOWLIST: frozenset[tuple[str, str]] = frozenset({
     ("src/repro/core/run.py", "OptimizationRun.step"),
     # LP backend wall-time attribution (LPStats.seconds per purpose).
     ("src/repro/lp/solver.py", "LinearProgramSolver._solve_prepared"),
-    # Stacked-kernel wall time: conversion timing and per-group pivot
-    # timing, split by pivot-rounds-active for purpose attribution.
-    ("src/repro/lp/batch_simplex.py", "standard_form"),
-    ("src/repro/lp/batch_simplex.py", "solve_simplex_batch"),
 })
 
 #: Counter classes checked for docs coverage (REP301):
