@@ -3,7 +3,9 @@
 Public API:
 
 * :class:`LinearProgramSolver` / :func:`make_solver` — LP facade with
-  pluggable backends (scipy HiGHS or the built-in simplex); its
+  pluggable backends (the default ``hybrid``: closed form for at most
+  two free variables, then the built-in simplex, then scipy HiGHS; or
+  either of the last two alone); its
   :meth:`~LinearProgramSolver.solve_many` solves a batch of independent
   LPs with memo-backed in-batch deduplication (the entry point of the
   batched geometry kernels).
@@ -16,6 +18,8 @@ Public API:
   "#solved linear programs" measurements of Figure 12.
 * :func:`solve_simplex` — the dependency-free simplex used as fallback and
   as a testing oracle.
+* :mod:`repro.lp.lowdim` — the exact closed-form solve of LPs with one
+  or two free variables that the ``hybrid`` backend tries first.
 """
 
 from .counters import LPStats, default_stats

@@ -29,6 +29,10 @@ class LPStats:
         seconds: Total wall-clock time spent inside LP backends.
         batch_solves: Always 0.  Kept for the end-to-end benchmark's
             ``lp.stacked_frac`` metric; every LP is solved one at a time.
+        lowdim_deferred: LPs with at most two free variables that the
+            closed-form path (:mod:`repro.lp.lowdim`) left to the simplex
+            because it could not certify the verdict.  They are counted
+            in ``solved`` like every other LP.
     """
 
     solved: int = 0
@@ -39,6 +43,7 @@ class LPStats:
     cache_hits: int = 0
     seconds: float = 0.0
     batch_solves: int = 0
+    lowdim_deferred: int = 0
     _by_purpose: dict[str, int] = field(default_factory=dict)
     _seconds_by_purpose: dict[str, float] = field(default_factory=dict)
 
@@ -91,6 +96,7 @@ class LPStats:
         self.optimizations = 0
         self.cache_hits = 0
         self.seconds = 0.0
+        self.lowdim_deferred = 0
         self._by_purpose.clear()
         self._seconds_by_purpose.clear()
 
@@ -103,6 +109,7 @@ class LPStats:
         self.optimizations += other.optimizations
         self.cache_hits += other.cache_hits
         self.seconds += other.seconds
+        self.lowdim_deferred += other.lowdim_deferred
         for key, value in other._by_purpose.items():
             self._by_purpose[key] = self._by_purpose.get(key, 0) + value
         for key, value in other._seconds_by_purpose.items():

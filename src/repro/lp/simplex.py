@@ -29,16 +29,22 @@ from ..errors import SolverError
 
 _EPS = 1e-9
 
+#: Phase-1 sum of artificial values above which an LP is infeasible
+#: (:mod:`repro.lp.lowdim` derives its guard band from it).
+PHASE1_TOL = 1e-7
+
 try:  # pragma: no cover - numpy-version dependent import
     # The gufunc behind ``np.linalg.solve``.  Calling it directly skips
     # the wrapper's per-call array/type validation and errstate setup —
     # a measurable win for the tiny basis systems solved thousands of
     # times per optimization run — while producing the *same bits* (it
     # is the very kernel the wrapper invokes).  LAPACK reports a
-    # singular system by filling that solution with NaN (emitting one
-    # cosmetic RuntimeWarning under the default error state), which the
+    # singular system by filling that solution with NaN, which the
     # cheap sum-compare below converts into the wrapper's
-    # ``LinAlgError``.
+    # ``LinAlgError``.  The gufunc also raises NumPy's invalid-value
+    # floating-point error for it; :func:`solve_simplex` ignores that
+    # error state once per solve, so the expected sentinel does not
+    # leak a ``RuntimeWarning`` into callers' output.
     from numpy.linalg import _umath_linalg
 
     # Probe the private gufunc contract once at import so any numpy
@@ -260,7 +266,7 @@ def _simplex_core(c, a, b):
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular basis after phase 1") from exc
         value = float(phase1_cost[basis] @ xb)
-        if value > 1e-7:
+        if value > PHASE1_TOL:
             return "infeasible", None
         # Drive any remaining artificial variables out of the basis when
         # possible; rows where that fails are redundant and harmless here
@@ -306,7 +312,11 @@ def solve_simplex(c, a_ub=None, b_ub=None, bounds=None) -> SimplexResult:
 
     c_std, a_std, b_std, recover, obj_shift = _to_standard_form(
         c, a_ub, b_ub, list(bounds))
-    status, x_std = _simplex_core(c_std, a_std, b_std)
+    # A singular basis is signalled by NaN (see _basis_solve), not by
+    # the invalid-value warning.  Scoped once per solve: _basis_solve
+    # itself runs about 10^5 times per optimization pass.
+    with np.errstate(invalid="ignore"):
+        status, x_std = _simplex_core(c_std, a_std, b_std)
     if status != "optimal":
         return SimplexResult(status=status, x=None, objective=None)
     x = recover(x_std)

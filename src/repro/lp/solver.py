@@ -8,11 +8,15 @@ Figure 12 of the paper.
 
 Three backends are available:
 
-* ``"hybrid"`` — the simplex below first, scipy when it raises
+* ``"hybrid"`` — LPs with at most two variables, all free, are solved in
+  closed form by :mod:`repro.lp.lowdim`; what it defers
+  (``LPStats.lowdim_deferred``) and every other LP go to the simplex
+  below, and scipy answers when the simplex raises
   :class:`~repro.errors.SolverError` (default when scipy is importable).
 * ``"simplex"`` — the pure-Python two-phase simplex from
   :mod:`repro.lp.simplex`, used without scipy and as testing oracle.
-* ``"scipy"`` — :func:`scipy.optimize.linprog` with the HiGHS method.
+* ``"scipy"`` — :func:`scipy.optimize.linprog` with the HiGHS method,
+  the second oracle.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from ..errors import SolverError
 from ..faults import failpoint
 from ..util import BoundedLRU
 from .counters import LPStats, default_stats
+from .lowdim import solve_lowdim
 from .simplex import solve_simplex
 
 try:  # pragma: no cover - exercised implicitly on import
@@ -226,10 +231,10 @@ class LinearProgramSolver:
                  backend: str = "auto", cache_size: int = 0,
                  cache: LPResultCache | None = None) -> None:
         if backend == "auto":
-            # The LPs arising in PWL-RRPA are tiny (a handful of variables,
-            # dozens of constraints); the dependency-free simplex beats
-            # scipy's per-call overhead by ~6x there.  scipy remains the
-            # fallback for anything the simplex cannot handle.
+            # The LPs arising in PWL-RRPA are tiny (at most 3 variables,
+            # a few dozen rows): closed form and the dependency-free
+            # simplex avoid scipy's per-call set-up there.  scipy
+            # remains the fallback for anything the simplex cannot handle.
             backend = "hybrid" if _HAVE_SCIPY else "simplex"
         if backend not in ("scipy", "simplex", "hybrid"):
             raise ValueError(f"unknown LP backend: {backend!r}")
@@ -380,11 +385,20 @@ class LinearProgramSolver:
             result = self._solve_scipy(c, a_ub, b_ub, bounds)
         elif self.backend == "simplex":
             result = self._solve_simplex(c, a_ub, b_ub, bounds)
-        else:  # hybrid: fast simplex first, scipy on failure
-            try:
-                result = self._solve_simplex(c, a_ub, b_ub, bounds)
-            except SolverError:
-                result = self._solve_scipy(c, a_ub, b_ub, bounds)
+        else:  # hybrid: closed form, then simplex, then scipy
+            result = None
+            if c.shape[0] <= 2 and all(lo is None and hi is None
+                                       for lo, hi in bounds):
+                answer = solve_lowdim(c, a_ub, b_ub)
+                if answer is None:
+                    self.stats.lowdim_deferred += 1
+                else:
+                    result = LPResult(*answer)
+            if result is None:
+                try:
+                    result = self._solve_simplex(c, a_ub, b_ub, bounds)
+                except SolverError:
+                    result = self._solve_scipy(c, a_ub, b_ub, bounds)
         self.stats.record(purpose=purpose,
                           feasible=not result.is_infeasible,
                           bounded=result.status != "unbounded",

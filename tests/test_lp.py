@@ -111,6 +111,30 @@ class TestBasisSolve:
             with pytest.raises(np.linalg.LinAlgError):
                 _basis_solve(np.zeros((2, 2)), np.ones(2))
 
+    def test_singular_basis_leaks_no_warning(self):
+        # A Chebyshev LP of a 2-D region (from a 3-table chain run) whose
+        # phase 2 meets a singular basis: the NaN sentinel still becomes
+        # a SolverError, without an invalid-value RuntimeWarning.
+        import warnings
+        a = [[1.0, -0.0, 1.0],
+             [-0.7071067811865476, 0.7071067811865476, 1.0],
+             [-0.0, -1.0, 1.0],
+             [-0.9999997978145009, 0.0006359016885235226, 1.0],
+             [0.9999993868158983, -0.0011074149301402562, 1.0],
+             [-0.9999996869868489, 0.0007912181773892717, 1.0],
+             [0.9999990507003528, -0.0013778963651986862, 1.0],
+             [0.9999991945925826, -0.0012691785478036275, 1.0],
+             [-1.0, 0.0, 1.0]]
+        b = [1.0, 0.0, -0.0, -0.0024745708615933402, 0.053927785346980166,
+             -0.002448859400154162, 0.05388299151641888,
+             0.025313050029402977, -1.0]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SolverError, match="singular"):
+                solve_simplex([0.0, 0.0, -1.0], a, b)
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+
 
 class TestLinearProgramSolver:
     def test_counts_recorded(self):
@@ -201,9 +225,99 @@ class TestLPStats:
         assert a.feasibility_checks == 1
         assert a.by_purpose() == {"p1": 2, "p2": 1}
 
+    def test_lowdim_deferred_merged_and_reset(self):
+        a, b = LPStats(lowdim_deferred=2), LPStats(lowdim_deferred=3)
+        a.merge(b)
+        assert a.lowdim_deferred == 5
+        a.reset()
+        assert a.lowdim_deferred == 0
+
     def test_reset(self):
         s = LPStats()
         s.record()
         s.reset()
         assert s.solved == 0
         assert s.by_purpose() == {}
+
+
+class TestKnownDefects:
+    """Verdicts of the simplex that are known to be wrong, pinned so a
+    fix shows up as an XPASS (and must then drop the marker)."""
+
+    # The Chebyshev LP of a 2-D region from pool entry 3:chain:2:1:0 of
+    # the end-to-end benchmark.  Its emptiness LP is infeasible and
+    # HiGHS finds a radius of -0.00276, but after phase 1 both halves of
+    # a split free variable sit in the basis near 5e5, phase 2 takes
+    # their common ray (reduced cost -3.7e-9, below the -1e-9 threshold)
+    # as improving, and the ratio test finds no leaving row.
+    A = [[0.0, 1.0, 1.0], [0.7071067811865476, -0.7071067811865476, 1.0],
+         [-1.0, 0.0, 1.0], [0.9930712335026143, -0.11751393615055374, 1.0],
+         [0.9914982623213978, -0.13011992857994015, 1.0],
+         [0.9999711114114211, -0.007601075095490677, 1.0],
+         [0.9959038685064533, -0.09041838692368448, 1.0],
+         [-0.9999999810229016, -0.0001948183683919424, 1.0],
+         [-0.9999999325974106, -0.00036715824161329136, 1.0]]
+    B = [1.0, -0.0, 0.0, 0.05783622803950548, 0.05576720945576169,
+         -0.0033102391923491834, -0.08521193753999112,
+         -0.0009379943371986845, -0.010191762432013663]
+    HIGHS_OBJECTIVE = 0.0027558028525045
+
+    def test_scipy_reference(self):
+        res = make_solver(backend="scipy").solve([0.0, 0.0, -1.0],
+                                                 self.A, self.B)
+        assert res.is_optimal
+        assert res.objective == pytest.approx(self.HIGHS_OBJECTIVE,
+                                              abs=1e-12)
+
+    # The same defect on a zero-width interval stated twice, x >= -t and
+    # x <= -t (found by tests/test_lp_lowdim.py's sweep; it depends on
+    # the rounding of t and c).  Geometry never produces it, since
+    # polytopes drop duplicate rows.
+    T, C = 0.5988386293265975, [-0.4207195509293158]
+    A1 = [[-1.0], [-1.0], [1.0], [1.0]]
+    B1 = [T, T, -T, -T]
+    HIGHS_OBJECTIVE_1 = 0.2519431192094131  # x = -t
+
+    def test_closed_form_answers_one_variable_case(self):
+        res = make_solver(backend="hybrid").solve(self.C, self.A1, self.B1)
+        assert res.objective == pytest.approx(self.HIGHS_OBJECTIVE_1,
+                                              abs=1e-15)
+
+    @pytest.mark.xfail(strict=True, reason="the simplex reports a false "
+                       "'unbounded' on a split free-variable ray")
+    def test_split_ray_false_unbounded_one_variable(self):
+        res = solve_simplex(self.C, self.A1, self.B1)
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(self.HIGHS_OBJECTIVE_1,
+                                              abs=1e-12)
+
+    # A 2-variable emptiness LP of pool entry 3:star:2:1:11.  The simplex
+    # calls it unbounded, which no LP with a zero objective can be; the
+    # emptiness decision survives (unbounded is not infeasible), and the
+    # closed form, like HiGHS, says optimal.
+    A0 = [[0.0, 1.0], [0.7071067811865476, -0.7071067811865476],
+          [-1.0, 0.0], [0.9552872776613428, 0.29567924705393256],
+          [0.8928499676535573, -0.45035423308884476]]
+    B0 = [1.0, -0.0, 0.0, 0.29550906215289996, -0.450095021489277]
+
+    def test_closed_form_answers_zero_objective_case(self):
+        for backend in ("hybrid", "scipy"):
+            res = make_solver(backend=backend).solve([0.0, 0.0], self.A0,
+                                                     self.B0)
+            assert res.is_optimal, backend
+
+    @pytest.mark.xfail(strict=True, reason="the simplex reports a false "
+                       "'unbounded' for a zero objective")
+    def test_false_unbounded_zero_objective(self):
+        assert solve_simplex([0.0, 0.0], self.A0, self.B0).is_optimal
+
+    @pytest.mark.xfail(strict=True, reason="the simplex reports a false "
+                       "'unbounded' on a split free-variable ray")
+    def test_split_ray_false_unbounded(self):
+        results = [solve_simplex([0.0, 0.0, -1.0], self.A, self.B),
+                   make_solver(backend="hybrid").solve([0.0, 0.0, -1.0],
+                                                       self.A, self.B)]
+        for res in results:
+            assert res.status == "optimal"
+            assert res.objective == pytest.approx(self.HIGHS_OBJECTIVE,
+                                                  abs=1e-9)

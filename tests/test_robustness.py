@@ -110,9 +110,12 @@ class TestSolverFailures:
             raise SolverError("injected simplex failure")
 
         monkeypatch.setattr(solver, "_solve_simplex", broken_simplex)
-        result = solver.solve([1.0], [[-1.0]], [-2.0])
+        # Three variables: LPs with at most two are answered in closed
+        # form before the simplex runs.
+        result = solver.solve([1.0, 1.0, 1.0], -np.eye(3), [-2.0, -3.0, -4.0])
         assert result.is_optimal
-        assert result.x[0] == pytest.approx(2.0)
+        assert result.x == pytest.approx([2.0, 3.0, 4.0])
+        assert result.objective == pytest.approx(9.0)
 
 
 class TestNearBoundaryGeometry:
