@@ -27,8 +27,7 @@ from .catalog import Catalog, Column, Index, Table
 from .cloud import CloudCostModel, ClusterSpec, PricingModel
 from .core import (GridBackend, OptimizationResult, OptimizerStats,
                    PWLBackend, PWLRRPA, PWLRRPAOptions, PlanEntry,
-                   PlanSelector, RRPA, RRPABackend, SelectedPlan, make_grid,
-                   optimize_cloud_query, optimize_with)
+                   PlanSelector, RRPA, RRPABackend, SelectedPlan, make_grid)
 from .cost import (APPROX_METRICS, CLOUD_METRICS, CostMetric, LinearPiece,
                    MultiObjectivePWL, ParamPolynomial,
                    PiecewiseLinearFunction, SharedPartition)
@@ -39,18 +38,15 @@ from .plans import (JoinOperator, JoinPlan, Plan, ScanOperator, ScanPlan,
                     combine, one_line, render_plan)
 from .query import (JoinGraph, JoinPredicate, ParametricPredicate, Query,
                     QueryGenerator)
-from .service import (BatchItem, BatchOptimizer, BatchOptions,
-                      OptimizerSession, Scenario, ScenarioRegistry,
-                      WarmStartCache, available_scenarios, get_scenario,
-                      query_signature, register_scenario)
+from .service import (BatchItem, OptimizerSession, Scenario,
+                      ScenarioRegistry, WarmStartCache, available_scenarios,
+                      get_scenario, query_signature, register_scenario)
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "APPROX_METRICS",
     "BatchItem",
-    "BatchOptimizer",
-    "BatchOptions",
     "CLOUD_METRICS",
     "Catalog",
     "CloudCostModel",
@@ -101,9 +97,7 @@ __all__ = [
     "get_scenario",
     "make_grid",
     "one_line",
-    "optimize_cloud_query",
     "optimize_query",
-    "optimize_with",
     "query_signature",
     "register_scenario",
     "render_plan",

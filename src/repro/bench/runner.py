@@ -14,9 +14,9 @@ run any registered scenario (``--scenario cloud`` / ``approx`` / custom):
 * :func:`run_streaming_throughput` drives
   :meth:`repro.api.OptimizerSession.as_completed` and additionally
   reports time-to-first-result, the latency a streaming consumer sees;
-* :func:`run_pool_comparison` pits the legacy cold-pool regime (spawn and
-  tear down workers per batch) against one persistent session pool over
-  the same sequence of batches.
+* :func:`run_pool_comparison` pits a cold-pool regime (spawn and tear
+  down workers per batch) against one persistent session pool over the
+  same sequence of batches.
 """
 
 from __future__ import annotations
@@ -450,12 +450,12 @@ def run_pool_comparison(num_tables: int = 3, shape: str = "chain",
                         options: PWLRRPAOptions | None = None,
                         base_seed: int = 0,
                         scenario: str = "cloud") -> list[ThroughputPoint]:
-    """Cold-pool (legacy) vs. persistent-pool (session) queries/sec.
+    """Cold-pool vs. persistent-pool (session) queries/sec.
 
     The same sequence of ``batches`` distinct-query batches is optimized
     twice: once with a fresh session per batch (every batch pays worker
-    spawn and teardown, the legacy ``BatchOptimizer`` regime) and once
-    with a single session kept open across all batches.  Both regimes
+    spawn and teardown, as a per-batch pool would) and once with a
+    single session kept open across all batches.  Both regimes
     disable the session-scoped LP memo (``lp_memo_size=0``) so the
     measured difference isolates pool spawn/teardown overhead instead of
     conflating it with cross-batch LP-memo hits only the persistent

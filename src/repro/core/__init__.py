@@ -2,10 +2,11 @@
 
 Public API:
 
-* :class:`RRPA` / :func:`optimize_with` — the generic Algorithm 1 over an
-  abstract backend.
-* :class:`PWLRRPA` / :func:`optimize_cloud_query` — the PWL specialization
-  of Section 6, ready-wired to the Cloud cost model.
+* :class:`RRPA` — the generic Algorithm 1 over an abstract backend.
+* :class:`PWLRRPA` — the PWL specialization of Section 6 over any PWL
+  cost model (named cost-model scenarios live in
+  :mod:`repro.service.registry`; :func:`repro.api.optimize_query`
+  optimizes under one).
 * :class:`PWLBackend` / :class:`PWLRRPAOptions` — Algorithms 2+3 with the
   Section 6.2 refinements switchable.
 * :class:`GridBackend` / :func:`make_grid` — generic-RRPA instantiation
@@ -19,11 +20,11 @@ from .entry import PlanEntry
 from .enumeration import count_considered_splits, splits, subsets_in_size_order
 from .grid import GridBackend, GridCost, GridRegion, make_grid
 from .pwl_backend import PWLBackend, PWLRRPAOptions
-from .pwl_rrpa import PWLRRPA, optimize_cloud_query
-from .rrpa import RRPA, OptimizationResult, optimize_with
+from .pwl_rrpa import PWLRRPA
+from .rrpa import RRPA, OptimizationResult
 from .run import (DEFAULT_PRECISION_LADDER, DEFAULT_SEED_CAP, RUN_COMPLETED,
-                  RUN_EXHAUSTED, RUN_RUNG_DONE, RUN_STOPPED, SEED_JUMP_ALPHA,
-                  Budget, OptimizationRun, ProgressEvent, RungOutcome,
+                  RUN_EXHAUSTED, RUN_STOPPED, SEED_JUMP_ALPHA, Budget,
+                  OptimizationRun, ProgressEvent, RungOutcome,
                   guarantee_bound, ladder_to, trim_ladder_for_seed,
                   validate_ladder)
 from .selection import PlanSelector, SelectedPlan
@@ -52,7 +53,6 @@ __all__ = [
     "RRPABackend",
     "RUN_COMPLETED",
     "RUN_EXHAUSTED",
-    "RUN_RUNG_DONE",
     "RUN_STOPPED",
     "RungOutcome",
     "SEED_JUMP_ALPHA",
@@ -68,8 +68,6 @@ __all__ = [
     "ladder_to",
     "load_plan_set",
     "make_grid",
-    "optimize_cloud_query",
-    "optimize_with",
     "save_result",
     "splits",
     "subsets_in_size_order",

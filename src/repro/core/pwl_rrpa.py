@@ -5,15 +5,11 @@ PWL backend) and a cost model, producing Pareto plan sets with relevance
 mappings for PWL-MPQ problem instances.  It is the optimizer evaluated in
 Section 7 / Figure 12.
 
-The module-level :func:`optimize_cloud_query` predates the scenario
-registry (:mod:`repro.service.registry`) and is kept as a deprecated shim;
-new code should go through :class:`repro.api.OptimizerSession` or
-:func:`repro.api.optimize_query`.
+To optimize under a named cost-model scenario, go through
+:func:`repro.api.optimize_query` or :class:`repro.api.OptimizerSession`.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from ..query import Query
 from .pwl_backend import PWLBackend, PWLRRPAOptions
@@ -95,23 +91,3 @@ class PWLRRPA:
                                precision_ladder=precision_ladder,
                                fold_stats=stats, on_event=on_event,
                                seed_plans=seed_plans)
-
-
-def optimize_cloud_query(query: Query, resolution: int = 2,
-                         options: PWLRRPAOptions | None = None
-                         ) -> OptimizationResult:
-    """Optimize a query under the Cloud cost model (Scenario 1).
-
-    .. deprecated:: 1.1
-        Use :class:`repro.api.OptimizerSession` (scenario ``"cloud"``) or
-        :func:`repro.api.optimize_query` instead; this shim delegates to
-        the ``"cloud"`` entry of the scenario registry and returns
-        bit-identical Pareto plan sets.
-    """
-    warnings.warn(
-        "optimize_cloud_query is deprecated; use repro.api.OptimizerSession"
-        " or repro.api.optimize_query(query, scenario='cloud')",
-        DeprecationWarning, stacklevel=2)
-    from ..service.registry import get_scenario
-    return get_scenario("cloud").optimize(query, resolution=resolution,
-                                          options=options)

@@ -20,7 +20,6 @@ and :mod:`repro.core.grid` (arbitrary cost functions on a finite grid).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -212,18 +211,3 @@ class RRPA:
         run = self.start_run(query)
         run.run()
         return run.result()
-
-
-def optimize_with(backend: RRPABackend, query: Query) -> OptimizationResult:
-    """One-shot convenience wrapper around :class:`RRPA`.
-
-    .. deprecated:: 1.1
-        Use :class:`repro.api.OptimizerSession` with a registered scenario
-        (or ``RRPA(backend).optimize(query)`` directly for a hand-built
-        backend).
-    """
-    warnings.warn(
-        "optimize_with is deprecated; use repro.api.OptimizerSession with "
-        "a registered scenario, or RRPA(backend).optimize(query)",
-        DeprecationWarning, stacklevel=2)
-    return RRPA(backend).optimize(query)

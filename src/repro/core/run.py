@@ -65,7 +65,6 @@ DEFAULT_SEED_CAP = 1
 #: ``run()`` outcomes.
 RUN_COMPLETED = "completed"
 RUN_EXHAUSTED = "exhausted"
-RUN_RUNG_DONE = "rung_completed"
 RUN_STOPPED = "stopped"
 
 #: Progress-event kinds, in the order they can occur within one rung.
@@ -612,47 +611,30 @@ class OptimizationRun:
     # Driving
     # ------------------------------------------------------------------
 
-    def run(self, budget: Budget | None = None, *,
-            stop_after_rung: bool = False) -> str:
-        """Advance until done, budget exhaustion, or (optionally) the
-        next rung boundary.
+    def run(self, budget: Budget | None = None) -> str:
+        """Advance until done, budget exhaustion or a stop request.
+
+        Drains :meth:`iter_run`: the events it yields are recorded in
+        :attr:`events` (and passed to :attr:`on_event`) either way.
 
         Args:
             budget: Limits scoped to *this call* (resuming with a fresh
                 budget continues where the previous call stopped).
-            stop_after_rung: Return as soon as one rung completes.
 
         Returns:
             One of :data:`RUN_COMPLETED`, :data:`RUN_EXHAUSTED`,
-            :data:`RUN_RUNG_DONE`, :data:`RUN_STOPPED`.
+            :data:`RUN_STOPPED` (also kept as :attr:`last_status`).
         """
-        window = _BudgetWindow(budget, self)
-        status = RUN_COMPLETED
-        while not self._done:
-            if self._stop_requested:
-                self._stop_requested = False
-                status = RUN_STOPPED
-                break
-            if window.exhausted():
-                self._emit("budget_exhausted", plan_count=len(
-                    self.completed[-1].result.entries)
-                    if self.completed else 0)
-                status = RUN_EXHAUSTED
-                break
-            rung_done = self.step()
-            window.steps += 1
-            if rung_done and stop_after_rung and not self._done:
-                status = RUN_RUNG_DONE
-                break
-        self.last_status = status
-        return status
+        for __ in self.iter_run(budget):
+            pass
+        return self.last_status
 
     def iter_run(self, budget: Budget | None = None):
-        """Like :meth:`run`, but yield events live as they are emitted.
+        """Advance like :meth:`run`, yielding events as they are emitted.
 
-        One budget window spans the whole iteration (unlike repeated
-        ``run()`` calls, which each get a fresh window).  The final
-        status is available as :attr:`last_status` afterwards.
+        One budget window spans the whole iteration (repeated calls each
+        get a fresh window).  The final status is available as
+        :attr:`last_status` afterwards.
         """
         window = _BudgetWindow(budget, self)
         self.last_status = RUN_COMPLETED
@@ -739,7 +721,6 @@ __all__ = [
     "ProgressEvent",
     "RUN_COMPLETED",
     "RUN_EXHAUSTED",
-    "RUN_RUNG_DONE",
     "RUN_STOPPED",
     "RungOutcome",
     "SEED_JUMP_ALPHA",

@@ -11,9 +11,10 @@ Public API:
   batched geometry kernels).
 * :class:`LPResult` — solve outcome.
 * :class:`LPResultCache` — bounded LRU memo over canonicalized LP inputs.
-* :func:`install_shared_lp_cache` / :func:`shared_lp_cache` — process-wide
+* :func:`install_shared_lp_cache` / :func:`shared_lp_cache` — per-thread
   session memo injection (used by :class:`repro.api.OptimizerSession` so
-  LP results are shared across runs and shipped to pool workers).
+  LP results are shared across runs and shipped to pool workers; serial
+  sessions on different threads never see each other's memo).
 * :class:`LPStats` / :func:`default_stats` — counters used to reproduce the
   "#solved linear programs" measurements of Figure 12.
 * :func:`solve_simplex` — the dependency-free simplex used as fallback and

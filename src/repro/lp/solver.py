@@ -182,34 +182,41 @@ class LPResultCache:
                     if key in self._data]
 
 
-#: Process-wide session LP memo; see :func:`install_shared_lp_cache`.
-_SHARED_CACHE: LPResultCache | None = None
+#: Per-thread session LP memo; see :func:`install_shared_lp_cache`.
+_INSTALLED = threading.local()
 
 
 def install_shared_lp_cache(cache: LPResultCache | None
                             ) -> LPResultCache | None:
-    """Install (or clear, with ``None``) the process-wide session LP memo.
+    """Install (or clear, with ``None``) the calling thread's session
+    LP memo.
 
     While a shared cache is installed, every
-    :class:`LinearProgramSolver` created with a positive ``cache_size``
-    memoizes into it instead of a private per-run cache, so identical LPs
-    arising in *different* optimization runs hit.  :class:`repro.api
-    .OptimizerSession` installs its session memo around serial runs and
-    inside pool workers; solvers created with ``cache_size=0`` (the
-    paper-faithful configuration) stay unmemoized either way.
+    :class:`LinearProgramSolver` the thread creates with a positive
+    ``cache_size`` memoizes into it instead of a private per-run cache,
+    so identical LPs arising in *different* optimization runs hit.
+    :class:`repro.api.OptimizerSession` installs its session memo
+    around in-process runs and inside pool workers (which run their
+    tasks on their main thread); solvers created with ``cache_size=0``
+    (the paper-faithful configuration) stay unmemoized either way.
+
+    The installation is per thread, so sessions optimizing on different
+    threads (the gateway's serial shards) never read, feed or leave
+    behind each other's memo, and a session-free optimization reports
+    its own LP counts.
 
     Returns:
-        The previously installed cache, so callers can restore it.
+        The cache previously installed for this thread, so callers can
+        restore it.
     """
-    global _SHARED_CACHE
-    previous = _SHARED_CACHE
-    _SHARED_CACHE = cache
+    previous = getattr(_INSTALLED, "cache", None)
+    _INSTALLED.cache = cache
     return previous
 
 
 def shared_lp_cache() -> LPResultCache | None:
-    """The currently installed process-wide session LP memo, if any."""
-    return _SHARED_CACHE
+    """The session LP memo installed for the calling thread, if any."""
+    return getattr(_INSTALLED, "cache", None)
 
 
 class LinearProgramSolver:
@@ -247,7 +254,8 @@ class LinearProgramSolver:
         elif cache_size > 0:
             # Memoization requested: prefer the session-scoped shared memo
             # when one is installed so hits survive across runs.
-            self.cache = (_SHARED_CACHE if _SHARED_CACHE is not None
+            shared = shared_lp_cache()
+            self.cache = (shared if shared is not None
                           else LPResultCache(cache_size))
         else:
             self.cache = None

@@ -1,17 +1,17 @@
-"""Optimization service: sessions, scenarios, caching, legacy batch API.
+"""Optimization service: sessions, scenarios and caching.
 
 Public API:
 
-* :class:`OptimizerSession` — the unified front door: persistent worker
-  pool, session-scoped caches, ``submit``/``as_completed``/``map``
-  submission over named scenarios (see also :mod:`repro.api`).
+* :class:`OptimizerSession` — the unified front door: one submit/collect
+  path over an executor (in-process for serial sessions, a persistent
+  worker pool otherwise), session-scoped caches, and
+  ``submit``/``as_completed``/``map``/``optimize``/``optimize_iter``
+  over named scenarios (see also :mod:`repro.api`).
 * :class:`Scenario` / :class:`ScenarioRegistry` /
   :func:`register_scenario` / :func:`get_scenario` /
   :func:`available_scenarios` — the pluggable scenario registry with
   built-in ``"cloud"`` and ``"approx"`` workloads.
 * :class:`BatchItem` — outcome of one submitted query.
-* :class:`BatchOptimizer` / :class:`BatchOptions` — deprecated batch
-  engine, kept as a thin wrapper over a session.
 * :class:`WarmStartCache` — LRU (optionally disk-backed) cache of
   serialized Pareto plan sets.
 * :func:`query_signature` / :func:`signature_document` — the cache key:
@@ -19,7 +19,6 @@ Public API:
   cost-model config.
 """
 
-from .batch import BatchOptimizer, BatchOptions
 from .cache import WarmStartCache
 from .registry import (Scenario, ScenarioRegistry, available_scenarios,
                        default_registry, get_scenario, register_scenario)
@@ -29,8 +28,6 @@ from .signature import query_signature, signature_document
 __all__ = [
     "STATUSES",
     "BatchItem",
-    "BatchOptimizer",
-    "BatchOptions",
     "OptimizerSession",
     "Scenario",
     "ScenarioRegistry",

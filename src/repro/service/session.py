@@ -3,23 +3,28 @@
 One session owns everything a serving process needs across many
 optimization calls:
 
-* a **persistent worker pool** — spawned lazily on the first pooled call
-  and reused across batches (the legacy batch engine tore its pool down
-  per batch, paying worker start-up every time).  Per-call deadlines do
-  not stall the call: overdue items are reported ``"timeout"``, queued
-  tasks are cancelled, and only when a worker is still *executing* an
-  overdue task is the pool recycled (the stuck worker terminated, a
-  fresh pool spawned lazily on the next call) — otherwise the pool
-  survives untouched, and results arriving just past the deadline still
-  feed the warm-start cache;
+* an **executor** that decides where optimizations run, behind one
+  submit/collect path.  A serial session (``workers <= 1``) uses an
+  in-process executor: its ``submit`` runs the task in the calling
+  thread and returns an already-resolved future.  A pooled session uses
+  a **persistent worker pool**, spawned lazily on the first call and
+  reused across batches.  Per-call deadlines do not stall a pooled
+  call: overdue items are reported ``"timeout"``, queued tasks are
+  cancelled, and only when a worker is still *executing* an overdue
+  task is the pool recycled (the stuck worker terminated, a fresh pool
+  spawned lazily on the next call) — otherwise the pool survives
+  untouched, and results arriving just past the deadline still feed the
+  warm-start cache;
 * **session-scoped shared state** — the :class:`WarmStartCache` of
   serialized Pareto plan sets and an LP-result memo
-  (:class:`repro.lp.LPResultCache`).  The LP memo is installed
-  process-wide around serial runs; each pool worker gets its own memo
-  that persists for the pool's lifetime (warm LP hits across batches),
-  seeded at spawn time with the parent memo's content — pass a
-  populated memo (e.g. from a serial session) via ``lp_memo=`` to start
-  workers warm;
+  (:class:`repro.lp.LPResultCache`).  In-process tasks run with the
+  session memo installed for the calling thread only (the installed
+  memo is per thread, so serial sessions on different threads never
+  see each other's memo); each pool worker gets its own memo that
+  persists for the pool's lifetime (warm LP hits across batches),
+  seeded at spawn time with the parent memo's content, and ships the
+  entries it learns back with every result — pass a populated memo
+  (e.g. from a serial session) via ``lp_memo=`` to start workers warm;
 * the **scenario registry** — queries are optimized under a named
   scenario (``"cloud"``, ``"approx"``, or anything registered via
   :func:`repro.service.registry.register_scenario`), so new cost-model
@@ -44,9 +49,10 @@ Submission surfaces:
   ladder; each ``rung_completed`` event carries a successively tighter
   plan set with its ``(1 + alpha)`` guarantee.
 
-Workers ship *serialized* plan sets (JSON documents) back to the parent,
-which both sidesteps pickling optimizer internals and feeds the cache for
-free.
+Tasks return *serialized* plan sets (JSON documents) under both
+executors, which sidesteps pickling optimizer internals, feeds the cache
+for free, and makes a serial and a pooled session produce the same
+items.
 """
 
 from __future__ import annotations
@@ -55,12 +61,13 @@ import multiprocessing
 import pickle
 import queue as queue_module
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from collections.abc import Iterator, Sequence
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures import as_completed as _futures_as_completed
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from collections.abc import Iterator, Sequence
 
 from ..core import (DEFAULT_SEED_CAP, RUN_COMPLETED, SEED_JUMP_ALPHA, Budget,
                     OptimizerStats, ProgressEvent, PWLRRPAOptions,
@@ -153,8 +160,8 @@ def _drain_memo_delta(outcome: dict) -> None:
     """Attach the LP-memo entries this task learned to the outcome.
 
     Only pool workers install a delta-tracking memo
-    (:func:`_worker_init`); in serial runs the installed memo is the
-    session memo itself, whose drain is a no-op.
+    (:func:`_worker_init`); in-process tasks run with the session memo
+    itself installed, whose drain is a no-op.
     """
     memo = shared_lp_cache()
     if memo is not None:
@@ -164,23 +171,25 @@ def _drain_memo_delta(outcome: dict) -> None:
 
 
 def _optimize_payload(payload: tuple) -> tuple[int, dict, dict, float]:
-    """Worker entry point: optimize one query, return serialized output.
+    """Task entry point: optimize one query, return serialized output.
 
-    Module-level (not a closure) so process pools can pickle it.  The
-    payload carries the :class:`~repro.service.registry.Scenario` object
-    itself whenever it pickles (built-in scenarios and any scenario with
-    module-level factories do), so workers on spawn-based platforms do
-    not depend on fork-inherited registry state.  A ``None`` scenario is
-    the fallback for unpicklable registrations and resolves by name from
-    the worker's process-global default registry — which then must know
-    the name (register it in a module the workers import).
+    Module-level (not a closure) so process pools can pickle it; the
+    in-process executor calls it directly.  The payload carries the
+    :class:`~repro.service.registry.Scenario` object itself whenever it
+    pickles (built-in scenarios and any scenario with module-level
+    factories do), so workers on spawn-based platforms do not depend on
+    fork-inherited registry state.  A ``None`` scenario is the fallback
+    for unpicklable registrations and resolves by name from the worker's
+    process-global default registry — which then must know the name
+    (register it in a module the workers import).
 
     Returns ``(index, outcome, stats_summary, elapsed)``.  The outcome
     dict carries the encoded plan set (``"doc"``), the achieved
     ``"alpha"``/``"guarantee"``, a ``"status"``, and — for anytime
-    payloads — the per-rung documents (``"rungs"``), the progress-event
-    trail (``"events"``), and the worker's fresh LP-memo entries
-    (``"lp_memo_delta"``), which the session merges back on receipt.
+    payloads — the progress-event trail as event documents
+    (``"trail"``, see :func:`_event_doc`) and the worker's fresh
+    LP-memo entries (``"lp_memo_delta"``), which the session merges back
+    on receipt.
     """
     (index, scenario_name, scenario, query, resolution, options,
      anytime) = payload
@@ -211,23 +220,50 @@ def _optimize_payload(payload: tuple) -> tuple[int, dict, dict, float]:
     return index, outcome, stats, elapsed
 
 
+def _event_doc(run, event) -> dict:
+    """The document of one progress event of ``run``.
+
+    ``{"event": event.as_dict()}``; a ``rung_completed`` event also
+    carries the rung's encoded plan set with its alpha and guarantee
+    under ``"rung"``.  Every event a session yields or returns is
+    rebuilt from such a document (:func:`_event_from_doc`), whichever
+    executor ran the optimization.
+    """
+    doc = {"event": event.as_dict()}
+    if event.kind == "rung_completed":
+        outcome = run.completed[event.rung]
+        doc["rung"] = {"doc": encode_result(outcome.result),
+                       "alpha": outcome.alpha,
+                       "guarantee": outcome.guarantee}
+    return doc
+
+
+def _event_from_doc(doc: dict) -> ProgressEvent:
+    """Rebuild an event from its document (see :func:`_event_doc`).
+
+    A ``rung_completed`` event gets the rung's decoded plan set
+    attached; an undecodable rung leaves the bare event.
+    """
+    event = ProgressEvent.from_dict(doc["event"])
+    rung = doc.get("rung")
+    if rung is not None:
+        try:
+            event = replace(event, plan_set=decode_plan_set(rung["doc"]))
+        except Exception:  # reprolint: disable=REP601
+            pass  # undecodable rung: ship the bare event
+    return event
+
+
 def _live_event_emitter(run, events_queue):
     """Per-event callback shipping the trail live over a result queue.
 
-    Each :class:`~repro.core.run.ProgressEvent` is forwarded the moment
-    it is emitted; ``rung_completed`` events additionally carry the
-    rung's encoded plan set so the session can attach a decoded set to
-    the event it yields (the same payload the serial path builds).  A
-    broken queue degrades to the replay-on-completion behavior — the
-    session recovers the missing tail from the outcome's event trail.
+    Each event's document (:func:`_event_doc`) is forwarded the moment
+    the event is emitted.  A broken queue degrades to the
+    replay-on-completion behavior — the session recovers the missing
+    tail from the outcome's trail.
     """
     def on_event(event) -> None:
-        doc = {"event": event.as_dict()}
-        if event.kind == "rung_completed" and run.completed:
-            outcome = run.completed[-1]
-            doc["rung"] = {"doc": encode_result(outcome.result),
-                           "alpha": outcome.alpha,
-                           "guarantee": outcome.guarantee}
+        doc = _event_doc(run, event)
         try:
             events_queue.put(doc)
         except Exception:  # reprolint: disable=REP601
@@ -279,6 +315,19 @@ def _decode_seed_spec(spec) -> tuple[list | None, object]:
         return None, seed_cap  # unusable seed: run cold
 
 
+def _start_run(scenario, query: Query, resolution: int, options,
+                anytime: dict):
+    """Build the (possibly store-seeded) run an anytime payload asks for."""
+    seed_plans, seed_cap = _decode_seed_spec(anytime.get("seed"))
+    run = scenario.start_run(
+        query, resolution=resolution, options=options,
+        precision_ladder=tuple(anytime["ladder"]),
+        seed_plans=seed_plans)
+    if seed_plans and seed_cap is not _SEED_CAP_UNSET:
+        run.seed_cap = seed_cap
+    return run
+
+
 def _run_anytime(scenario, query: Query, resolution: int, options,
                  anytime: dict) -> tuple[dict, dict]:
     """Run an anytime precision ladder to its (cooperative) budget.
@@ -292,13 +341,7 @@ def _run_anytime(scenario, query: Query, resolution: int, options,
     instead of replaying the trail on completion.
     """
     events_queue = anytime.get("events")
-    seed_plans, seed_cap = _decode_seed_spec(anytime.get("seed"))
-    run = scenario.start_run(
-        query, resolution=resolution, options=options,
-        precision_ladder=tuple(anytime["ladder"]),
-        seed_plans=seed_plans)
-    if seed_plans and seed_cap is not _SEED_CAP_UNSET:
-        run.seed_cap = seed_cap
+    run = _start_run(scenario, query, resolution, options, anytime)
     if events_queue is not None:
         run.on_event = _live_event_emitter(run, events_queue)
     try:
@@ -309,9 +352,8 @@ def _run_anytime(scenario, query: Query, resolution: int, options,
                 events_queue.put(None)
             except Exception:  # reprolint: disable=REP601
                 pass  # consumer recovers the tail from the replay trail
-    rungs = [{"doc": encode_result(outcome.result),
-              "alpha": outcome.alpha, "guarantee": outcome.guarantee}
-             for outcome in run.completed]
+    trail = [_event_doc(run, event) for event in run.events]
+    rungs = [doc["rung"] for doc in trail if "rung" in doc]
     result = run.result()
     if status == RUN_COMPLETED:
         item_status = "ok"
@@ -321,11 +363,10 @@ def _run_anytime(scenario, query: Query, resolution: int, options,
         item_status = "timeout"
     outcome = {
         "doc": rungs[-1]["doc"] if rungs else None,
-        "alpha": run.achieved_alpha if rungs else None,
-        "guarantee": run.guarantee if rungs else None,
+        "alpha": run.achieved_alpha,
+        "guarantee": run.guarantee,
         "status": item_status,
-        "rungs": rungs,
-        "events": [event.as_dict() for event in run.events],
+        "trail": trail,
         "seeded_plans": run.seeded_plans,
     }
     stats = (result.stats.summary() if result is not None
@@ -348,19 +389,62 @@ def _worker_init(memo_entries: list, memo_size: int) -> None:
     install_shared_lp_cache(memo)
 
 
+@contextmanager
+def _memo_installed(memo: LPResultCache | None):
+    """Install ``memo`` for the calling thread, restoring on exit.
+
+    ``None`` (cross-run memoization disabled) leaves whatever the thread
+    has installed in place.
+    """
+    if memo is None:
+        yield
+        return
+    previous = install_shared_lp_cache(memo)
+    try:
+        yield
+    finally:
+        install_shared_lp_cache(previous)
+
+
+class _InProcessExecutor(Executor):
+    """Executor of serial sessions: tasks run in the calling thread.
+
+    ``submit`` runs the task before it returns, with the session LP memo
+    installed, and returns an already-resolved future holding the
+    task's result or exception — so the session's submit/collect code
+    serves serial and pooled sessions alike.
+    """
+
+    def __init__(self, memo: LPResultCache | None) -> None:
+        self._memo = memo
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        with _memo_installed(self._memo):
+            try:
+                future.set_result(fn(*args, **kwargs))
+            except Exception as exc:  # reprolint: disable=REP601
+                # Stored like a pool stores it: the session's completion
+                # callback turns it into an error item.
+                future.set_exception(exc)
+        return future
+
+
 class OptimizerSession:
     """Session façade over the optimizer: pool, caches and scenarios.
 
     Args:
         scenario: Default scenario name for submitted queries (resolved
             eagerly, so typos fail at construction).
-        workers: Worker processes; ``0`` or ``1`` optimizes in-process
-            (serial), ``>= 2`` uses the persistent process pool.
+        workers: Worker processes; ``0`` or ``1`` optimizes in the
+            calling thread (serial, through an in-process executor),
+            ``>= 2`` uses the persistent process pool.
         resolution: PWL grid resolution of the scenario cost models.
         options: Backend options forwarded to every optimization.
         timeout_seconds: Per-call deadline for :meth:`map` /
             :meth:`as_completed`, measured from call start (pool mode
-            only; a serial run cannot preempt a running optimization).
+            only: in-process tasks are finished before anything waits
+            on them, as a serial run cannot preempt an optimization).
             Overdue items are reported ``"timeout"``; workers caught
             still executing an overdue task are terminated and the pool
             respawned lazily, so later calls get full capacity instead
@@ -383,8 +467,10 @@ class OptimizerSession:
         lp_memo_size: Capacity of the session-scoped LP-result memo
             (``0`` disables cross-run LP memoization entirely — serial
             runs and pool workers then fall back to the optimizer's
-            private per-run memo governed by ``options.lp_cache_size``,
-            exactly as before).
+            private per-run memo governed by ``options.lp_cache_size``).
+            Serial runs install the memo for their own thread only, so
+            sessions driven from different threads keep their memos
+            (and LP counters) apart.
         lp_memo: Explicit LP memo to adopt instead of creating a fresh
             one — e.g. a memo populated by an earlier serial session, so
             a pooled session's workers spawn warm.
@@ -593,17 +679,20 @@ class OptimizerSession:
                        approximation_factor=float(target))
 
     def _shipped_scenario(self, scenario_name: str):
-        """Scenario object to embed in pooled payloads (memoized).
+        """Scenario object to embed in task payloads (memoized).
 
-        Returns the registry's :class:`Scenario` when it pickles —
-        workers then use it directly, independent of their own registry
-        state (spawn-safe) — and ``None`` when it does not, selecting the
-        worker-side by-name fallback.  The picklability decision is
-        memoized per *scenario instance*, so re-registering a name with
-        ``replace=True`` mid-session is picked up (the pooled path then
-        ships the new scenario exactly as the serial path resolves it).
+        In-process tasks take the registry's :class:`Scenario` as is:
+        nothing is pickled, so unpicklable registrations work.  For the
+        pool, returns the scenario when it pickles — workers then use it
+        directly, independent of their own registry state (spawn-safe) —
+        and ``None`` when it does not, selecting the worker-side by-name
+        fallback.  The picklability decision is memoized per *scenario
+        instance*, so re-registering a name with ``replace=True``
+        mid-session is picked up.
         """
         scenario = self.registry.get(scenario_name)
+        if self.workers <= 1:
+            return scenario
         cached = self._ship_cache.get(scenario_name)
         if cached is None or cached[0] is not scenario:
             try:
@@ -748,27 +837,6 @@ class OptimizerSession:
         self.lp_memo_merges += 1
         self.lp_memo_merged_entries += self.lp_memo.merge(delta)
 
-    def _decode_events(self, outcome: dict) -> tuple:
-        """Rebuild the progress-event trail of a pooled anytime outcome.
-
-        ``rung_completed`` events get the decoded plan set of their rung
-        attached, so :meth:`optimize_iter` consumers see the same event
-        payloads on the pooled path as on the live serial path.
-        """
-        rung_sets: dict[int, StoredPlanSet] = {}
-        for rung_index, rung in enumerate(outcome.get("rungs", ())):
-            try:
-                rung_sets[rung_index] = decode_plan_set(rung["doc"])
-            except Exception:  # reprolint: disable=REP601
-                continue  # undecodable rung: ship the bare event
-        events = []
-        for doc in outcome.get("events", ()):
-            event = ProgressEvent.from_dict(doc)
-            if event.kind == "rung_completed" and event.rung in rung_sets:
-                event = replace(event, plan_set=rung_sets[event.rung])
-            events.append(event)
-        return tuple(events)
-
     def _ok_item(self, index: int, signature: str, scenario_name: str,
                  outcome: dict, stats: dict,
                  seconds: float) -> BatchItem:
@@ -776,11 +844,13 @@ class OptimizerSession:
         self._merge_memo_delta(outcome)
         status = outcome.get("status", "ok")
         doc = outcome.get("doc")
+        events = tuple(_event_from_doc(event_doc)
+                       for event_doc in outcome.get("trail", ()))
         if doc is None:  # anytime run whose budget beat the first rung
             item = self._error_item(
                 index, signature, scenario_name, "timeout",
                 "budget exhausted before the first ladder rung")
-            item.events = self._decode_events(outcome)
+            item.events = events
             return item
         alpha = float(outcome.get("alpha") or 0.0)
         if self.warm_start:
@@ -794,56 +864,31 @@ class OptimizerSession:
                          seconds=seconds, scenario=scenario_name,
                          alpha=alpha,
                          guarantee=float(outcome.get("guarantee") or 1.0),
-                         events=self._decode_events(outcome))
+                         events=events)
 
     def _error_item(self, index: int, signature: str, scenario_name: str,
                     status: str, error: str) -> BatchItem:
         return BatchItem(index=index, signature=signature, status=status,
                          error=error, scenario=scenario_name)
 
-    def _run_serial(self, index: int, signature: str, scenario_name: str,
-                    query: Query, options: PWLRRPAOptions | None = None,
-                    anytime: dict | None = None) -> BatchItem:
-        """Optimize in-process, with the session LP memo installed."""
-        previous = None
-        if self.lp_memo is not None:
-            previous = install_shared_lp_cache(self.lp_memo)
-        try:
-            # Serial runs pass the session registry's scenario object
-            # directly (no pickling involved), so custom registries are
-            # honored without any default-registry registration.
-            __, outcome, stats, seconds = _optimize_payload(
-                (index, scenario_name, self.registry.get(scenario_name),
-                 query, self.resolution,
-                 options if options is not None else self.options,
-                 anytime))
-        except Exception as exc:  # reprolint: disable=REP601
-            # Error isolation per query: failures become error items.
-            return self._error_item(index, signature, scenario_name,
-                                    "error", f"{type(exc).__name__}: {exc}")
-        finally:
-            if self.lp_memo is not None:
-                install_shared_lp_cache(previous)
-        try:
-            return self._ok_item(index, signature, scenario_name,
-                                 outcome, stats, seconds)
-        except Exception as exc:  # reprolint: disable=REP601
-            # Result decoding/caching failure (e.g. a poisoned outcome
-            # doc): an error item, mirroring the pooled collector path.
-            return self._error_item(index, signature, scenario_name,
-                                    "error", f"{type(exc).__name__}: {exc}")
+    def _executor(self) -> Executor:
+        """Where tasks run: the calling thread for serial sessions, the
+        persistent process pool otherwise."""
+        if self.workers > 1:
+            return self._ensure_pool()
+        return _InProcessExecutor(self.lp_memo)
 
-    def _submit_pooled(self, index: int, signature: str,
-                       scenario_name: str, query: Query,
-                       options: PWLRRPAOptions | None = None,
-                       anytime: dict | None = None
-                       ) -> tuple[Future, Future | None]:
-        """Submit to the persistent pool.
+    def _submit(self, index: int, signature: str, scenario_name: str,
+                query: Query, options: PWLRRPAOptions | None = None,
+                anytime: dict | None = None
+                ) -> tuple[Future, Future | None]:
+        """Submit one optimization task to the session's executor.
 
         Returns ``(item_future, raw_future)``; the item future resolves
         to a :class:`BatchItem` (never raises), the raw future is the
         executor handle (``None`` when submission itself failed) kept for
-        deadline-driven cancellation.
+        deadline-driven cancellation.  In-process tasks have run, and
+        both futures are resolved, by the time this returns.
         """
         item_future: Future = Future()
         payload = (index, scenario_name,
@@ -852,15 +897,14 @@ class OptimizerSession:
                    options if options is not None else self.options,
                    anytime)
         try:
-            raw = self._ensure_pool().submit(_optimize_payload, payload)
+            raw = self._executor().submit(_optimize_payload, payload)
         except BrokenProcessPool:
             # A previously crashed worker broke the pool; respawn once
             # and retry so one hard crash does not poison the session.
             self._discard_broken_pool()
             self.pool_respawns += 1
             try:
-                raw = self._ensure_pool().submit(_optimize_payload,
-                                                 payload)
+                raw = self._executor().submit(_optimize_payload, payload)
             except Exception as exc:  # reprolint: disable=REP601
                 item_future.set_result(self._error_item(
                     index, signature, scenario_name, "error",
@@ -874,9 +918,11 @@ class OptimizerSession:
             return item_future, None
 
         def _complete(done: Future) -> None:
-            # Runs on the executor's collector thread.  Late results of
-            # timed-out items land here too — they still feed the
-            # warm-start cache via _ok_item.
+            # Runs on the pool's collector thread, or in the calling
+            # thread for in-process tasks.  Late results of timed-out
+            # items land here too — they still feed the warm-start cache
+            # via _ok_item.  Payload exceptions and undecodable outcomes
+            # become error items (per-query error isolation).
             try:
                 if done.cancelled():
                     item = self._error_item(
@@ -928,14 +974,9 @@ class OptimizerSession:
             future: Future = Future()
             future.set_result(cached)
             return future
-        if self.workers > 1:
-            item_future, __ = self._submit_pooled(index, signature,
-                                                  scenario_name, query)
-            return item_future
-        future = Future()
-        future.set_result(self._run_serial(index, signature, scenario_name,
-                                           query))
-        return future
+        item_future, __ = self._submit(index, signature, scenario_name,
+                                       query)
+        return item_future
 
     def as_completed(self, queries: Sequence[Query], *,
                      scenario: str | None = None
@@ -995,57 +1036,55 @@ class OptimizerSession:
 
     def _drain(self, leaders: list[tuple], followers: dict,
                scenario_name: str) -> Iterator[BatchItem]:
-        """Yield one item per leader (plus its followers), streaming."""
-        if self.workers > 1:
-            yield from self._drain_pooled(leaders, followers,
-                                          scenario_name)
-            return
-        # Serial: leaders run inline in input order (completion order ==
-        # input order).
-        for index, signature, query in leaders:
-            item = self._run_serial(index, signature, scenario_name, query)
-            yield item
-            yield from self._follower_items(item, followers.get(index, ()),
-                                            scenario_name)
+        """Yield one item per leader (plus its followers), streaming.
 
-    def _drain_pooled(self, leaders: list[tuple], followers: dict,
-                      scenario_name: str) -> Iterator[BatchItem]:
+        The drain window is how many leaders are submitted at once.  The
+        pool gets every leader up front.  The in-process executor gets
+        one at a time, run when the consumer asks for the next item: items
+        then come out in input order, one as it finishes, and an
+        abandoned iterator stops optimizing.
+        """
         deadline = (None if self.timeout_seconds is None
                     else time.monotonic() + self.timeout_seconds)
-        in_flight: dict[Future, tuple[int, str, Future | None]] = {}
-        for index, signature, query in leaders:
-            item_future, raw = self._submit_pooled(index, signature,
-                                                   scenario_name, query)
-            in_flight[item_future] = (index, signature, raw)
-        try:
-            remaining = (None if deadline is None
-                         else max(0.0, deadline - time.monotonic()))
-            for done in _futures_as_completed(in_flight,
-                                              timeout=remaining):
-                index, signature, __ = in_flight.pop(done)
-                item = done.result()  # never raises; always a BatchItem
-                yield item
-                yield from self._follower_items(
-                    item, followers.get(index, ()), scenario_name)
-        except FutureTimeoutError:
-            self._timed_out = True
-            still_running = False
-            for index, signature, raw in in_flight.values():
-                # Unstarted tasks are cancelled to free the pool; a task
-                # a worker is already executing cannot be stopped that
-                # way and forces a pool recycle below.
-                if raw is not None and not raw.cancel() and not raw.done():
-                    still_running = True
-                item = self._error_item(
-                    index, signature, scenario_name, "timeout",
-                    f"no result within {self.timeout_seconds}s of call "
-                    f"start")
-                yield item
-                yield from self._follower_items(
-                    item, followers.get(index, ()), scenario_name)
-            if still_running:
-                self._recycle_pool()
-            self._timed_out = False
+        window = max(len(leaders), 1) if self.workers > 1 else 1
+        for start in range(0, len(leaders), window):
+            in_flight: dict[Future, tuple[int, str, Future | None]] = {}
+            for index, signature, query in leaders[start:start + window]:
+                item_future, raw = self._submit(index, signature,
+                                                scenario_name, query)
+                in_flight[item_future] = (index, signature, raw)
+            try:
+                remaining = (None if deadline is None
+                             else max(0.0, deadline - time.monotonic()))
+                # Finished futures are yielded before any wait, so
+                # in-process items never time out.
+                for done in _futures_as_completed(in_flight,
+                                                  timeout=remaining):
+                    index, signature, __ = in_flight.pop(done)
+                    item = done.result()  # never raises; a BatchItem
+                    yield item
+                    yield from self._follower_items(
+                        item, followers.get(index, ()), scenario_name)
+            except FutureTimeoutError:
+                self._timed_out = True
+                still_running = False
+                for index, signature, raw in in_flight.values():
+                    # Unstarted tasks are cancelled to free the pool; a
+                    # task a worker is already executing cannot be
+                    # stopped that way and forces a pool recycle below.
+                    if raw is not None and not raw.cancel() and (
+                            not raw.done()):
+                        still_running = True
+                    item = self._error_item(
+                        index, signature, scenario_name, "timeout",
+                        f"no result within {self.timeout_seconds}s of "
+                        f"call start")
+                    yield item
+                    yield from self._follower_items(
+                        item, followers.get(index, ()), scenario_name)
+                if still_running:
+                    self._recycle_pool()
+                self._timed_out = False
 
     def map(self, queries: Sequence[Query], *,
             scenario: str | None = None) -> list[BatchItem]:
@@ -1117,7 +1156,7 @@ class OptimizerSession:
                           precision: float | None,
                           budget: Budget | None, precision_ladder
                           ) -> BatchItem:
-        """Shared anytime path behind ``optimize``/``optimize_iter``."""
+        """Anytime path behind :meth:`optimize`."""
         self._check_open()
         scenario_name = self._scenario_name(scenario)
         ladder = self._resolve_ladder(precision, budget, precision_ladder)
@@ -1128,39 +1167,45 @@ class OptimizerSession:
                                    max_alpha=target)
         if cached is not None:
             return cached
+        anytime = self._anytime_payload(
+            query, signature, scenario_name, options, ladder, budget,
+            trim=precision_ladder is None)
+        item_future, raw = self._submit(0, signature, scenario_name, query,
+                                        options=options, anytime=anytime)
+        # The cooperative budget is the primary bound, but the session
+        # deadline still backstops a hung worker — same semantics as
+        # map(): report "timeout", recycle a worker caught still
+        # executing, keep the session usable.
+        try:
+            return item_future.result(timeout=self.timeout_seconds)
+        except FutureTimeoutError:
+            if raw is not None and not raw.cancel() and not raw.done():
+                self._recycle_pool()
+            return self._error_item(
+                0, signature, scenario_name, "timeout",
+                f"no result within {self.timeout_seconds}s of call start")
+
+    def _anytime_payload(self, query: Query, signature: str,
+                         scenario_name: str, options, ladder: tuple,
+                         budget: Budget | None, *, trim: bool) -> dict:
+        """The anytime part of a task payload: ladder, budget, seed.
+
+        Looks up a similar-query seed in the store; a seeded run whose
+        ladder the caller did not choose (``trim``) skips the coarse
+        rungs (:meth:`_seeded_ladder`).
+        """
         seed = self._store_seed(query, signature, scenario_name, options,
                                 ladder)
-        if seed and precision_ladder is None:
+        if seed and trim:
             ladder = self._seeded_ladder(ladder)
         anytime = {"ladder": ladder,
                    "budget": budget.as_dict() if budget else None}
         if seed:
             anytime["seed"] = seed
-        if self.workers > 1:
-            item_future, raw = self._submit_pooled(
-                0, signature, scenario_name, query, options=options,
-                anytime=anytime)
-            if self.timeout_seconds is None:
-                return item_future.result()
-            # The cooperative budget is the primary bound, but the
-            # session deadline still backstops a hung worker — same
-            # semantics as map(): report "timeout", recycle a worker
-            # caught still executing, keep the session usable.
-            try:
-                return item_future.result(timeout=self.timeout_seconds)
-            except FutureTimeoutError:
-                if raw is not None and not raw.cancel() and (
-                        not raw.done()):
-                    self._recycle_pool()
-                return self._error_item(
-                    0, signature, scenario_name, "timeout",
-                    f"no result within {self.timeout_seconds}s of call "
-                    f"start")
-        return self._run_serial(0, signature, scenario_name, query,
-                                options=options, anytime=anytime)
+        return anytime
 
     # ------------------------------------------------------------------
-    # Live event streaming (pooled optimize_iter)
+    # Live event streaming (optimize_iter)
     # ------------------------------------------------------------------
 
     def _event_queue(self):
@@ -1187,51 +1232,35 @@ class OptimizerSession:
 
     def _decode_live_event(self, doc: dict, signature: str
                            ) -> ProgressEvent:
-        """Rebuild one live-streamed event; feed the warm-start cache.
+        """Rebuild one streamed event; feed the warm-start cache.
 
-        Mirrors the serial path: every completed rung's plan set goes
-        into the cache under its alpha tag the moment it exists, and the
-        ``rung_completed`` event carries the decoded set.
+        Every completed rung's plan set goes into the cache under its
+        alpha tag the moment it exists, and the ``rung_completed`` event
+        carries the decoded set.
         """
-        event = ProgressEvent.from_dict(doc["event"])
         rung = doc.get("rung")
-        if rung is not None:
-            if self.warm_start:
-                _tag_repair_cost(rung["doc"], event.lps_solved)
-                self.cache.put(signature, rung["doc"],
-                               alpha=float(rung["alpha"]))
-            try:
-                event = replace(event,
-                                plan_set=decode_plan_set(rung["doc"]))
-            except Exception:  # reprolint: disable=REP601
-                pass  # undecodable rung: ship the bare event
-        return event
+        if rung is not None and self.warm_start:
+            _tag_repair_cost(rung["doc"], doc["event"]["lps_solved"])
+            self.cache.put(signature, rung["doc"],
+                           alpha=float(rung["alpha"]))
+        return _event_from_doc(doc)
 
-    def _optimize_iter_pooled(self, query: Query, scenario_name: str,
-                              ladder, budget: Budget | None, options,
-                              signature: str, seed=None
-                              ) -> Iterator[ProgressEvent]:
-        """Stream a pooled ladder run's events *live*.
+    def _pooled_event_docs(self, query: Query, scenario_name: str,
+                           options, signature: str,
+                           anytime: dict) -> Iterator[dict]:
+        """Event documents of a pooled run, *live* from its worker.
 
-        The worker ships every progress event through a per-run manager
-        queue as it is emitted (closing with a ``None`` sentinel), so
-        consumers see rung plan sets while later rungs are still
-        optimizing — previously the pooled path replayed the whole trail
-        only after the run finished.  Events the queue could not carry
-        (manager unavailable, proxy broken mid-run) are recovered from
-        the outcome's replay trail, so the consumer always sees the full
-        trail exactly once, in order.
+        The worker ships every document through a per-run manager queue
+        as it is emitted (closing with a ``None`` sentinel).  Documents
+        the queue could not carry (manager unavailable, proxy broken
+        mid-run) are recovered from the outcome's trail, so the consumer
+        always sees the full trail exactly once, in order.
         """
         events_queue = self._event_queue()
-        anytime = {"ladder": ladder,
-                   "budget": budget.as_dict() if budget else None}
-        if seed:
-            anytime["seed"] = seed
         if events_queue is not None:
-            anytime["events"] = events_queue
-        item_future, raw = self._submit_pooled(
-            0, signature, scenario_name, query, options=options,
-            anytime=anytime)
+            anytime = dict(anytime, events=events_queue)
+        item_future, raw = self._submit(0, signature, scenario_name, query,
+                                        options=options, anytime=anytime)
         self._live_stream_future = raw
         streamed = 0
         if events_queue is not None:
@@ -1248,7 +1277,7 @@ class OptimizerSession:
                 if doc is None:
                     finished = True
                     break
-                yield self._decode_live_event(doc, signature)
+                yield doc
                 streamed += 1
             # The worker finished (sentinel or resolved future); drain
             # whatever raced in after the last blocking get.
@@ -1259,19 +1288,18 @@ class OptimizerSession:
                     break  # empty or broken: the replay trail completes
                 if doc is None:
                     break
-                yield self._decode_live_event(doc, signature)
+                yield doc
                 streamed += 1
         item = item_future.result()
         if item.status == "error":
-            # The serial path propagates run failures to the consumer;
-            # an empty event stream must not masquerade as a (failed)
-            # completed ladder on the pooled path either.
-            raise OptimizationError(
-                f"anytime run failed in worker: {item.error}")
-        # Tail not delivered live (queue unavailable or broken mid-run):
-        # the replay trail is deterministic and ordered, so the suffix
-        # picks up exactly where the live stream stopped.
-        yield from item.events[streamed:]
+            # An empty event stream must not masquerade as a (failed)
+            # completed ladder.
+            raise OptimizationError(f"anytime run failed: {item.error}")
+        # Tail not delivered live: the trail is deterministic and
+        # ordered, so the suffix picks up exactly where the live stream
+        # stopped.
+        __, outcome, __, __ = raw.result()
+        yield from outcome["trail"][streamed:]
 
     def optimize_iter(self, query: Query, *,
                       scenario: str | None = None,
@@ -1288,8 +1316,9 @@ class OptimizerSession:
         rung's DP work (plan-cost memo + LP memo), so the ladder costs
         far less than independent runs.
 
-        Events stream live on both paths: serial runs yield step by
-        step, and a pooled session ships each event from its worker
+        Events stream live on both paths, as the same event documents:
+        a serial session runs the ladder step by step in the calling
+        thread, and a pooled session ships each event from its worker
         through a per-run result queue as it is emitted (same events,
         same order — consumers see coarse rungs while tighter rungs are
         still optimizing).  One ``budget`` window spans the whole
@@ -1301,6 +1330,9 @@ class OptimizerSession:
             precision_ladder: Strictly decreasing alphas; defaults to
                 :data:`repro.core.run.DEFAULT_PRECISION_LADDER`.
             budget: Cooperative budget over the whole iteration.
+
+        Raises:
+            OptimizationError: If the run fails (on either path).
         """
         self._check_open()
         scenario_name = self._scenario_name(scenario)
@@ -1322,45 +1354,39 @@ class OptimizerSession:
                 units_done=0, units_total=0, lps_solved=0, seconds=0.0,
                 plan_set=cached.plan_set)
             return
-        seed = self._store_seed(query, signature, scenario_name, options,
-                                ladder)
-        if seed and precision_ladder is None:
-            ladder = self._seeded_ladder(ladder)
+        anytime = self._anytime_payload(
+            query, signature, scenario_name, options, ladder, budget,
+            trim=precision_ladder is None)
+        # A live stream cannot run behind a synchronous submit, so the
+        # executor only chooses where the event documents come from.
         if self.workers > 1:
-            yield from self._optimize_iter_pooled(query, scenario_name,
-                                                  ladder, budget, options,
-                                                  signature, seed=seed)
-            return
-        yield from self._optimize_iter_serial(query, scenario_name,
-                                              ladder, budget, options,
-                                              signature, seed=seed)
+            docs = self._pooled_event_docs(query, scenario_name, options,
+                                           signature, anytime)
+        else:
+            docs = self._in_process_event_docs(query, scenario_name,
+                                               options, anytime)
+        for doc in docs:
+            yield self._decode_live_event(doc, signature)
 
-    def _optimize_iter_serial(self, query: Query, scenario_name: str,
-                              ladder, budget: Budget | None, options,
-                              signature: str, seed=None
-                              ) -> Iterator[ProgressEvent]:
-        """Live in-process ladder run behind :meth:`optimize_iter`."""
-        seed_plans, seed_cap = _decode_seed_spec(seed)
-        run = self.registry.get(scenario_name).start_run(
-            query, resolution=self.resolution, options=options,
-            precision_ladder=ladder, seed_plans=seed_plans)
-        if seed_plans and seed_cap is not _SEED_CAP_UNSET:
-            run.seed_cap = seed_cap
-        previous = None
-        if self.lp_memo is not None:
-            previous = install_shared_lp_cache(self.lp_memo)
-        try:
-            for event in run.iter_run(budget):
-                if event.kind == "rung_completed":
-                    outcome = run.completed[event.rung]
-                    doc = encode_result(outcome.result)
-                    if self.warm_start:
-                        _tag_repair_cost(doc, event.lps_solved)
-                        self.cache.put(signature, doc,
-                                       alpha=outcome.alpha)
-                    event = replace(event,
-                                    plan_set=decode_plan_set(doc))
-                yield event
-        finally:
-            if self.lp_memo is not None:
-                install_shared_lp_cache(previous)
+    def _in_process_event_docs(self, query: Query, scenario_name: str,
+                               options, anytime: dict) -> Iterator[dict]:
+        """Event documents of a run stepped in the calling thread.
+
+        The session LP memo is installed before the run is built, so
+        the run's solver reads and feeds it.  A finished stream adds its
+        memo hits to :attr:`lp_cache_hits_total`, as a pooled item does.
+        """
+        with _memo_installed(self.lp_memo):
+            try:
+                run = _start_run(self.registry.get(scenario_name), query,
+                                 self.resolution, options, anytime)
+                for event in run.iter_run(
+                        Budget.from_dict(anytime["budget"])):
+                    yield _event_doc(run, event)
+            except Exception as exc:
+                raise OptimizationError(
+                    f"anytime run failed: {type(exc).__name__}: {exc}"
+                ) from exc
+        result = run.result()
+        if result is not None:
+            self.lp_cache_hits_total += result.stats.lp_stats.cache_hits

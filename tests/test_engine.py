@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cloud import CloudCostModel
-from repro.core import optimize_cloud_query
+from repro.api import optimize_query
 from repro.engine import (Executor, generate_database,
                           threshold_for_selectivity)
 from repro.errors import PlanError
@@ -136,7 +136,7 @@ class TestExecutor:
 
     def test_equivalent_plans_same_result_size(self, query, executor):
         """All Pareto plans of the query produce identical result sizes."""
-        result = optimize_cloud_query(query, resolution=2)
+        result = optimize_query(query, "cloud", resolution=2)
         sizes = set()
         for entry in result.entries[:4]:
             sizes.add(executor.execute(entry.plan, [0.5]).num_rows)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
-from repro.lp import LinearProgramSolver, LPResultCache, LPStats
+from repro.lp import (LinearProgramSolver, LPResultCache, LPStats,
+                      install_shared_lp_cache, shared_lp_cache)
 
 
 def _square(shift: float = 0.0):
@@ -84,3 +87,42 @@ class TestLPResultCache:
         assert second.cache_hits == 1
         second.reset()
         assert second.cache_hits == 0
+
+
+class TestInstalledMemo:
+    def test_installation_is_per_thread(self):
+        """Two threads interleave install and restore (A installs, B
+        installs, A restores, B restores): each sees only its own memo,
+        and nothing stays installed afterwards."""
+        memos = {"A": LPResultCache(8), "B": LPResultCache(8)}
+        a_installed, b_installed = threading.Event(), threading.Event()
+        a_restored = threading.Event()
+        seen: dict[str, object] = {}
+
+        def run(name, wait_for, signal_installed, signal_restored):
+            previous = install_shared_lp_cache(memos[name])
+            signal_installed.set()
+            assert wait_for.wait(10.0)
+            seen[name] = shared_lp_cache()
+            seen[name + " solver"] = LinearProgramSolver(
+                stats=LPStats(), cache_size=8).cache
+            install_shared_lp_cache(previous)
+            seen[name + " after"] = shared_lp_cache()
+            if signal_restored is not None:
+                signal_restored.set()
+
+        thread_a = threading.Thread(
+            target=run, args=("A", b_installed, a_installed, a_restored))
+        thread_a.start()
+        assert a_installed.wait(10.0)
+        thread_b = threading.Thread(
+            target=run, args=("B", a_restored, b_installed, None))
+        thread_b.start()
+        for thread in (thread_a, thread_b):
+            thread.join(10.0)
+            assert not thread.is_alive()
+        for name in ("A", "B"):
+            assert seen[name] is memos[name]
+            assert seen[name + " solver"] is memos[name]
+            assert seen[name + " after"] is None
+        assert shared_lp_cache() is None

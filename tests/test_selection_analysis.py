@@ -11,7 +11,8 @@ from repro.analysis import (all_examples, check_m1_on,
                             check_theorem2_dominance_convex, figure4,
                             figure5, figure6, pareto_plans_at,
                             pvi_pareto_count, theorem6_observation)
-from repro.core import PlanSelector, optimize_cloud_query
+from repro.api import optimize_query
+from repro.core import PlanSelector
 from repro.cost import PiecewiseLinearFunction
 from repro.errors import OptimizationError
 from repro.geometry import ConvexPolytope
@@ -21,7 +22,7 @@ from repro.query import QueryGenerator
 @pytest.fixture(scope="module")
 def result():
     query = QueryGenerator(seed=17).generate(4, "chain", 1)
-    return optimize_cloud_query(query, resolution=2)
+    return optimize_query(query, "cloud", resolution=2)
 
 
 class TestPlanSelector:

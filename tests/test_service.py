@@ -1,8 +1,8 @@
-"""Tests for the legacy batch service surface (repro.service.batch).
+"""Tests for the session's batch contract (``OptimizerSession.map``).
 
-BatchOptimizer is a deprecated wrapper over OptimizerSession; these tests
-pin the legacy contract (ordering, isolation, timeouts, warm starts) that
-the wrapper must keep honoring.  Session-native behavior is covered in
+Pins what a batch call must keep honoring on top of the session API:
+signatures, input ordering, per-query error isolation, deadlines and
+warm starts.  Streaming, pool lifecycle and scenarios are covered in
 ``test_session.py``.
 """
 
@@ -10,14 +10,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import PWLRRPAOptions, PlanSelector, optimize_cloud_query
+from repro.api import OptimizerSession, optimize_query
+from repro.core import PWLRRPAOptions, PlanSelector
 from repro.query import QueryGenerator
-from repro.service import (BatchOptimizer, BatchOptions, WarmStartCache,
-                           query_signature)
+from repro.service import WarmStartCache, query_signature
 from repro.service import session as session_module
-
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::DeprecationWarning")  # the legacy surface warns by design
 
 
 def make_queries(count: int, num_tables: int = 3, seed: int = 0):
@@ -45,17 +42,17 @@ class TestQuerySignature:
 class TestBatchOrderingAndResults:
     def test_results_in_input_order(self):
         queries = make_queries(4)
-        items = BatchOptimizer(BatchOptions(workers=0)).optimize_batch(
-            queries)
+        with OptimizerSession("cloud") as session:
+            items = session.map(queries)
         assert [item.index for item in items] == [0, 1, 2, 3]
         assert all(item.status == "ok" for item in items)
         assert all(item.plan_set.entries for item in items)
 
     def test_plan_sets_match_direct_optimization(self):
         (query,) = make_queries(1)
-        (item,) = BatchOptimizer(BatchOptions(workers=0)).optimize_batch(
-            [query])
-        direct = optimize_cloud_query(query, resolution=2)
+        with OptimizerSession("cloud") as session:
+            (item,) = session.map([query])
+        direct = optimize_query(query, "cloud", resolution=2)
         x = [0.5]
         plan, cost = item.plan_set.select(x, {"time": 1.0, "fees": 0.5})
         picked = PlanSelector(direct).by_weighted_sum(
@@ -65,10 +62,10 @@ class TestBatchOrderingAndResults:
 
     def test_process_pool_matches_serial(self):
         queries = make_queries(3, num_tables=2)
-        serial = BatchOptimizer(BatchOptions(workers=0)).optimize_batch(
-            queries)
-        pooled = BatchOptimizer(BatchOptions(workers=2)).optimize_batch(
-            queries)
+        with OptimizerSession("cloud") as session:
+            serial = session.map(queries)
+        with OptimizerSession("cloud", workers=2) as session:
+            pooled = session.map(queries)
         assert [i.index for i in pooled] == [0, 1, 2]
         for a, b in zip(serial, pooled):
             assert b.status == "ok"
@@ -86,8 +83,8 @@ class TestErrorIsolation:
             return real(payload)
 
         monkeypatch.setattr(session_module, "_optimize_payload", flaky)
-        items = BatchOptimizer(BatchOptions(workers=0)).optimize_batch(
-            queries)
+        with OptimizerSession("cloud") as session:
+            items = session.map(queries)
         assert [item.status for item in items] == ["ok", "error", "ok"]
         assert "injected worker failure" in items[1].error
         assert items[1].plan_set is None
@@ -116,31 +113,29 @@ class TestTimeouts:
         monkeypatch.setattr(session_module, "_optimize_payload",
                             _sleepy_leader)
         queries = make_queries(2, num_tables=2)
-        optimizer = BatchOptimizer(BatchOptions(workers=2,
-                                                timeout_seconds=1.0))
-        started = time.monotonic()
-        items = optimizer.optimize_batch(queries)
-        elapsed = time.monotonic() - started
+        with OptimizerSession("cloud", workers=2,
+                              timeout_seconds=1.0) as session:
+            started = time.monotonic()
+            items = session.map(queries)
+            elapsed = time.monotonic() - started
         assert items[0].status == "timeout"
         assert items[0].plan_set is None
         assert items[1].status == "ok"
         # The batch returns at the deadline instead of stalling on the
-        # abandoned worker (which keeps sleeping in the background; the
-        # session's close() terminates it).
+        # abandoned worker (terminated with the recycled pool).
         assert elapsed < 4.0
-        optimizer.session.close()
 
 
 class TestWarmStartCache:
     def test_hit_and_miss_accounting(self):
         queries = make_queries(2)
-        optimizer = BatchOptimizer(BatchOptions(workers=0))
-        first = optimizer.optimize_batch(queries)
-        assert [i.status for i in first] == ["ok", "ok"]
-        assert optimizer.cache.hits == 0
-        second = optimizer.optimize_batch(queries)
-        assert [i.status for i in second] == ["cached", "cached"]
-        assert optimizer.cache.hits == 2
+        with OptimizerSession("cloud") as session:
+            first = session.map(queries)
+            assert [i.status for i in first] == ["ok", "ok"]
+            assert session.cache.hits == 0
+            second = session.map(queries)
+            assert [i.status for i in second] == ["cached", "cached"]
+            assert session.cache.hits == 2
         # Cached plan sets select identically to fresh ones.
         for a, b in zip(first, second):
             assert (a.plan_set.select([0.4], {"time": 1.0})[1]
@@ -149,19 +144,18 @@ class TestWarmStartCache:
     def test_duplicates_within_one_batch_share_work(self):
         (query,) = make_queries(1)
         same = QueryGenerator(seed=0).generate(3, "chain", 1)
-        items = BatchOptimizer(BatchOptions(workers=0)).optimize_batch(
-            [query, same])
+        with OptimizerSession("cloud") as session:
+            items = session.map([query, same])
         assert [i.status for i in items] == ["ok", "cached"]
         assert items[1].ok
 
     def test_warm_start_disabled(self):
         queries = make_queries(1)
-        optimizer = BatchOptimizer(BatchOptions(workers=0,
-                                                warm_start=False))
-        optimizer.optimize_batch(queries)
-        items = optimizer.optimize_batch(queries)
-        assert items[0].status == "ok"
-        assert len(optimizer.cache) == 0
+        with OptimizerSession("cloud", warm_start=False) as session:
+            session.map(queries)
+            items = session.map(queries)
+            assert items[0].status == "ok"
+            assert len(session.cache) == 0
 
     def test_lru_bound(self):
         cache = WarmStartCache(maxsize=2)
@@ -175,27 +169,26 @@ class TestWarmStartCache:
         queries = make_queries(1)
         sig = query_signature(queries[0])
         (tmp_path / f"{sig}.json").write_text("{ not json")
-        optimizer = BatchOptimizer(BatchOptions(workers=0),
-                                   cache=WarmStartCache(directory=tmp_path))
-        items = optimizer.optimize_batch(queries)
+        with OptimizerSession(
+                "cloud", cache=WarmStartCache(directory=tmp_path)) as session:
+            items = session.map(queries)
         # The damaged file neither fails the batch nor serves bad data.
         assert items[0].status == "ok"
         assert items[0].plan_set.entries
 
     def test_undecodable_memory_entry_reoptimizes(self):
         queries = make_queries(1)
-        optimizer = BatchOptimizer(BatchOptions(workers=0))
-        optimizer.cache.put(query_signature(queries[0]), {"version": 999})
-        items = optimizer.optimize_batch(queries)
+        with OptimizerSession("cloud") as session:
+            session.cache.put(query_signature(queries[0]), {"version": 999})
+            items = session.map(queries)
         assert items[0].status == "ok"
 
     def test_directory_persistence(self, tmp_path):
         queries = make_queries(1)
-        options = BatchOptions(workers=0)
-        first = BatchOptimizer(options,
-                               cache=WarmStartCache(directory=tmp_path))
-        assert first.optimize_batch(queries)[0].status == "ok"
+        with OptimizerSession(
+                "cloud", cache=WarmStartCache(directory=tmp_path)) as first:
+            assert first.map(queries)[0].status == "ok"
         # A fresh process/cache instance warm-starts from disk.
-        second = BatchOptimizer(options,
-                                cache=WarmStartCache(directory=tmp_path))
-        assert second.optimize_batch(queries)[0].status == "cached"
+        with OptimizerSession(
+                "cloud", cache=WarmStartCache(directory=tmp_path)) as second:
+            assert second.map(queries)[0].status == "cached"

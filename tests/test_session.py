@@ -8,9 +8,8 @@ Covers the tentpole guarantees of the OptimizerSession redesign:
   (the legacy engine respawned per batch);
 * streaming — ``as_completed`` yields error-isolated items, ``map``
   stays deterministic;
-* scenario registry — built-in ``"cloud"``/``"approx"`` resolve, custom
-  registrations work, and the legacy entry points return bit-identical
-  plan sets through their deprecation shims.
+* scenario registry — built-in ``"cloud"``/``"approx"`` resolve and
+  custom registrations work.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ import os
 import pytest
 
 from repro.api import (OptimizerSession, available_scenarios, get_scenario,
-                       optimize_query, query_signature, register_scenario)
-from repro.core import RRPA, PWLBackend, encode_result
+                       query_signature, register_scenario)
+from repro.core import encode_result
 from repro.cost import CLOUD_METRICS
 from repro.query import QueryGenerator
 from repro.service import session as session_module
@@ -187,6 +186,26 @@ class TestStreaming:
         assert sorted(item.index for item in items) == [0, 1, 2]
         assert all(item.ok for item in items)
 
+    def test_serial_as_completed_is_lazy(self, monkeypatch):
+        """The in-process executor runs one leader per requested item:
+        input order, and an abandoned iterator stops optimizing."""
+        real = session_module._optimize_payload
+        calls = []
+
+        def counting(payload):
+            calls.append(payload[0])
+            return real(payload)
+
+        monkeypatch.setattr(session_module, "_optimize_payload", counting)
+        queries = make_queries(3)
+        with OptimizerSession("cloud", warm_start=False) as session:
+            items = session.as_completed(queries)
+            first = next(items)
+            assert calls == [0]
+            rest = list(items)
+        assert [item.index for item in [first, *rest]] == [0, 1, 2]
+        assert calls == [0, 1, 2]
+
     def test_as_completed_error_isolated_poisoned_query(self, monkeypatch):
         real = session_module._optimize_payload
 
@@ -304,36 +323,3 @@ class TestScenarioRegistry:
         finally:
             default_registry()._scenarios.pop(name, None)
 
-
-class TestLegacyShims:
-    def test_optimize_cloud_query_warns_and_matches_registry(self):
-        (query,) = make_queries(1)
-        from repro.core import optimize_cloud_query
-        with pytest.warns(DeprecationWarning, match="OptimizerSession"):
-            legacy = optimize_cloud_query(query, resolution=2)
-        assert encode_result(legacy) == encode_result(
-            optimize_query(query, "cloud", resolution=2))
-
-    def test_optimize_with_warns_and_matches_rrpa(self):
-        (query,) = make_queries(1, num_tables=2)
-        from repro.cloud import CloudCostModel
-        from repro.core import optimize_with
-        with pytest.warns(DeprecationWarning, match="OptimizerSession"):
-            legacy = optimize_with(
-                PWLBackend(CloudCostModel(query, resolution=2)), query)
-        direct = RRPA(
-            PWLBackend(CloudCostModel(query, resolution=2))).optimize(query)
-        assert encode_result(legacy) == encode_result(direct)
-
-    def test_batch_optimizer_warns_and_matches_session(self):
-        from repro.service import BatchOptimizer, BatchOptions
-        queries = make_queries(2)
-        with pytest.warns(DeprecationWarning, match="OptimizerSession"):
-            wrapper = BatchOptimizer(BatchOptions(workers=0))
-        legacy_items = wrapper.optimize_batch(queries)
-        with OptimizerSession("cloud") as session:
-            new_items = session.map(queries)
-        for a, b in zip(legacy_items, new_items):
-            assert a.status == b.status == "ok"
-            assert (a.plan_set.select([0.3], {"time": 1.0, "fees": 0.2})
-                    == b.plan_set.select([0.3], {"time": 1.0, "fees": 0.2}))

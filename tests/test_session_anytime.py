@@ -8,7 +8,8 @@ Covers:
   including under the ``spawn`` start method;
 * ``OptimizerSession.optimize_iter`` — successively tighter plan sets
   streamed as progress events, with the pooled replay matching the live
-  serial trail;
+  serial trail, and the same memo use, memo-hit accounting and failure
+  error whichever executor runs the stream;
 * warm-start alpha tags — a partial (coarse) cache entry never serves an
   exact request, and a tighter entry is never overwritten by a coarser
   one;
@@ -23,7 +24,10 @@ import multiprocessing
 import pytest
 
 from repro.api import Budget, OptimizerSession, WarmStartCache
+from repro.cost import CLOUD_METRICS
+from repro.errors import OptimizationError
 from repro.query import QueryGenerator
+from repro.service.registry import ScenarioRegistry
 
 
 def make_query(seed: int = 0, num_tables: int = 4):
@@ -302,6 +306,54 @@ class TestOptimizeIter:
                 pytest.raises(OptimizationError, match="poisoned"):
             list(session.optimize_iter(query,
                                        precision_ladder=(0.5, 0.0)))
+
+
+def _failing_cost_model(query, resolution):
+    """Module-level (picklable) cost-model factory that always fails."""
+    raise RuntimeError("cost model unavailable")
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+class TestStreamParity:
+    """``optimize_iter`` behaves the same under either executor."""
+
+    def test_stream_uses_session_memo(self, workers):
+        from repro.service import session as session_module
+
+        query = make_query(seed=13, num_tables=4)
+        ladder = (0.5, 0.0)
+        with OptimizerSession("cloud", warm_start=False) as warm:
+            warm.optimize(query, precision_ladder=ladder)
+            memo = warm.lp_memo
+        # Pool workers spawn with at most this many memo entries; the
+        # whole warmed memo must ship for the check below to hold.
+        assert 0 < len(memo) <= session_module.WORKER_SEED_LIMIT
+        with OptimizerSession("cloud", workers=workers, warm_start=False,
+                              lp_memo=memo) as session:
+            events = list(session.optimize_iter(query,
+                                                precision_ladder=ladder))
+        last = [e for e in events if e.kind == "rung_completed"][-1]
+        assert last.alpha == 0.0
+        # Every LP of the ladder is in the warmed memo.
+        assert last.lps_solved == 0
+
+    def test_failed_run_raises_optimization_error(self, workers):
+        registry = ScenarioRegistry()
+        registry.register("failing", _failing_cost_model, CLOUD_METRICS)
+        query = make_query(seed=13, num_tables=2)
+        with OptimizerSession("failing", workers=workers, registry=registry,
+                              warm_start=False) as session, \
+                pytest.raises(OptimizationError,
+                              match="cost model unavailable"):
+            list(session.optimize_iter(query,
+                                       precision_ladder=(0.5, 0.0)))
+
+    def test_stream_counts_memo_hits(self, workers):
+        query = make_query(seed=13, num_tables=3)
+        with OptimizerSession("cloud", workers=workers,
+                              warm_start=False) as session:
+            list(session.optimize_iter(query, precision_ladder=(0.5, 0.0)))
+            assert session.lp_cache_hits_total > 0
 
 
 class TestWarmStartAlphaTags:

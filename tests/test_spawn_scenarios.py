@@ -55,8 +55,9 @@ def test_builtin_scenarios_ship_under_spawn():
 
 
 def test_unpicklable_scenario_falls_back_by_name():
-    """Lambda factories cannot ship; the worker-side by-name fallback is
-    selected (and still works on fork platforms / the serial path)."""
+    """Lambda factories cannot ship to pool workers; the worker-side
+    by-name fallback is selected.  In-process tasks take the registry's
+    scenario as is, so the serial path still works."""
     registry = ScenarioRegistry()
     registry.register(
         "lambda-scenario",
@@ -64,11 +65,14 @@ def test_unpicklable_scenario_falls_back_by_name():
         CLOUD_METRICS)
     with OptimizerSession("lambda-scenario", workers=0,
                           registry=registry) as session:
-        # Serial path: the session registry's scenario is used directly.
         item = session.optimize(_query())
         assert item.status == "ok", item.error
-        # The shipping decision memoizes the fallback.
+    with OptimizerSession("lambda-scenario", workers=2,
+                          registry=registry) as session:
+        # The pool's shipping decision memoizes the fallback (deciding
+        # spawns no pool).
         assert session._shipped_scenario("lambda-scenario") is None
+        assert session.pool_spawns == 0
 
 
 def test_custom_registry_serial_path_needs_no_default_registration():
