@@ -55,8 +55,6 @@ def check_m1_on(example: CounterExample, samples: int = 61) -> bool:
     points but not at a point between them — i.e. the single-metric
     convexity property *fails*.
     """
-    lows = [c.b for c in example.space.constraints]  # not used directly
-    del lows
     xs = np.linspace(0.0, 3.0, samples) if example.name == "figure4" else \
         np.linspace(0.0, 2.0, samples)
     for label in example.plans:

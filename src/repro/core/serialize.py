@@ -52,8 +52,9 @@ def _encode_plan(plan: Plan) -> dict:
 
 def _encode_polytope(poly: ConvexPolytope) -> dict:
     return {"dim": poly.dim,
-            "constraints": [{"a": c.a.tolist(), "b": c.b}
-                            for c in poly.constraints]}
+            "constraints": [{"a": a, "b": b}
+                            for a, b in zip(poly._a.tolist(),
+                                            poly._b.tolist())]}
 
 
 def _encode_pwl(f: PiecewiseLinearFunction) -> dict:
@@ -114,11 +115,15 @@ def encode_result(result: OptimizationResult) -> dict:
 def encode_plan_set(plan_set: StoredPlanSet) -> dict:
     """Encode a reloaded :class:`StoredPlanSet` back into a document.
 
-    Exact inverse of :func:`decode_plan_set` — a decode/encode round
-    trip reproduces the document value-for-value (constraints, PWL
-    pieces and floats are preserved), so a serving tier can hand a
-    session's decoded plan set to a remote client as the same JSON the
-    optimizer produced.
+    Not an exact inverse of :func:`decode_plan_set`: decoding
+    re-normalizes every polytope row, and a row whose norm is not
+    exactly 1.0 can move in its last bit.  Plans, PWL weights and
+    offsets, the approximation tag and the number of rows round-trip
+    value for value; 1-parameter rows (``±1``) do too, but on a
+    2-parameter plan set one round trip changed 504 of 5,294 rows and a
+    second changed 2 more.  Serving tiers therefore hand clients
+    ``encode_plan_set(decode_plan_set(doc))``, the canonical form
+    plan-set digests are taken of, rather than the optimizer's document.
     """
     entries = []
     for entry in plan_set.entries:
@@ -167,9 +172,15 @@ def _decode_plan(doc: dict) -> Plan:
 
 
 def _decode_polytope(doc: dict) -> ConvexPolytope:
-    constraints = [LinearConstraint.make(c["a"], c["b"])
-                   for c in doc["constraints"]]
-    return ConvexPolytope(doc["dim"], constraints)
+    dim, rows = doc["dim"], doc["constraints"]
+    if any(len(row["a"]) != dim for row in rows):
+        # A zero-coefficient row of another width (older encoders wrote
+        # these): the constructor stores it as a zero row of width dim.
+        return ConvexPolytope(dim, [LinearConstraint.make(row["a"], row["b"])
+                                    for row in rows])
+    return ConvexPolytope.from_arrays(
+        np.reshape([row["a"] for row in rows], (len(rows), dim)),
+        [row["b"] for row in rows])
 
 
 def _decode_pwl(doc: dict) -> PiecewiseLinearFunction:

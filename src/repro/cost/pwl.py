@@ -28,7 +28,7 @@ from collections.abc import Callable, Iterable, Sequence
 import numpy as np
 
 from ..errors import DimensionMismatchError, EmptyRegionError
-from ..geometry import ConvexPolytope, LinearConstraint, emptiness_many
+from ..geometry import ConvexPolytope, emptiness_many
 from ..lp import LinearProgramSolver
 from ..util import scalar_kernels_enabled
 from .linear import LinearPiece
@@ -282,10 +282,8 @@ class PiecewiseLinearFunction:
                 diff_w = np.asarray(p1.w) - np.asarray(p2.w)
                 diff_b = p2.b - p1.b
                 # Region where p1 <= p2: diff_w @ x <= diff_b.
-                p1_le = overlap.with_constraint(
-                    LinearConstraint.make(diff_w, diff_b))
-                p2_le = overlap.with_constraint(
-                    LinearConstraint.make(-diff_w, -diff_b))
+                p1_le = overlap.with_halfspace(diff_w, diff_b)
+                p2_le = overlap.with_halfspace(-diff_w, -diff_b)
                 winner_on_p1le = p2 if take_max else p1
                 winner_on_p2le = p1 if take_max else p2
                 if not p1_le.is_empty(solver):
@@ -320,10 +318,8 @@ class PiecewiseLinearFunction:
             diff_w = np.asarray(p1.w) - np.asarray(p2.w)
             diff_b = p2.b - p1.b
             # Region where p1 <= p2: diff_w @ x <= diff_b.
-            halves.append(overlap.with_constraint(
-                LinearConstraint.make(diff_w, diff_b)))
-            halves.append(overlap.with_constraint(
-                LinearConstraint.make(-diff_w, -diff_b)))
+            halves.append(overlap.with_halfspace(diff_w, diff_b))
+            halves.append(overlap.with_halfspace(-diff_w, -diff_b))
             survivors.append((p1, p2))
         half_empty = emptiness_many(halves, solver)
         pieces: list[LinearPiece] = []

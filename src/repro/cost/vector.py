@@ -348,9 +348,11 @@ class MultiObjectivePWL:
           polytope emptiness checks, and each cross-metric combination
           round run as single batched LP passes.
 
-        Constraints attached to surviving polytopes are built with
-        :meth:`LinearConstraint.make` from the same difference vectors
-        the scalar path uses, so the produced polytopes are identical.
+        Constraints attached to surviving polytopes are added with
+        :meth:`ConvexPolytope.with_halfspace`, which normalizes the same
+        difference vectors the scalar path passes to
+        :meth:`LinearConstraint.make` the same way, so the produced
+        polytopes are identical.
         """
         factor = 1.0 + relax
         per_metric: list[list[ConvexPolytope]] = []
@@ -384,8 +386,8 @@ class MultiObjectivePWL:
                 if trivial[i, j]:
                     candidates.append(region)
                 else:
-                    candidates.append(region.with_constraint(
-                        LinearConstraint.make(diff_w[i, j], diff_b[i, j])))
+                    candidates.append(region.with_halfspace(
+                        diff_w[i, j], diff_b[i, j]))
             dom_empty = emptiness_many(candidates, solver)
             polys_m = [dom for dom, empty in zip(candidates, dom_empty)
                        if not empty]
@@ -513,7 +515,10 @@ def batch_dominance_aligned(many: Sequence[MultiObjectivePWL],
         diff_w = w_one[None] - factor * w_many
         diff_b = factor * b_many - b_one[None]
 
-    # Normalize exactly as LinearConstraint.make does.
+    # Normalize as LinearConstraint.make does, up to the last bit of
+    # the norm (norm(axis=-1) sums the squares in another order than
+    # normalize_rows).  These rows only classify cells; the rows that
+    # enter polytopes below go through with_halfspace.
     norms = np.linalg.norm(diff_w, axis=-1)               # (k, m, p)
     nontrivial_norm = norms > GEOMETRY_EPS
     safe = np.where(nontrivial_norm, norms, 1.0)
@@ -553,9 +558,8 @@ def batch_dominance_aligned(many: Sequence[MultiObjectivePWL],
                 for m in range(len(names)):
                     if metric_holds[k, m, idx]:
                         continue
-                    candidate = candidate.with_constraint(
-                        LinearConstraint.make(diff_w[k, m, idx],
-                                              diff_b[k, m, idx]))
+                    candidate = candidate.with_halfspace(
+                        diff_w[k, m, idx], diff_b[k, m, idx])
                 if candidate.contains_point(verts[idx].mean(axis=0)):
                     polys.append(candidate)
                 else:

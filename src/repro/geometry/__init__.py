@@ -3,9 +3,10 @@
 Public API:
 
 * :class:`LinearConstraint` — closed halfspace ``a @ x <= b``.
-* :class:`ConvexPolytope` — H-representation polytope with LP-backed
-  predicates (emptiness, containment, redundancy removal, Chebyshev
-  centers, vertex enumeration).
+* :class:`ConvexPolytope` — H-representation polytope stored as
+  read-only ``(A, b)`` rows, with LP-backed predicates (emptiness,
+  containment, redundancy removal, Chebyshev centers, vertex
+  enumeration).
 * :func:`subtract_polytope` / :func:`subtract_polytopes` /
   :func:`union_covers` — region differences; :func:`subtract_polytope_many`
   batches one cut across many bases with batched emptiness LPs.
@@ -21,7 +22,7 @@ Public API:
 """
 
 from .batchops import chebyshev_many, emptiness_many, has_interior_many
-from .constraints import GEOMETRY_EPS, LinearConstraint, constraints_to_arrays
+from .constraints import GEOMETRY_EPS, LinearConstraint
 from .convexity import constraint_valid_for, envelope, union_as_polytope
 from .difference import (subtract_polytope, subtract_polytope_many,
                          subtract_polytopes, union_covers)
@@ -42,7 +43,6 @@ __all__ = [
     "box_simplices",
     "chebyshev_many",
     "constraint_valid_for",
-    "constraints_to_arrays",
     "default_relevance_points",
     "emptiness_many",
     "envelope",

@@ -40,7 +40,7 @@ def emptiness_many(polytopes: Sequence[ConvexPolytope],
             continue
         if poly.has_trivially_infeasible():
             poly._empty_cache = True
-        elif not poly.constraints:
+        elif not poly.num_constraints:
             poly._empty_cache = False
         else:
             pending.append(poly)
@@ -69,7 +69,7 @@ def chebyshev_many(polytopes: Sequence[ConvexPolytope],
             continue
         if poly.has_trivially_infeasible():
             poly._cheb_cache = (None, -np.inf)
-        elif not poly.constraints:
+        elif not poly.num_constraints:
             poly._cheb_cache = (None, np.inf)
         else:
             pending.append(poly)

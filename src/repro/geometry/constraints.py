@@ -2,8 +2,10 @@
 
 A constraint represents the closed halfspace ``{x : a @ x <= b}``.  The
 paper's data structures (Figures 3 and 8) build convex polytopes as finite
-intersections of such halfspaces; this module provides the normalized
-constraint primitive those polytopes are made of.
+intersections of such halfspaces.  Polytopes store them as rows of
+``(A, b)`` arrays; this module provides the row normalizer and the dedupe
+key every row goes through (:func:`normalize_rows`, :func:`row_keys`) and
+:class:`LinearConstraint`, one normalized row as an object.
 """
 
 from __future__ import annotations
@@ -49,14 +51,10 @@ class LinearConstraint:
             as-is and represents either the full space (``b >= 0``) or the
             empty set (``b < 0``).
         """
-        vec = np.asarray(a, dtype=float).reshape(-1)
-        norm = float(np.linalg.norm(vec))
-        if norm > GEOMETRY_EPS:
-            vec = vec / norm
-            b = float(b) / norm
-        frozen = vec.copy()
-        frozen.setflags(write=False)
-        return LinearConstraint(a=frozen, b=float(b))
+        rows, rhs = normalize_rows(np.reshape(a, (1, -1)), [b])
+        vec = rows[0]
+        vec.setflags(write=False)
+        return LinearConstraint(a=vec, b=float(rhs[0]))
 
     @property
     def dim(self) -> int:
@@ -107,7 +105,7 @@ class LinearConstraint:
 
     def key(self, decimals: int = 9) -> tuple:
         """Hashable rounding-based key for de-duplication inside polytopes."""
-        return (tuple(np.round(self.a, decimals)), round(self.b, decimals))
+        return row_keys(self.a[None, :], [self.b], decimals)[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         terms = " + ".join(f"{coef:.3g}*x{i}"
@@ -117,23 +115,49 @@ class LinearConstraint:
         return f"<{terms} <= {self.b:.3g}>"
 
 
-def constraints_to_arrays(constraints) -> tuple[np.ndarray, np.ndarray]:
-    """Stack constraints into ``(A, b)`` arrays suitable for an LP solver.
+def normalize_rows(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Scale every row of ``A @ x <= b`` to a unit-norm normal.
+
+    The one normalizer behind :meth:`LinearConstraint.make`,
+    :meth:`ConvexPolytope.from_arrays <repro.geometry.ConvexPolytope.from_arrays>`,
+    ``box``, ``with_halfspace``, the simplex grid and plan-set decoding.
+    Rows whose norm is at most :data:`GEOMETRY_EPS` are returned as they
+    are: they describe the full space or the empty set.
+
+    Each row's norm equals ``np.linalg.norm(row)`` of that row alone bit
+    for bit: ``norm`` of a vector is ``sqrt(dot(row, row))``, and the
+    stacked ``(m, 1, n) @ (m, n, 1)`` product computes every row's
+    ``dot`` the same way.  ``np.linalg.norm(A, axis=1)`` and ``einsum``
+    sum the squares differently and disagree in the last bit on about
+    8% of 2-column rows, which would move dedupe keys, LP inputs and
+    plan-set digests.
 
     Args:
-        constraints: Iterable of :class:`LinearConstraint` of equal dimension.
+        a: Coefficients, shape ``(m, n)``.
+        b: Right-hand sides, length ``m``.
 
     Returns:
-        Matrix ``A`` of shape ``(m, n)`` and vector ``b`` of length ``m``.
-        For an empty iterable, returns ``(0, 0)``-shaped arrays.
+        New ``(A, b)`` float arrays with normalized rows.
     """
-    constraints = list(constraints)
-    if not constraints:
-        return np.zeros((0, 0)), np.zeros(0)
-    dim = constraints[0].dim
-    for c in constraints:
-        if c.dim != dim:
-            raise DimensionMismatchError("mixed constraint dimensions")
-    a = np.vstack([c.a for c in constraints])
-    b = np.array([c.b for c in constraints], dtype=float)
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float).reshape(-1)
+    norms = np.sqrt((a[:, None, :] @ a[:, :, None]).reshape(-1))
+    # Dividing by 1.0 leaves a row's bits as they are.
+    norms = np.where(norms > GEOMETRY_EPS, norms, 1.0)
+    a /= norms[:, None]
+    b /= norms
     return a, b
+
+
+def row_keys(a, b, decimals: int = 9) -> list[tuple]:
+    """Rounding-based dedupe key of every row of ``A @ x <= b``.
+
+    Row ``i``'s key is ``(tuple(np.round(a[i], decimals)),
+    round(b[i], decimals))``, the key :meth:`LinearConstraint.key` gives
+    the same row: two rows with equal keys are one halfspace to the
+    polytopes that hold them.
+    """
+    return [(tuple(row), round(value, decimals))
+            for row, value in zip(
+                np.asarray(a, dtype=float).round(decimals).tolist(),
+                np.asarray(b, dtype=float).tolist())]

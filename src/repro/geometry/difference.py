@@ -1,7 +1,7 @@
 """Set difference of convex polytopes.
 
 The difference ``P \\ Q`` of two convex polytopes is generally non-convex,
-but it decomposes into at most ``len(Q.constraints)`` convex pieces: for the
+but it decomposes into at most ``Q.num_constraints`` convex pieces: for the
 ``i``-th constraint ``a_i @ x <= b_i`` of ``Q``, one piece keeps the points
 of ``P`` that violate constraint ``i`` while satisfying constraints
 ``0..i-1``.  This sequential-complement decomposition is the standard
@@ -48,7 +48,7 @@ def subtract_polytope(base: ConvexPolytope, cut: ConvexPolytope,
         raise ValueError("dimension mismatch in polytope subtraction")
     if base.is_empty(solver):
         return []
-    if not cut.constraints:
+    if not cut.num_constraints:
         # Subtracting the universe leaves nothing.
         return []
     # Fast path: a cut that misses the base entirely (no interior overlap)
@@ -58,11 +58,11 @@ def subtract_polytope(base: ConvexPolytope, cut: ConvexPolytope,
         return [base]
     pieces: list[ConvexPolytope] = []
     prefix = base
-    for constraint in cut.constraints:
-        piece = prefix.with_constraint(constraint.negation())
+    for row, negated in cut._cut_rows():
+        piece = prefix._extended(negated)
         if piece.has_interior(solver, eps=interior_eps):
             pieces.append(piece)
-        prefix = prefix.with_constraint(constraint)
+        prefix = prefix._extended(row)
         if prefix.is_empty(solver):
             break
     return pieces
@@ -100,7 +100,7 @@ def subtract_polytope_many(bases: Sequence[ConvexPolytope],
     results: list[list[ConvexPolytope] | None] = [None] * len(bases)
     live: list[int] = []
     for i, empty in enumerate(emptiness_many(bases, solver)):
-        if empty or not cut.constraints:
+        if empty or not cut.num_constraints:
             # An empty base, or subtracting the universe, leaves nothing.
             results[i] = []
         else:
@@ -117,15 +117,17 @@ def subtract_polytope_many(bases: Sequence[ConvexPolytope],
     # Candidate pieces of every clipped base, in the scalar path's order:
     # piece_k keeps the points violating cut constraint k while satisfying
     # constraints 0..k-1.  Construction is LP-free; one batched interior
-    # pass decides which candidates survive.
+    # pass decides which candidates survive.  The cut's rows and their
+    # negations are built once, not once per base.
+    cut_rows = cut._cut_rows() if clipped else []
     candidates: list[ConvexPolytope] = []
     spans: list[tuple[int, int, int]] = []  # (base index, start, stop)
     for i in clipped:
         start = len(candidates)
         prefix = bases[i]
-        for constraint in cut.constraints:
-            candidates.append(prefix.with_constraint(constraint.negation()))
-            prefix = prefix.with_constraint(constraint)
+        for row, negated in cut_rows:
+            candidates.append(prefix._extended(negated))
+            prefix = prefix._extended(row)
         spans.append((i, start, len(candidates)))
     keep = has_interior_many(candidates, solver, eps=interior_eps)
     for i, start, stop in spans:

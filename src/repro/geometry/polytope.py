@@ -18,26 +18,92 @@ import numpy as np
 
 from ..errors import DimensionMismatchError, EmptyRegionError
 from ..lp import LinearProgramSolver
-from .constraints import GEOMETRY_EPS, LinearConstraint, constraints_to_arrays
+from .constraints import (GEOMETRY_EPS, LinearConstraint, normalize_rows,
+                          row_keys)
 
 #: Chebyshev radius below which a polytope is treated as lower-dimensional
 #: (i.e. "empty up to measure zero") by interior-emptiness checks.
 INTERIOR_EPS = 1e-7
 
+# A *row block* is ``(A, b, keys, infeasible)``: normalized rows without
+# trivially-satisfied ones, their dedupe keys (:func:`row_keys`) and
+# whether any row is the trivially-infeasible ``0 @ x <= b < 0``.  Every
+# polytope is one block whose keys are distinct; it is built by merging
+# blocks in ``ConvexPolytope.__init__``.
 
-def _dedupe(constraints: Iterable[LinearConstraint]) -> list[LinearConstraint]:
-    """Drop exact duplicates and trivially-satisfied constraints."""
-    seen: set[tuple] = set()
-    out: list[LinearConstraint] = []
-    for c in constraints:
-        if c.is_trivial():
-            continue
-        key = c.key()
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(c)
+
+def _zero_rows(a: np.ndarray, b: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """``(trivial, infeasible)`` masks of the zero-coefficient rows."""
+    zero = (np.abs(a) <= GEOMETRY_EPS).all(axis=1)
+    return zero & (b >= -GEOMETRY_EPS), zero & (b < -GEOMETRY_EPS)
+
+
+def _keyed(a: np.ndarray, b: np.ndarray) -> tuple:
+    """The row block of normalized ``(A, b)``.
+
+    The block keeps the arrays (or a filtered copy), so they must not
+    be written to afterwards: pass fresh ones.
+    """
+    trivial, infeasible = _zero_rows(a, b)
+    if trivial.any():
+        keep = ~trivial
+        a, b, infeasible = a[keep], b[keep], infeasible[keep]
+    return a, b, row_keys(a, b), bool(infeasible.any())
+
+
+def _fit_width(dim: int, rows) -> np.ndarray:
+    """Stack normalized rows into an ``(m, dim)`` array.
+
+    A zero-coefficient row of another width (trivially satisfied or
+    trivially infeasible whatever the dimension) becomes a zero row of
+    width ``dim``.
+
+    Raises:
+        DimensionMismatchError: For any other row whose width is not
+            ``dim``.
+    """
+    if all(len(row) == dim for row in rows):
+        return np.array(rows, dtype=float).reshape(len(rows), dim)
+    out = np.zeros((len(rows), dim))
+    for i, row in enumerate(rows):
+        row = np.asarray(row, dtype=float)
+        if row.shape[0] == dim:
+            out[i] = row
+        elif not np.all(np.abs(row) <= GEOMETRY_EPS):
+            raise DimensionMismatchError(
+                f"constraint dim {row.shape[0]} != polytope dim {dim}")
     return out
+
+
+def _merge(dim: int, blocks) -> tuple:
+    """Concatenate row blocks, keeping the first row of every key."""
+    seen: set[tuple] = set()
+    a_parts, b_parts, keys = [], [], []
+    infeasible = False
+    for a, b, block_keys, block_infeasible in blocks:
+        keep = [i for i, key in enumerate(block_keys)
+                if key not in seen and not seen.add(key)]
+        if not keep:
+            continue
+        if len(keep) < len(block_keys):
+            a, b = a[keep], b[keep]
+            block_keys = [block_keys[i] for i in keep]
+            block_infeasible = block_infeasible and bool(
+                _zero_rows(a, b)[1].any())
+        a_parts.append(a)
+        b_parts.append(b)
+        keys.extend(block_keys)
+        infeasible = infeasible or block_infeasible
+    if not a_parts:
+        a, b = np.zeros((0, dim)), np.zeros(0)
+    elif len(a_parts) == 1:
+        a, b = a_parts[0], b_parts[0]
+    else:
+        a, b = np.concatenate(a_parts), np.concatenate(b_parts)
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return a, b, tuple(keys), infeasible
 
 
 class ConvexPolytope:
@@ -45,17 +111,33 @@ class ConvexPolytope:
 
     Instances are immutable; all operations return new polytopes.
 
+    The representation is the row arrays ``(A, b)``: normalized rows
+    (see :func:`~repro.geometry.constraints.normalize_rows`) with
+    trivially-satisfied rows dropped and duplicates removed in
+    first-occurrence order, where two rows are duplicates when their
+    9-decimal :func:`~repro.geometry.constraints.row_keys` agree.  Each
+    row's key and whether any row is trivially infeasible are computed
+    once, when the row enters; ``intersect``, ``with_constraint`` and
+    ``with_halfspace`` merge their operands' rows by those keys without
+    re-keying them.
+    The arrays are read-only and shared between polytopes.
+    :attr:`constraints` derives :class:`LinearConstraint` objects from
+    the rows when asked.
+
     Args:
         dim: Dimensionality of the ambient (parameter) space.
         constraints: Iterable of :class:`LinearConstraint` of dimension
-            ``dim``.  Duplicates and trivial constraints are dropped.
+            ``dim``.  Duplicates and trivial constraints are dropped; a
+            trivially infeasible constraint of another dimension is kept
+            as a zero row of width ``dim``.
     """
 
-    __slots__ = ("dim", "constraints", "_a", "_b", "_empty_cache",
+    __slots__ = ("dim", "_a", "_b", "_keys", "_infeasible", "_empty_cache",
                  "_cheb_cache", "vertex_hint", "cell_tag")
 
     def __init__(self, dim: int,
-                 constraints: Iterable[LinearConstraint] = ()) -> None:
+                 constraints: Iterable[LinearConstraint] = (), *,
+                 _blocks: Sequence[tuple] | None = None) -> None:
         #: Optional exact vertex list attached by constructors that know
         #: the polytope's V-representation (e.g. simplicial grid cells).
         #: Purely an acceleration hint — never required for correctness.
@@ -65,16 +147,16 @@ class ConvexPolytope:
         #: tags have disjoint interiors; used to skip subtraction work.
         self.cell_tag = None
         self.dim = int(dim)
-        cons = _dedupe(constraints)
-        for c in cons:
-            if c.dim != self.dim and not c.is_infeasible_trivial():
-                raise DimensionMismatchError(
-                    f"constraint dim {c.dim} != polytope dim {self.dim}")
-        self.constraints: tuple[LinearConstraint, ...] = tuple(cons)
-        self._a, self._b = constraints_to_arrays(self.constraints)
-        if self._a.shape[1] == 0 and self.constraints:
-            # All constraints were trivial-infeasible zero rows.
-            self._a = np.zeros((len(self.constraints), self.dim))
+        # Set operations hand in row blocks (``_blocks``) instead of
+        # constraint objects.
+        if _blocks is None:
+            constraints = list(constraints)
+            _blocks = (_keyed(_fit_width(self.dim,
+                                         [c.a for c in constraints]),
+                              np.array([c.b for c in constraints],
+                                       dtype=float)),)
+        self._a, self._b, self._keys, self._infeasible = _merge(
+            self.dim, _blocks)
         self._empty_cache: bool | None = None
         self._cheb_cache: tuple[np.ndarray | None, float] | None = None
 
@@ -89,13 +171,17 @@ class ConvexPolytope:
 
     @staticmethod
     def from_arrays(a, b) -> ConvexPolytope:
-        """Build a polytope from stacked arrays ``A @ x <= b``."""
+        """Build a polytope from stacked arrays ``A @ x <= b``.
+
+        Rows are normalized as :meth:`LinearConstraint.make` normalizes
+        them.
+        """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float).reshape(-1)
         if a.ndim != 2 or a.shape[0] != b.shape[0]:
             raise DimensionMismatchError("A and b shapes are inconsistent")
-        cons = [LinearConstraint.make(a[i], b[i]) for i in range(a.shape[0])]
-        return ConvexPolytope(a.shape[1], cons)
+        return ConvexPolytope(a.shape[1],
+                              _blocks=(_keyed(*normalize_rows(a, b)),))
 
     @staticmethod
     def box(lows: Sequence[float], highs: Sequence[float]) -> ConvexPolytope:
@@ -109,16 +195,18 @@ class ConvexPolytope:
         highs = list(highs)
         if len(lows) != len(highs):
             raise ValueError("lows and highs must have equal length")
-        dim = len(lows)
-        cons = []
         for i, (lo, hi) in enumerate(zip(lows, highs)):
             if lo > hi:
                 raise ValueError(f"box bound {i}: low {lo} > high {hi}")
-            e = np.zeros(dim)
-            e[i] = 1.0
-            cons.append(LinearConstraint.make(e, hi))
-            cons.append(LinearConstraint.make(-e, -lo))
-        return ConvexPolytope(dim, cons)
+        dim = len(lows)
+        # Rows x_i <= hi_i and -x_i <= -lo_i, axis by axis.
+        a = np.zeros((2 * dim, dim))
+        a[0::2] = np.eye(dim)
+        a[1::2] = -np.eye(dim)
+        b = np.empty(2 * dim)
+        b[0::2] = highs
+        b[1::2] = [-lo for lo in lows]
+        return ConvexPolytope.from_arrays(a, b)
 
     @staticmethod
     def unit_box(dim: int) -> ConvexPolytope:
@@ -132,7 +220,17 @@ class ConvexPolytope:
     @property
     def num_constraints(self) -> int:
         """Number of stored (de-duplicated) constraints."""
-        return len(self.constraints)
+        return len(self._keys)
+
+    @property
+    def constraints(self) -> tuple[LinearConstraint, ...]:
+        """The stored rows as :class:`LinearConstraint` objects.
+
+        Derived from the rows on each access, for callers that want
+        objects; the polytope itself never needs them.
+        """
+        return tuple(LinearConstraint(a=row, b=value)
+                     for row, value in zip(self._a, self._b.tolist()))
 
     def contains_point(self, x, tol: float = GEOMETRY_EPS) -> bool:
         """Return whether point ``x`` lies in the polytope (within ``tol``)."""
@@ -140,13 +238,13 @@ class ConvexPolytope:
         if x.shape[0] != self.dim:
             raise DimensionMismatchError(
                 f"point dim {x.shape[0]} != polytope dim {self.dim}")
-        if not self.constraints:
+        if not self._keys:
             return True
         return bool(np.all(self._a @ x <= self._b + tol))
 
     def has_trivially_infeasible(self) -> bool:
         """``True`` if any stored constraint is syntactically infeasible."""
-        return any(c.is_infeasible_trivial() for c in self.constraints)
+        return self._infeasible
 
     def is_empty(self, solver: LinearProgramSolver,
                  tol: float = GEOMETRY_EPS) -> bool:
@@ -156,7 +254,7 @@ class ConvexPolytope:
         if self.has_trivially_infeasible():
             self._empty_cache = True
             return True
-        if not self.constraints:
+        if not self._keys:
             self._empty_cache = False
             return False
         result = solver.solve(np.zeros(self.dim), self._a, self._b,
@@ -179,7 +277,7 @@ class ConvexPolytope:
         if self.has_trivially_infeasible():
             self._cheb_cache = (None, -np.inf)
             return self._cheb_cache
-        if not self.constraints:
+        if not self._keys:
             self._cheb_cache = (None, np.inf)
             return self._cheb_cache
         # Variables (x, r): maximize r subject to a_i @ x + r <= b_i
@@ -221,24 +319,65 @@ class ConvexPolytope:
     # Set operations
     # ------------------------------------------------------------------
 
+    def _rows(self) -> tuple:
+        """This polytope's row block."""
+        return self._a, self._b, self._keys, self._infeasible
+
     def intersect(self, other: ConvexPolytope) -> ConvexPolytope:
         """Intersection with another polytope (constraint union)."""
         if other.dim != self.dim:
             raise DimensionMismatchError(
                 f"cannot intersect dims {self.dim} and {other.dim}")
         result = ConvexPolytope(self.dim,
-                                self.constraints + other.constraints)
+                                _blocks=(self._rows(), other._rows()))
         # The intersection is a subset of both operands, so it inherits
         # either cell tag (prefer ours).
         result.cell_tag = (self.cell_tag if self.cell_tag is not None
                            else other.cell_tag)
         return result
 
-    def with_constraint(self, constraint: LinearConstraint) -> ConvexPolytope:
-        """Return this polytope with one extra constraint added."""
-        result = ConvexPolytope(self.dim, self.constraints + (constraint,))
+    def _extended(self, block: tuple) -> ConvexPolytope:
+        """This polytope with the rows of ``block`` added."""
+        result = ConvexPolytope(self.dim, _blocks=(self._rows(), block))
         result.cell_tag = self.cell_tag
         return result
+
+    def with_constraint(self, constraint: LinearConstraint) -> ConvexPolytope:
+        """Return this polytope with one extra constraint added."""
+        return self._extended(_keyed(_fit_width(self.dim, [constraint.a]),
+                                     np.array([constraint.b])))
+
+    def with_halfspace(self, a, b: float) -> ConvexPolytope:
+        """Return this polytope with the halfspace ``a @ x <= b`` added.
+
+        The row is normalized as :meth:`LinearConstraint.make` would
+        normalize it, without creating the constraint object.
+        """
+        rows, rhs = normalize_rows(np.reshape(a, (1, -1)), [b])
+        return self._extended(_keyed(_fit_width(self.dim, rows), rhs))
+
+    def _cut_rows(self) -> list[tuple[tuple, tuple]]:
+        """``(row, negated row)`` blocks of every stored row, in order.
+
+        The negated row is the closed complement ``-a @ x <= -b``
+        normalized afresh, as :meth:`LinearConstraint.negation` does
+        (a stored row's norm need not be exactly 1); a negated row that
+        is trivially satisfied is an empty block.
+        """
+        infeasible = _zero_rows(self._a, self._b)[1]
+        neg_a, neg_b = normalize_rows(-self._a, -self._b)
+        neg_trivial, neg_infeasible = _zero_rows(neg_a, neg_b)
+        neg_keys = row_keys(neg_a, neg_b)
+        empty = (neg_a[:0], neg_b[:0], (), False)
+        pairs = []
+        for i, key in enumerate(self._keys):
+            row = (self._a[i:i + 1], self._b[i:i + 1], (key,),
+                   bool(infeasible[i]))
+            negated = empty if neg_trivial[i] else (
+                neg_a[i:i + 1], neg_b[i:i + 1], (neg_keys[i],),
+                bool(neg_infeasible[i]))
+            pairs.append((row, negated))
+        return pairs
 
     def contains_polytope(self, other: ConvexPolytope,
                           solver: LinearProgramSolver,
@@ -253,15 +392,15 @@ class ConvexPolytope:
             raise DimensionMismatchError("containment across dimensions")
         if other.is_empty(solver):
             return True
-        for c in self.constraints:
-            result = solver.solve(-c.a, other._a, other._b,
+        for a, b in zip(self._a, self._b.tolist()):
+            result = solver.solve(-a, other._a, other._b,
                                   purpose="containment")
             if result.status == "unbounded":
                 return False
             if result.is_infeasible:  # pragma: no cover - guarded above
                 return True
             max_val = -result.objective
-            if max_val > c.b + tol:
+            if max_val > b + tol:
                 return False
         return True
 
@@ -276,20 +415,22 @@ class ConvexPolytope:
         *other* kept constraints; if the maximum stays below the right-hand
         side the constraint is redundant.
         """
-        kept = list(self.constraints)
+        kept = list(range(len(self._keys)))
         i = 0
         while i < len(kept):
             candidate = kept[i]
             others = kept[:i] + kept[i + 1:]
             if not others:
                 break
-            a, b = constraints_to_arrays(others)
-            result = solver.solve(-candidate.a, a, b, purpose="redundancy")
-            if result.is_optimal and -result.objective <= candidate.b + tol:
+            result = solver.solve(-self._a[candidate], self._a[others],
+                                  self._b[others], purpose="redundancy")
+            if (result.is_optimal and -result.objective
+                    <= float(self._b[candidate]) + tol):
                 kept.pop(i)
             else:
                 i += 1
-        return ConvexPolytope(self.dim, kept)
+        return ConvexPolytope(self.dim, _blocks=(
+            _keyed(self._a[kept], self._b[kept]),))
 
     # ------------------------------------------------------------------
     # Geometry helpers
@@ -328,10 +469,10 @@ class ConvexPolytope:
         Returns:
             De-duplicated list of vertex coordinate arrays.
         """
-        if self.dim == 0 or not self.constraints:
+        if self.dim == 0 or not self._keys:
             return []
         verts: list[np.ndarray] = []
-        for subset in combinations(range(len(self.constraints)), self.dim):
+        for subset in combinations(range(len(self._keys)), self.dim):
             a = self._a[list(subset)]
             b = self._b[list(subset)]
             if abs(np.linalg.det(a)) < 1e-10:
@@ -353,4 +494,4 @@ class ConvexPolytope:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ConvexPolytope(dim={self.dim}, "
-                f"constraints={len(self.constraints)})")
+                f"constraints={len(self._keys)})")

@@ -138,7 +138,7 @@ class RelevanceRegion:
         """
         if cutout.dim != self.dim:
             raise DimensionMismatchError("cutout dimension mismatch")
-        if not cutout.constraints:
+        if not cutout.num_constraints:
             # Cutting out the universe empties the region immediately.
             self.cutouts.append(cutout)
             if self._points is not None:
@@ -147,7 +147,7 @@ class RelevanceRegion:
             self._residual = []
             self._pending = []
             return
-        key = frozenset(c.key() for c in cutout.constraints)
+        key = frozenset(cutout._keys)
         if key in self._cutout_keys:
             # A syntactically identical cutout was already subtracted;
             # subtracting it again cannot change the region.

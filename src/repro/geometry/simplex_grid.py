@@ -25,7 +25,6 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .constraints import LinearConstraint
 from .polytope import ConvexPolytope
 
 
@@ -52,7 +51,7 @@ class Simplex:
         """
         verts = self.vertices
         d = self.dim
-        constraints = []
+        normals, offsets = [], []
         for omit in range(d + 1):
             face = np.delete(verts, omit, axis=0)
             base = face[0]
@@ -68,8 +67,9 @@ class Simplex:
             # Orient so the omitted vertex satisfies normal @ x <= offset.
             if float(normal @ verts[omit]) > offset:
                 normal, offset = -normal, -offset
-            constraints.append(LinearConstraint.make(normal, offset))
-        polytope = ConvexPolytope(d, constraints)
+            normals.append(normal)
+            offsets.append(offset)
+        polytope = ConvexPolytope.from_arrays(normals, offsets)
         polytope.vertex_hint = np.array(verts, dtype=float)
         return polytope
 

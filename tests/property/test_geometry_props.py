@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.geometry import (ConvexPolytope, LinearConstraint,
+from repro.core.serialize import _decode_polytope
+from repro.geometry import (GEOMETRY_EPS, ConvexPolytope, LinearConstraint,
                             RelevanceRegion, box_simplices,
                             subtract_polytope, subtract_polytopes)
+from repro.geometry.constraints import normalize_rows
 from repro.lp import LinearProgramSolver, LPStats
 
 
@@ -157,3 +160,175 @@ class TestSimplexGridProperties:
                 [float(w_true @ v + b_true) for v in s.vertices])
             assert np.allclose(w, w_true, atol=1e-8)
             assert abs(b - b_true) < 1e-8
+
+
+# ----------------------------------------------------------------------
+# Row representation against per-constraint object arithmetic.  The
+# references below are the object-at-a-time computations polytopes were
+# built with before they stored ``(A, b)`` rows, kept here test-only:
+# the row code must agree with them bit for bit.
+# ----------------------------------------------------------------------
+
+def reference_make(a, b):
+    """``LinearConstraint.make`` computed on one row with ``np.linalg.norm``."""
+    vec = np.asarray(a, dtype=float).reshape(-1)
+    norm = float(np.linalg.norm(vec))
+    if norm > GEOMETRY_EPS:
+        vec = vec / norm
+        b = float(b) / norm
+    return vec.copy(), float(b)
+
+
+def reference_key(a, b):
+    return (tuple(np.round(a, 9)), round(b, 9))
+
+
+def reference_dedupe(rows):
+    """The ``_dedupe`` loop over normalized ``(a, b)`` rows."""
+    seen, kept = set(), []
+    for a, b in rows:
+        zero = bool(np.all(np.abs(a) <= GEOMETRY_EPS))
+        if zero and b >= -GEOMETRY_EPS:
+            continue  # trivially satisfied
+        key = reference_key(a, b)
+        if key in seen:
+            continue
+        seen.add(key)
+        kept.append((a, b))
+    return kept
+
+
+def assert_rows_match(poly, dim, kept):
+    """``poly`` holds ``kept`` (as ``constraints_to_arrays`` stacked them)."""
+    a = (np.vstack([row for row, __ in kept]) if kept
+         else np.zeros((0, dim)))
+    b = np.array([rhs for __, rhs in kept], dtype=float)
+    assert poly._a.shape == a.shape
+    assert poly._a.tobytes() == a.tobytes()
+    assert poly._b.tobytes() == b.tobytes()
+    assert list(poly._keys) == [reference_key(*row) for row in kept]
+    assert poly.has_trivially_infeasible() == any(
+        bool(np.all(np.abs(row) <= GEOMETRY_EPS)) and rhs < -GEOMETRY_EPS
+        for row, rhs in kept)
+
+
+def same_bits(x, y) -> bool:
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+finite = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+away_from_zero = st.floats(0.1, 1.0) | st.floats(-1.0, -0.1)
+#: Scale factors putting a row's norm just below, at or just above
+#: GEOMETRY_EPS.
+near_one = st.sampled_from((1 - 1e-9, 1 - 2 ** -50, 1.0, 1 + 2 ** -50,
+                            1 + 1e-9))
+
+
+@st.composite
+def raw_rows(draw, width: int, min_size: int = 1, max_size: int = 8):
+    """``(a, b)`` rows of one width, mixing the cases the normalizer and
+    the dedupe merge must get right: plain rows, norms either side of
+    GEOMETRY_EPS, zero rows (trivial or infeasible by the sign of
+    ``b``), already-normalized rows, and exact and after-rounding
+    duplicates of earlier rows."""
+    rows = []
+    for __ in range(draw(st.integers(min_size, max_size))):
+        kind = draw(st.sampled_from(("plain", "near_eps", "zero", "unit",
+                                     "duplicate")))
+        b = draw(finite)
+        plain = np.array(draw(st.lists(finite, min_size=width,
+                                       max_size=width)))
+        if kind == "near_eps":
+            direction = np.array(draw(st.lists(
+                away_from_zero, min_size=width, max_size=width)))
+            a = (direction / np.linalg.norm(direction) * GEOMETRY_EPS
+                 * draw(near_one))
+            b = b * GEOMETRY_EPS
+        elif kind == "zero":
+            a = np.zeros(width)
+        elif kind == "unit":
+            a, b = reference_make(plain, b)
+        elif kind == "duplicate" and rows:
+            a, b = rows[draw(st.integers(0, len(rows) - 1))]
+            scale = draw(st.sampled_from((1.0, 3.0, 1 + 1e-13)))
+            a, b = a * scale, b * scale
+        else:
+            a = plain
+        rows.append((np.asarray(a, dtype=float), float(b)))
+    return rows
+
+
+class TestRowNormalizer:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(raw_rows))
+    def test_matches_per_row_make_bytewise(self, rows):
+        a, b = normalize_rows(np.array([row for row, __ in rows]),
+                              [rhs for __, rhs in rows])
+        expected = [reference_make(*row) for row in rows]
+        assert a.tobytes() == np.array(
+            [row for row, __ in expected]).tobytes()
+        assert b.tobytes() == np.array(
+            [rhs for __, rhs in expected]).tobytes()
+        for (raw, rhs), (row, row_rhs) in zip(rows, expected):
+            made = LinearConstraint.make(raw, rhs)
+            assert made.a.tobytes() == row.tobytes()
+            assert same_bits(made.b, row_rhs)
+            # The negation path re-normalizes a stored row, whose norm
+            # need not be exactly 1.
+            negated = made.negation()
+            neg_row, neg_rhs = reference_make(-row, -row_rhs)
+            assert negated.a.tobytes() == neg_row.tobytes()
+            assert same_bits(negated.b, neg_rhs)
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_matches_on_seeded_random_rows(self, width):
+        rng = np.random.default_rng(width)
+        raw = rng.normal(size=(4000, width)) * rng.choice(
+            [1e-3, 1.0, 1e3], size=(4000, 1))
+        rhs = rng.normal(size=4000)
+        a, b = normalize_rows(raw, rhs)
+        expected = [reference_make(row, value)
+                    for row, value in zip(raw, rhs)]
+        assert a.tobytes() == np.array(
+            [row for row, __ in expected]).tobytes()
+        assert b.tobytes() == np.array(
+            [value for __, value in expected]).tobytes()
+        # Already-normalized rows, renormalized as negation does.
+        again, __ = normalize_rows(-a, -b)
+        assert again.tobytes() == np.array(
+            [reference_make(-row, 0.0)[0] for row in a]).tobytes()
+
+
+class TestRowMerge:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda width: st.tuples(
+        st.just(width), raw_rows(width), raw_rows(width, min_size=0))))
+    def test_matches_object_dedupe(self, case):
+        dim, left, right = case
+        left_made = [reference_make(*row) for row in left]
+        right_made = [reference_make(*row) for row in right]
+        kept_left = reference_dedupe(left_made)
+        kept_right = reference_dedupe(right_made)
+
+        built = ConvexPolytope(dim, [LinearConstraint.make(*row)
+                                     for row in left])
+        assert_rows_match(built, dim, kept_left)
+        from_arrays = ConvexPolytope.from_arrays(
+            np.array([row for row, __ in left]), [rhs for __, rhs in left])
+        assert_rows_match(from_arrays, dim, kept_left)
+        decoded = _decode_polytope({"dim": dim, "constraints": [
+            {"a": row.tolist(), "b": rhs} for row, rhs in left]})
+        assert_rows_match(decoded, dim, kept_left)
+
+        other = ConvexPolytope(dim, [LinearConstraint.make(*row)
+                                     for row in right])
+        assert_rows_match(built.intersect(other), dim,
+                          reference_dedupe(kept_left + kept_right))
+        assert_rows_match(other.intersect(built), dim,
+                          reference_dedupe(kept_right + kept_left))
+        for raw, made in zip(right, right_made):
+            expected = reference_dedupe(kept_left + [made])
+            assert_rows_match(
+                built.with_constraint(LinearConstraint.make(*raw)), dim,
+                expected)
+            assert_rows_match(built.with_halfspace(*raw), dim, expected)

@@ -87,6 +87,89 @@ class TestPolytopeBasics:
             ConvexPolytope(1, [c])
 
 
+class TestOtherWidthZeroRows:
+    """A zero-coefficient row of another width is a zero row of width dim."""
+
+    def test_infeasible_row_stored_at_polytope_width(self, solver):
+        p = ConvexPolytope(2, [LinearConstraint.make([0.0, 0.0, 0.0], -1.0)])
+        assert p._a.shape == (1, 2)
+        assert p.has_trivially_infeasible()
+        assert not p.contains_point([0.5, 0.5])
+        assert p.is_empty(solver)
+
+    def test_ordinary_row_can_join(self, solver):
+        infeasible = LinearConstraint.make([0.0, 0.0, 0.0], -1.0)
+        ordinary = LinearConstraint.make([1.0, 0.0], 1.0)
+        p = ConvexPolytope(2, [infeasible, ordinary])
+        assert p._a.shape == (2, 2)
+        q = ConvexPolytope.unit_box(2).with_constraint(infeasible)
+        assert q.num_constraints == 5
+        assert q.has_trivially_infeasible()
+        assert q.is_empty(solver)
+        assert ConvexPolytope(2, [infeasible]).with_constraint(
+            ordinary).num_constraints == 2
+
+    def test_zero_width_rows_mix_with_ordinary_rows(self):
+        p = ConvexPolytope(2, [LinearConstraint.make([], -1.0),
+                               LinearConstraint.make([0.0, 1.0], 1.0)])
+        assert p._a.shape == (2, 2)
+        assert p.has_trivially_infeasible()
+
+    def test_trivially_satisfied_row_of_other_width_is_dropped(self):
+        p = ConvexPolytope(2, [LinearConstraint.make([0.0, 0.0, 0.0], 1.0)])
+        assert p.num_constraints == 0
+
+    def test_nonzero_row_of_other_width_still_raises(self):
+        with pytest.raises(DimensionMismatchError):
+            ConvexPolytope(2, [LinearConstraint.make([0.0, 0.0, 1.0], 1.0)])
+        with pytest.raises(DimensionMismatchError):
+            ConvexPolytope.unit_box(2).with_halfspace([1.0, 0.0, 1.0], 1.0)
+
+    def test_decoded_document_with_such_a_row(self, solver):
+        from repro.core.serialize import _decode_polytope
+        p = _decode_polytope({"dim": 2, "constraints": [
+            {"a": [], "b": -1.0}, {"a": [1.0, 0.0], "b": 1.0}]})
+        assert p._a.shape == (2, 2)
+        assert not p.contains_point([0.5, 0.5])
+        assert p.is_empty(solver)
+
+
+class TestRowArrays:
+    def test_merged_rows_are_read_only(self):
+        box = ConvexPolytope.unit_box(2)
+        merged = box.intersect(ConvexPolytope.box([0.5, 0.5], [2.0, 2.0]))
+        for rows in (merged._a, merged._b, box._a):
+            with pytest.raises(ValueError):
+                rows[0] = 7.0
+        extended = box.with_halfspace([1.0, 1.0], 1.5)
+        with pytest.raises(ValueError):
+            extended._a[0, 0] = 7.0
+
+    def test_polytopes_share_unchanged_rows(self):
+        box = ConvexPolytope.unit_box(2)
+        same = box.with_constraint(box.constraints[0])
+        assert same._a is box._a
+        assert same.num_constraints == box.num_constraints
+
+    def test_with_halfspace_matches_with_constraint(self):
+        box = ConvexPolytope.unit_box(2)
+        for a, b in (([0.3, -0.7], 0.2), ([0.0, 0.0], -1.0),
+                     ([0.0, 0.0], 1.0), ([2.0, 2.0], 2.0)):
+            left = box.with_halfspace(a, b)
+            right = box.with_constraint(LinearConstraint.make(a, b))
+            assert left._a.tobytes() == right._a.tobytes()
+            assert left._b.tobytes() == right._b.tobytes()
+            assert left._keys == right._keys
+            assert (left.has_trivially_infeasible()
+                    == right.has_trivially_infeasible())
+
+    def test_constraints_derived_from_rows(self):
+        p = ConvexPolytope.from_arrays([[3.0, 4.0], [0.0, -2.0]], [5.0, 1.0])
+        assert [c.key() for c in p.constraints] == list(p._keys)
+        assert p.constraints[0].a.tolist() == [0.6, 0.8]
+        assert p.constraints[1].b == 0.5
+
+
 class TestChebyshev:
     def test_unit_square_center(self, solver):
         center, radius = ConvexPolytope.unit_box(2).chebyshev(solver)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from repro.api import optimize_query
-from repro.core import (PlanSelector, decode_plan_set, encode_result,
-                        load_plan_set, save_result)
+from repro.core import (PlanSelector, decode_plan_set, encode_plan_set,
+                        encode_result, load_plan_set, save_result)
 from repro.core.serialize import SerializationError
 from repro.query import QueryGenerator
 
@@ -62,6 +62,25 @@ class TestRoundTrip:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
         assert doc["version"] == 1
+
+
+    def test_one_parameter_round_trip_is_exact(self, result, stored):
+        # 1-parameter rows are +-1, whose norm is exactly 1.
+        assert encode_plan_set(stored) == encode_result(result)
+
+
+class TestKnownDefects:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="decode re-normalizes polytope rows, and a row whose norm "
+               "is not exactly 1.0 moves in its last bit, so "
+               "encode_plan_set is not an exact inverse of "
+               "decode_plan_set; an idempotent decode would move the "
+               "canonical plan-set digests")
+    def test_two_parameter_round_trip_is_exact(self):
+        query = QueryGenerator(seed=71).generate(3, "chain", 2)
+        doc = encode_result(optimize_query(query, "cloud", resolution=1))
+        assert encode_plan_set(decode_plan_set(doc)) == doc
 
 
 class TestStoredSelection:
