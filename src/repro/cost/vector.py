@@ -518,7 +518,7 @@ def batch_dominance_aligned(many: Sequence[MultiObjectivePWL],
     # Normalize as LinearConstraint.make does, up to the last bit of
     # the norm (norm(axis=-1) sums the squares in another order than
     # normalize_rows).  These rows only classify cells; the rows that
-    # enter polytopes below go through with_halfspace.
+    # enter polytopes below go through normalize_rows.
     norms = np.linalg.norm(diff_w, axis=-1)               # (k, m, p)
     nontrivial_norm = norms > GEOMETRY_EPS
     safe = np.where(nontrivial_norm, norms, 1.0)
@@ -530,45 +530,50 @@ def batch_dominance_aligned(many: Sequence[MultiObjectivePWL],
 
     # Vertex slacks of every constraint on its cell: (k, m, p, v).
     slack = np.matmul(verts, a_n[..., None])[..., 0] - b_n[..., None]
-    violated_all = np.all(slack > 1e-10, axis=-1)
-    holds_all = np.all(slack <= 1e-10, axis=-1)
+    violated_all = (slack > 1e-10).all(axis=-1)
+    holds_all = (slack <= 1e-10).all(axis=-1)
 
     metric_infeasible = infeasible_triv | (nontrivial_norm & violated_all)
     metric_holds = trivial | (nontrivial_norm & ~violated_all & holds_all)
-    cell_infeasible = np.any(metric_infeasible, axis=1)   # (k, p)
-    cell_whole = ~cell_infeasible & np.all(
-        metric_holds | metric_infeasible, axis=1)
+    cell_infeasible = metric_infeasible.any(axis=1)       # (k, p)
+    cell_whole = ~cell_infeasible & (
+        metric_holds | metric_infeasible).all(axis=1)
     needs_work = ~cell_infeasible & ~cell_whole
 
-    names = one.metric_names
-    results: list[list[ConvexPolytope | None]] = []
+    # Identity-checked above: p1's region IS the shared region.
+    regions = [piece.region for piece in pieces]
+    # Each mixed cell's candidate is its region plus the rows of the
+    # metrics that do not hold on the whole cell, added in metric order.
+    # All candidates' rows, ordered by batch member, cell and metric,
+    # are normalized and keyed in one pass.
+    work_k, work_idx = np.nonzero(needs_work)
+    entering = ~metric_holds[work_k, :, work_idx]         # (cells, m)
+    owner, metric = np.nonzero(entering)
+    picks = (work_k[owner], metric, work_idx[owner])
+    work_idx = work_idx.tolist()
+    candidates = iter(ConvexPolytope.with_halfspaces_many(
+        [regions[idx] for idx in work_idx], diff_w[picks], diff_b[picks],
+        entering.sum(axis=1).tolist()))
+    centroids = {idx: verts[idx].mean(axis=0)
+                 for idx in dict.fromkeys(work_idx)}
+
+    results: list[list[ConvexPolytope | None]] = [[] for __ in many]
     undecided: list[ConvexPolytope] = []
-    for k in range(len(many)):
-        polys: list[ConvexPolytope | None] = []
-        for idx in range(len(pieces)):
-            if cell_infeasible[k, idx]:
-                continue
-            # Identity-checked above: p1's region IS the shared region.
-            region = pieces[idx].region
-            if cell_whole[k, idx]:
-                polys.append(region)
-                continue
-            if needs_work[k, idx]:
-                candidate = region
-                for m in range(len(names)):
-                    if metric_holds[k, m, idx]:
-                        continue
-                    candidate = candidate.with_halfspace(
-                        diff_w[k, m, idx], diff_b[k, m, idx])
-                if candidate.contains_point(verts[idx].mean(axis=0)):
-                    polys.append(candidate)
-                else:
-                    # Rare mixed cell: hold its slot and decide every
-                    # batch member's leftover emptiness LPs in one
-                    # batched pass below.
-                    polys.append(None)
-                    undecided.append(candidate)
-        results.append(polys)
+    live_k, live_idx = np.nonzero(~cell_infeasible)
+    for k, idx, mixed in zip(live_k.tolist(), live_idx.tolist(),
+                             needs_work[live_k, live_idx].tolist()):
+        if not mixed:  # the whole cell
+            results[k].append(regions[idx])
+            continue
+        candidate = next(candidates)
+        if candidate.contains_point(centroids[idx]):
+            results[k].append(candidate)
+        else:
+            # The centroid proves nothing: hold the slot and decide
+            # every batch member's leftover emptiness LPs in one
+            # batched pass below.
+            results[k].append(None)
+            undecided.append(candidate)
     if undecided:
         empty = emptiness_many(undecided, solver)
         decided = iter(zip(undecided, empty))

@@ -75,11 +75,16 @@ def chebyshev_many(polytopes: Sequence[ConvexPolytope],
             pending.append(poly)
     if pending:
         problems = []
+        objectives: dict[int, np.ndarray] = {}
         for poly in pending:
-            m = poly._a.shape[0]
-            a_ext = np.hstack([poly._a, np.ones((m, 1))])
-            c = np.zeros(poly.dim + 1)
-            c[-1] = -1.0  # maximize r
+            c = objectives.get(poly.dim)
+            if c is None:  # one read-only objective per dimension
+                c = objectives[poly.dim] = np.zeros(poly.dim + 1)
+                c[-1] = -1.0  # maximize r
+                c.setflags(write=False)
+            # [A | 1]: a column of ones for r.
+            a_ext = np.ones((poly._a.shape[0], poly.dim + 1))
+            a_ext[:, :-1] = poly._a
             problems.append((c, a_ext, poly._b, None))
         results = solver.solve_many(problems, purpose="chebyshev")
         for poly, result in zip(pending, results):

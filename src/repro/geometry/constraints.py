@@ -91,7 +91,7 @@ class LinearConstraint:
         *closure* ``-a @ x <= -b``, which overlaps the original on the
         boundary hyperplane.  Callers that need a strict complement handle
         the measure-zero overlap via interior-emptiness tolerances (see
-        DESIGN.md, "Closed dominance regions").
+        docs/tolerances.md, "Closed dominance regions").
         """
         return LinearConstraint.make(-self.a, -self.b)
 

@@ -89,7 +89,7 @@ def union_as_polytope(polytopes: Sequence[ConvexPolytope],
         solver: LP solver for validity and difference checks.
         interior_eps: Tolerance under which leftover slivers are ignored
             (the union is treated as convex up to measure zero, consistent
-            with the pruning tolerances documented in DESIGN.md).
+            with the pruning tolerances documented in docs/tolerances.md).
 
     Returns:
         The convex polytope equal to the union when the union is convex,

@@ -31,7 +31,7 @@ def subtract_polytope(base: ConvexPolytope, cut: ConvexPolytope,
     they may overlap ``cut`` on measure-zero boundary sets; pieces whose
     Chebyshev radius is below ``interior_eps`` are dropped.  Consequently
     the result is exact up to lower-dimensional sets, which is the
-    tolerance contract documented in DESIGN.md.
+    tolerance contract documented in docs/tolerances.md.
 
     Args:
         base: The polytope to subtract from.

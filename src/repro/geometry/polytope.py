@@ -29,7 +29,9 @@ INTERIOR_EPS = 1e-7
 # trivially-satisfied ones, their dedupe keys (:func:`row_keys`) and
 # whether any row is the trivially-infeasible ``0 @ x <= b < 0``.  Every
 # polytope is one block whose keys are distinct; it is built by merging
-# blocks in ``ConvexPolytope.__init__``.
+# blocks in ``ConvexPolytope.__init__``.  When more than one block is
+# merged, the first is a polytope's own block (``_rows()``), so its keys
+# are distinct.
 
 
 def _zero_rows(a: np.ndarray, b: np.ndarray
@@ -106,6 +108,26 @@ def _merge(dim: int, blocks) -> tuple:
     return a, b, tuple(keys), infeasible
 
 
+def _add_row(own: tuple, block: tuple) -> tuple:
+    """``_merge`` of a polytope's own block and a block of at most one
+    row.
+
+    The own block's keys are distinct, so only the new row's key needs
+    looking up; the result equals ``_merge``'s, arrays included.
+    """
+    a, b, keys, infeasible = own
+    if not block[2] or block[2][0] in keys:
+        return own
+    row_a, row_b, (key,), row_infeasible = block
+    if keys:
+        a, b = np.concatenate((a, row_a)), np.concatenate((b, row_b))
+    else:
+        a, b = row_a, row_b
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return a, b, (*keys, key), infeasible or row_infeasible
+
+
 class ConvexPolytope:
     """A convex polytope ``{x in R^dim : A @ x <= b}``.
 
@@ -155,8 +177,11 @@ class ConvexPolytope:
                                          [c.a for c in constraints]),
                               np.array([c.b for c in constraints],
                                        dtype=float)),)
-        self._a, self._b, self._keys, self._infeasible = _merge(
-            self.dim, _blocks)
+        if len(_blocks) == 2 and len(_blocks[1][2]) <= 1:
+            rows = _add_row(*_blocks)
+        else:
+            rows = _merge(self.dim, _blocks)
+        self._a, self._b, self._keys, self._infeasible = rows
         self._empty_cache: bool | None = None
         self._cheb_cache: tuple[np.ndarray | None, float] | None = None
 
@@ -240,7 +265,7 @@ class ConvexPolytope:
                 f"point dim {x.shape[0]} != polytope dim {self.dim}")
         if not self._keys:
             return True
-        return bool(np.all(self._a @ x <= self._b + tol))
+        return bool((self._a @ x <= self._b + tol).all())
 
     def has_trivially_infeasible(self) -> bool:
         """``True`` if any stored constraint is syntactically infeasible."""
@@ -355,6 +380,50 @@ class ConvexPolytope:
         """
         rows, rhs = normalize_rows(np.reshape(a, (1, -1)), [b])
         return self._extended(_keyed(_fit_width(self.dim, rows), rhs))
+
+    @staticmethod
+    def with_halfspaces_many(bases: Sequence[ConvexPolytope], a, b,
+                             counts: Sequence[int]
+                             ) -> list[ConvexPolytope]:
+        """Add halfspace rows to many polytopes in one pass.
+
+        Result ``i`` is ``bases[i]`` with the next ``counts[i]`` rows of
+        ``A @ x <= b`` added in order.  It equals chaining
+        :meth:`with_halfspace` over those rows bit for bit (rows, keys,
+        row order, infeasible flag, cell tag), but every row is
+        normalized and keyed in one call and each result is built once.
+
+        Args:
+            bases: Polytopes of one dimension ``d``.
+            a: Coefficients, shape ``(sum(counts), d)``.
+            b: Right-hand sides, length ``sum(counts)``.
+            counts: Rows per base, in order.
+        """
+        if not counts:
+            return []
+        a, b = normalize_rows(a, b)
+        trivial, infeasible = _zero_rows(a, b)
+        if trivial.any():
+            # Trivially satisfied rows add nothing (``_keyed`` drops
+            # them one at a time on the chained path).
+            owner = np.repeat(np.arange(len(counts)), counts)[~trivial]
+            a, b, infeasible = a[~trivial], b[~trivial], infeasible[~trivial]
+            counts = np.bincount(owner, minlength=len(counts)).tolist()
+        keys = row_keys(a, b)
+        flags = infeasible.tolist()
+        results = []
+        start = 0
+        for base, count in zip(bases, counts):
+            if a.shape[1] != base.dim:
+                raise DimensionMismatchError(
+                    f"constraint dim {a.shape[1]} != polytope dim "
+                    f"{base.dim}")
+            stop = start + count
+            results.append(base._extended(
+                (a[start:stop], b[start:stop], keys[start:stop],
+                 any(flags[start:stop]))))
+            start = stop
+        return results
 
     def _cut_rows(self) -> list[tuple[tuple, tuple]]:
         """``(row, negated row)`` blocks of every stored row, in order.

@@ -76,12 +76,18 @@ def solve_lowdim(c: np.ndarray, a_ub: np.ndarray | None,
         simplex.
     """
     if a_ub is None:
-        rows: list = []
-        rhs: list = []
-    else:
-        rows = a_ub.tolist()
-        rhs = b_ub.tolist()
-    costs = c.tolist()
+        return solve_lowdim_lists(c.tolist(), [], [])
+    return solve_lowdim_lists(c.tolist(), a_ub.tolist(), b_ub.tolist())
+
+
+def solve_lowdim_lists(costs: list, rows: list, rhs: list) -> tuple | None:
+    """:func:`solve_lowdim` on the LP's Python lists.
+
+    ``costs``, ``rows`` and ``rhs`` are ``c.tolist()``,
+    ``a_ub.tolist()`` and ``b_ub.tolist()`` (empty lists without rows):
+    :class:`repro.lp.LinearProgramSolver` converts each LP once and
+    shares the lists between its memo key and this solver.
+    """
     total = sum(rhs) + sum(costs) + sum(map(sum, rows))
     if not math.isfinite(total):
         return None

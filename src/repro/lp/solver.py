@@ -21,10 +21,12 @@ Three backends are available:
 
 from __future__ import annotations
 
+import struct
 import threading
 import time
 from dataclasses import dataclass
 from collections.abc import Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from ..errors import SolverError
 from ..faults import failpoint
 from ..util import BoundedLRU
 from .counters import LPStats, default_stats
-from .lowdim import solve_lowdim
+from .lowdim import solve_lowdim_lists
 from .simplex import solve_simplex
 
 try:  # pragma: no cover - exercised implicitly on import
@@ -106,15 +108,29 @@ class LPResultCache:
             return len(self._data)
 
     @staticmethod
-    def make_key(c: np.ndarray, a_ub: np.ndarray | None,
-                 b_ub: np.ndarray | None, bounds) -> tuple:
-        """Canonical hashable key for one LP instance."""
-        if a_ub is None:
-            rows_key = b""
-        else:
-            rows = np.hstack([a_ub, b_ub[:, None]])
-            order = np.lexsort(rows.T[::-1])
-            rows_key = rows[order].tobytes()
+    def make_key(c: np.ndarray, rows: list, rhs: list, bounds) -> tuple:
+        """Canonical hashable key for one LP instance.
+
+        The rows ``[a_i..., b_i]`` are sorted lexicographically (a
+        stable sort, so rows that compare equal keep their input order)
+        and packed as native float64 bytes.  For finite rows these are
+        the bytes of ``np.hstack([A, b[:, None]])`` sorted by
+        ``np.lexsort`` and dumped with ``tobytes()``, built without a
+        NumPy call per key.  With a NaN the sort order is arbitrary but
+        deterministic, and the key still holds every row's exact bytes,
+        so two different row sets never share a key.
+
+        Args:
+            c: Objective vector (float array).
+            rows: The rows of ``A_ub`` as Python lists of floats (empty
+                without rows).
+            rhs: ``b_ub`` as a Python list.
+            bounds: Per-variable ``(lo, hi)`` pairs.
+        """
+        lines = [row + [value] for row, value in zip(rows, rhs)]
+        lines.sort()
+        rows_key = struct.pack(f"{len(lines) * (len(c) + 1)}d",
+                               *chain.from_iterable(lines))
         return (c.shape[0], c.tobytes(), rows_key, tuple(map(tuple, bounds)))
 
     def get(self, key: tuple) -> LPResult | None:
@@ -280,18 +296,17 @@ class LinearProgramSolver:
             SolverError: If the backend fails in an unexpected way.
         """
         failpoint("lp.solver.fail")  # inert without a REPRO_FAULTS schedule
-        c, a_ub, b_ub, bounds = self._prepare(c, a_ub, b_ub, bounds)
+        prepared = self._prepare(c, a_ub, b_ub, bounds)
 
         key = None
         if self.cache is not None:
-            key = LPResultCache.make_key(c, a_ub, b_ub, bounds)
+            key = self._key(prepared)
             cached = self.cache.get(key)
             if cached is not None:
                 self.stats.record_cache_hit()
                 return cached
 
-        result = self._solve_prepared(c, a_ub, b_ub, bounds,
-                                      purpose=purpose)
+        result = self._solve_prepared(*prepared, purpose=purpose)
         if key is not None:
             self.cache.put(key, result)
         return result
@@ -337,7 +352,7 @@ class LinearProgramSolver:
         for index, problem in enumerate(problems):
             prepared[index] = self._prepare(*problem)
             if self.cache is not None:
-                key = LPResultCache.make_key(*prepared[index])
+                key = self._key(prepared[index])
                 keys[index] = key
                 cached = self.cache.get(key)
                 if cached is not None:
@@ -370,8 +385,15 @@ class LinearProgramSolver:
         return results
 
     def _prepare(self, c, a_ub, b_ub, bounds) -> tuple:
-        """Normalize one LP's inputs to canonical arrays (shared by
-        :meth:`solve` and :meth:`solve_many`)."""
+        """Normalize one LP's inputs (shared by :meth:`solve` and
+        :meth:`solve_many`).
+
+        Returns ``(c, a_ub, b_ub, bounds, costs, rows, rhs)``: canonical
+        arrays (``a_ub`` and ``b_ub`` are ``None`` without rows), then
+        ``c``, ``a_ub`` and ``b_ub`` as Python lists.  The memo key and
+        the closed-form path both read the lists, so each LP converts
+        its arrays once.
+        """
         c = np.asarray(c, dtype=float)
         n = c.shape[0]
         if bounds is None:
@@ -381,13 +403,22 @@ class LinearProgramSolver:
             b_ub = np.asarray(b_ub, dtype=float).reshape(-1)
             if a_ub.shape[0] != b_ub.shape[0]:
                 raise SolverError("A_ub and b_ub row counts differ")
+            rows, rhs = a_ub.tolist(), b_ub.tolist()
         else:
             a_ub, b_ub = None, None
-        return c, a_ub, b_ub, bounds
+            rows, rhs = [], []
+        return c, a_ub, b_ub, bounds, c.tolist(), rows, rhs
 
-    def _solve_prepared(self, c, a_ub, b_ub, bounds, *,
+    @staticmethod
+    def _key(prepared: tuple) -> tuple:
+        """The memo key of a :meth:`_prepare` tuple."""
+        c, __, __, bounds, __, rows, rhs = prepared
+        return LPResultCache.make_key(c, rows, rhs, bounds)
+
+    def _solve_prepared(self, c, a_ub, b_ub, bounds, costs, rows, rhs, *,
                         purpose: str) -> LPResult:
-        """Run the backend on prepared inputs and record the solve."""
+        """Run the backend on a :meth:`_prepare` tuple and record the
+        solve."""
         started = time.perf_counter()
         if self.backend == "scipy":
             result = self._solve_scipy(c, a_ub, b_ub, bounds)
@@ -395,9 +426,9 @@ class LinearProgramSolver:
             result = self._solve_simplex(c, a_ub, b_ub, bounds)
         else:  # hybrid: closed form, then simplex, then scipy
             result = None
-            if c.shape[0] <= 2 and all(lo is None and hi is None
+            if len(costs) <= 2 and all(lo is None and hi is None
                                        for lo, hi in bounds):
-                answer = solve_lowdim(c, a_ub, b_ub)
+                answer = solve_lowdim_lists(costs, rows, rhs)
                 if answer is None:
                     self.stats.lowdim_deferred += 1
                 else:
@@ -407,22 +438,14 @@ class LinearProgramSolver:
                     result = self._solve_simplex(c, a_ub, b_ub, bounds)
                 except SolverError:
                     result = self._solve_scipy(c, a_ub, b_ub, bounds)
+        # ``any`` of the floats is ``np.any(c != 0.0)``: -0.0 counts as
+        # zero, NaN as non-zero.
         self.stats.record(purpose=purpose,
                           feasible=not result.is_infeasible,
                           bounded=result.status != "unbounded",
-                          objective=bool(np.any(c != 0.0)),
+                          objective=any(costs),
                           seconds=time.perf_counter() - started)
         return result
-
-    def feasible(self, a_ub, b_ub, bounds=None, *,
-                 purpose: str = "feasibility") -> bool:
-        """Return whether ``{x : a_ub@x <= b_ub}`` (within bounds) is non-empty."""
-        n = np.asarray(a_ub, dtype=float).reshape(
-            -1, len(a_ub[0]) if len(a_ub) else 0).shape[1] if len(a_ub) else 0
-        if n == 0:
-            return True
-        result = self.solve(np.zeros(n), a_ub, b_ub, bounds, purpose=purpose)
-        return result.is_optimal
 
     def _solve_scipy(self, c, a_ub, b_ub, bounds) -> LPResult:
         res = _scipy_linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds,

@@ -11,6 +11,7 @@ from repro.geometry import (GEOMETRY_EPS, ConvexPolytope, LinearConstraint,
                             RelevanceRegion, box_simplices,
                             subtract_polytope, subtract_polytopes)
 from repro.geometry.constraints import normalize_rows
+from repro.geometry.polytope import _add_row, _keyed, _merge
 from repro.lp import LinearProgramSolver, LPStats
 
 
@@ -332,3 +333,82 @@ class TestRowMerge:
                 built.with_constraint(LinearConstraint.make(*raw)), dim,
                 expected)
             assert_rows_match(built.with_halfspace(*raw), dim, expected)
+
+
+def assert_same_rows(left: ConvexPolytope, right: ConvexPolytope) -> None:
+    """Two polytopes hold the same rows bit for bit, in the same order,
+    with the same keys, infeasible flag and cell tag."""
+    assert left.dim == right.dim
+    assert left._a.shape == right._a.shape
+    assert left._a.tobytes() == right._a.tobytes()
+    assert left._b.tobytes() == right._b.tobytes()
+    assert left._keys == right._keys
+    assert left.has_trivially_infeasible() == right.has_trivially_infeasible()
+    assert left.cell_tag == right.cell_tag
+
+
+class TestOneRowMerge:
+    """``_add_row``, the one-row fast path of ``ConvexPolytope.__init__``,
+    against the general ``_merge``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda width: st.tuples(
+        st.just(width), raw_rows(width, min_size=0), raw_rows(width))))
+    def test_matches_general_merge(self, case):
+        dim, own_rows, new_rows = case
+        own = ConvexPolytope(dim, [LinearConstraint.make(*row)
+                                   for row in own_rows])
+        # Absent rows (and trivial or infeasible zero rows among them),
+        # rows the polytope already holds, and an infeasible zero row.
+        added = (new_rows
+                 + [(a, b) for a, b in zip(own._a, own._b.tolist())]
+                 + [(np.zeros(dim), -1.0)])
+        for a, b in added:
+            block = _keyed(*normalize_rows(np.reshape(a, (1, -1)), [b]))
+            fast = _add_row(own._rows(), block)
+            general = _merge(dim, (own._rows(), block))
+            assert fast[0].shape == general[0].shape
+            assert fast[0].tobytes() == general[0].tobytes()
+            assert fast[1].tobytes() == general[1].tobytes()
+            assert fast[2] == general[2]
+            assert fast[3] == general[3]
+            assert not fast[0].flags.writeable
+            assert not fast[1].flags.writeable
+
+
+class TestBulkHalfspaces:
+    """``ConvexPolytope.with_halfspaces_many`` against chained
+    ``with_halfspace`` calls."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda width: st.tuples(
+        st.just(width),
+        st.lists(st.tuples(raw_rows(width),
+                           raw_rows(width, min_size=0, max_size=3),
+                           st.booleans()),
+                 min_size=1, max_size=4))))
+    def test_matches_chained_with_halfspace(self, case):
+        dim, groups = case
+        bases, rows, counts = [], [], []
+        for index, (base_rows, new_rows, repeat_own) in enumerate(groups):
+            base = ConvexPolytope(dim, [LinearConstraint.make(*row)
+                                        for row in base_rows])
+            base.cell_tag = ("cell", index)
+            if repeat_own and base.num_constraints:
+                # A row the base already holds.
+                new_rows = [(base._a[0], float(base._b[0]))] + new_rows
+            bases.append(base)
+            rows.extend(new_rows)
+            counts.append(len(new_rows))
+        a = (np.array([row for row, __ in rows]).reshape(len(rows), dim))
+        b = [rhs for __, rhs in rows]
+        bulk = ConvexPolytope.with_halfspaces_many(bases, a, b, counts)
+        assert len(bulk) == len(bases)
+        start = 0
+        for base, count, built in zip(bases, counts, bulk):
+            chained = base
+            for row, rhs in rows[start:start + count]:
+                chained = chained.with_halfspace(row, rhs)
+            start += count
+            assert_same_rows(built, chained)
+            assert built.vertex_hint is None

@@ -258,8 +258,8 @@ def _record_small_lps(monkeypatch) -> list[tuple]:
     records = []
     original = LinearProgramSolver._solve_prepared
 
-    def recording(self, c, a_ub, b_ub, bounds, *, purpose):
-        result = original(self, c, a_ub, b_ub, bounds, purpose=purpose)
+    def recording(self, c, a_ub, b_ub, *rest, purpose):
+        result = original(self, c, a_ub, b_ub, *rest, purpose=purpose)
         if c.shape[0] <= 2:
             records.append((c, a_ub, b_ub, purpose, result))
         return result
