@@ -190,14 +190,20 @@ def _decode_pwl(doc: dict) -> PiecewiseLinearFunction:
     return PiecewiseLinearFunction(doc["dim"], pieces)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StoredEntry:
-    """One reloaded plan with its cost function and relevance cutouts."""
+    """One reloaded plan with its cost function and relevance cutouts.
+
+    Immutable, like the :class:`StoredPlanSet` that holds it.
+    """
 
     plan: Plan
     cost: MultiObjectivePWL
     space: ConvexPolytope
-    cutouts: list[ConvexPolytope]
+    cutouts: tuple[ConvexPolytope, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "cutouts", tuple(self.cutouts))
 
     def relevant_at(self, x) -> bool:
         """Relevance-region membership (space minus cutouts)."""
@@ -206,22 +212,26 @@ class StoredEntry:
         return not any(c.contains_point(x) for c in self.cutouts)
 
 
+@dataclass(frozen=True, eq=False)
 class StoredPlanSet:
     """A reloaded Pareto plan set supporting run-time selection.
 
     Mirrors the selection operations of
     :class:`repro.core.selection.PlanSelector` without requiring the
-    original optimizer state.
+    original optimizer state.  Immutable: run-time selection only reads
+    it, so one decoded instance can answer every request for its plan
+    set, from any thread (the warm-start cache relies on this).
     """
 
-    def __init__(self, num_params: int, entries: list[StoredEntry],
-                 alpha: float = 0.0, guarantee: float = 1.0) -> None:
-        self.num_params = num_params
-        self.entries = entries
-        #: Approximation factor the set was pruned with (0 = exact).
-        self.alpha = alpha
-        #: End-to-end multiplicative cost bound (1 = exact).
-        self.guarantee = guarantee
+    num_params: int
+    entries: tuple[StoredEntry, ...]
+    #: Approximation factor the set was pruned with (0 = exact).
+    alpha: float = 0.0
+    #: End-to-end multiplicative cost bound (1 = exact).
+    guarantee: float = 1.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", tuple(self.entries))
 
     def plans_for(self, x) -> list[StoredEntry]:
         """Entries whose relevance region contains ``x``."""
@@ -272,8 +282,8 @@ def decode_plan_set(doc: dict) -> StoredPlanSet:
             plan=_decode_plan(entry_doc["plan"]),
             cost=cost,
             space=_decode_polytope(region_doc["space"]),
-            cutouts=[_decode_polytope(c)
-                     for c in region_doc["cutouts"]]))
+            cutouts=tuple(_decode_polytope(c)
+                          for c in region_doc["cutouts"])))
     return StoredPlanSet(num_params=doc.get("num_params", 1),
                          entries=entries,
                          alpha=float(doc.get("alpha", 0.0)),

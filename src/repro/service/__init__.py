@@ -12,8 +12,8 @@ Public API:
   :func:`available_scenarios` — the pluggable scenario registry with
   built-in ``"cloud"`` and ``"approx"`` workloads.
 * :class:`BatchItem` — outcome of one submitted query.
-* :class:`WarmStartCache` — LRU (optionally disk-backed) cache of
-  serialized Pareto plan sets.
+* :class:`WarmStartCache` — LRU (optionally store-backed) cache of
+  serialized Pareto plan sets, each decoded once on its first hit.
 * :func:`query_signature` / :func:`signature_document` — the cache key:
   a digest of the query's join graph, statistics, scenario and
   cost-model config.

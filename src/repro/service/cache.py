@@ -3,9 +3,13 @@
 The MPQ workflow (Figure 2 of the paper) already splits optimization from
 run-time selection; a long-running service takes the next step and reuses
 *whole optimization outcomes* across queries.  The cache stores the JSON
-documents produced by :mod:`repro.core.serialize`, bounded by an LRU
-policy, with optional persistence to a directory so warm state survives
-process restarts (and can be shared between worker fleets).
+documents produced by :mod:`repro.core.serialize` in a memory tier
+bounded by an LRU policy, optionally backed by a persistent
+:class:`repro.store.PlanSetStore` so warm state survives process
+restarts and is shared between gateway shards.  A memory entry keeps the
+:class:`~repro.core.StoredPlanSet` its first :meth:`WarmStartCache.load`
+decoded, so every later hit selects from that one read-only instance
+instead of decoding the document again.
 
 Since the anytime redesign every entry carries an **alpha tag**: the
 approximation rung the producing run achieved (``0`` for exact results,
@@ -18,45 +22,52 @@ tighter one.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 import threading
 
 from ..core import StoredPlanSet, decode_plan_set
 from ..util import BoundedLRU
 
 
+class _Entry:
+    """A memory-tier record: a document, its alpha tag and, once a
+    :meth:`WarmStartCache.load` has decoded the document, its plan set.
+
+    A put that replaces the entry installs a new record, so a decode
+    still running for the old one can only ever attach to the old one.
+    """
+
+    __slots__ = ("doc", "alpha", "plan_set")
+
+    def __init__(self, doc: dict, alpha: float) -> None:
+        self.doc = doc
+        self.alpha = alpha
+        self.plan_set: StoredPlanSet | None = None
+
+
 class WarmStartCache:
     """Bounded LRU cache of serialized plan-set documents.
 
-    In-memory accesses are lock-protected: an optimizer session's pool
-    feeds late (post-deadline) results into the cache from its executor
-    callback thread while the main thread keeps reading it.
+    Accesses are lock-protected: an optimizer session's pool feeds late
+    (post-deadline) results into the cache from its executor callback
+    thread while the main thread keeps reading it, and a gateway encodes
+    a served plan set on its loop thread while the shard thread serves
+    the next hit.  Decoding runs outside the lock.
 
     Args:
         maxsize: Maximum number of in-memory entries (LRU eviction);
-            ``0`` disables the in-memory tier (the persistent tiers,
-            when configured, still work).
-        directory: Optional directory for JSON persistence; entries are
-            written as ``<signature>.json`` and read back on memory
-            misses, so the directory acts as a second cache tier.
+            ``0`` disables the in-memory tier (the store tier, when
+            configured, still works).
         store: Optional :class:`repro.store.PlanSetStore` acting as the
-            persistent tier between memory and the directory: misses
-            consult it, puts write through to it (the store applies the
-            same coarser-never-overwrites-tighter rule), and one store
-            can be shared by many caches (e.g. gateway shards).  The
-            cache does not own the store's lifecycle — whoever created
-            it closes it.
+            persistent tier behind memory: misses consult it, puts write
+            through to it (the store applies the same
+            coarser-never-overwrites-tighter rule), and one store can be
+            shared by many caches (e.g. gateway shards).  The cache does
+            not own the store's lifecycle — whoever created it closes
+            it.
     """
 
-    def __init__(self, maxsize: int = 128,
-                 directory: str | os.PathLike | None = None,
-                 store=None) -> None:
+    def __init__(self, maxsize: int = 128, store=None) -> None:
         self.maxsize = maxsize
-        self.directory = os.fspath(directory) if directory else None
-        if self.directory:
-            os.makedirs(self.directory, exist_ok=True)
         self.store = store
         self._data = BoundedLRU(maxsize)
         self._lock = threading.Lock()
@@ -69,70 +80,11 @@ class WarmStartCache:
 
     def __contains__(self, signature: str) -> bool:
         with self._lock:
-            if signature in self._data:
-                return True
-        return self._path_for(signature) is not None
-
-    def _path_for(self, signature: str) -> str | None:
-        if not self.directory:
-            return None
-        path = os.path.join(self.directory, f"{signature}.json")
-        return path if os.path.exists(path) else None
-
-    @staticmethod
-    def _unwrap(stored: dict) -> tuple[dict, float]:
-        """Split a stored entry into ``(doc, alpha)``.
-
-        Entries written before the anytime redesign are bare plan-set
-        documents; they count as exact (``alpha = 0``).
-        """
-        if "plan_set" in stored and "alpha" in stored:
-            return stored["plan_set"], float(stored["alpha"])
-        return stored, 0.0
-
-    def get_entry(self, signature: str) -> tuple[dict, float] | None:
-        """Return ``(document, alpha)`` for a cached entry, or ``None``.
-
-        ``alpha`` is the approximation tag of the stored plan set: the
-        rung the producing run reached (``0`` for exact results).
-        Corrupt or unreadable disk entries (a truncated file, a foreign
-        schema in a shared directory) count as misses rather than
-        failing the caller — the query is simply re-optimized.
-        """
-        with self._lock:
-            stored = self._data.get(signature)
-            if stored is not None:
-                self.hits += 1
-                return self._unwrap(stored)
-        entry = self._store_entry(signature)
-        if entry is not None:
-            doc, alpha = entry
-            with self._lock:
-                self._data.put(signature, {"alpha": alpha,
-                                           "plan_set": doc})
-                self.hits += 1
-            return entry
-        path = self._path_for(signature)
-        if path is not None:
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    stored = json.load(handle)
-            except (OSError, ValueError):
-                with self._lock:
-                    self.misses += 1
-                return None
-            with self._lock:
-                self._data.put(signature, stored)
-                self.hits += 1
-            return self._unwrap(stored)
-        with self._lock:
-            self.misses += 1
-        return None
+            return signature in self._data
 
     def _store_entry(self, signature: str,
-                     max_alpha: float | None = None
-                     ) -> tuple[dict, float] | None:
-        """Read ``(doc, alpha)`` from the persistent store tier, if any.
+                     max_alpha: float | None = None) -> _Entry | None:
+        """Read an entry from the persistent store tier, if any.
 
         Store errors (a closed or concurrently rebuilt store) count as
         misses — the query is re-optimized rather than failing.
@@ -145,18 +97,44 @@ class WarmStartCache:
             return None  # store unavailable: counts as a miss
         if doc is None:
             return None
-        return doc, float(doc.get("alpha", 0.0))
+        return _Entry(doc, float(doc.get("alpha", 0.0)))
 
-    def _disk_entry(self, signature: str) -> tuple[dict, float] | None:
-        """Read ``(doc, alpha)`` straight from the disk tier, if any."""
-        path = self._path_for(signature)
-        if path is None:
-            return None
-        try:
-            with open(path, encoding="utf-8") as handle:
-                return self._unwrap(json.load(handle))
-        except (OSError, ValueError):
-            return None
+    def _lookup(self, signature: str,
+                max_alpha: float | None) -> _Entry | None:
+        """The entry a lookup serves, counting one hit or one miss."""
+        with self._lock:
+            entry = self._data.get(signature)
+            if entry is not None:
+                self.hits += 1
+        if entry is None:
+            entry = self._store_entry(signature)
+            with self._lock:
+                if entry is None:
+                    self.misses += 1
+                    return None
+                self._data.put(signature, entry)
+                self.hits += 1
+        if max_alpha is not None and entry.alpha > max_alpha + 1e-12:
+            # Too coarse in memory; a tighter entry may live in the
+            # store (written by another shard or process).
+            tighter = self._store_entry(signature, max_alpha=max_alpha)
+            with self._lock:
+                if tighter is None:
+                    self.hits -= 1  # reclassify: tag too coarse is a miss
+                    self.misses += 1
+                    return None
+                self._data.put(signature, tighter)
+            return tighter
+        return entry
+
+    def get_entry(self, signature: str) -> tuple[dict, float] | None:
+        """Return ``(document, alpha)`` for a cached entry, or ``None``.
+
+        ``alpha`` is the approximation tag of the stored plan set: the
+        rung the producing run reached (``0`` for exact results).
+        """
+        entry = self._lookup(signature, None)
+        return None if entry is None else (entry.doc, entry.alpha)
 
     def get(self, signature: str,
             max_alpha: float | None = None) -> dict | None:
@@ -170,62 +148,56 @@ class WarmStartCache:
                 counts as a miss instead of silently serving a coarser
                 guarantee.  ``None`` accepts any tag (the pre-anytime
                 behavior, when every entry was exact for its signature).
-                When the in-memory entry is too coarse, the disk tier is
-                still consulted — another process sharing the directory
-                may have written a tighter one.
+                When the in-memory entry is too coarse, the store tier is
+                still consulted — another shard or process sharing it may
+                have written a tighter one.
         """
-        entry = self.get_entry(signature)
-        if entry is None:
-            return None
-        doc, alpha = entry
-        if max_alpha is not None and alpha > max_alpha + 1e-12:
-            # Too coarse in memory; a tighter entry may live in the
-            # store or on disk (written by another process/shard).
-            tighter = self._store_entry(signature, max_alpha=max_alpha)
-            if tighter is None:
-                disk = self._disk_entry(signature)
-                if disk is not None and disk[1] <= max_alpha + 1e-12:
-                    tighter = disk
-            if tighter is not None:
-                doc, alpha = tighter
-                with self._lock:
-                    self._data.put(signature,
-                                   {"alpha": alpha, "plan_set": doc})
-                return doc
-            with self._lock:
-                self.hits -= 1  # reclassify: tag too coarse is a miss
-                self.misses += 1
-            return None
-        return doc
+        entry = self._lookup(signature, max_alpha)
+        return None if entry is None else entry.doc
 
-    def load(self, signature: str) -> StoredPlanSet | None:
+    def load(self, signature: str,
+             max_alpha: float | None = None) -> StoredPlanSet | None:
         """Like :meth:`get`, but decoded into a :class:`StoredPlanSet`.
 
-        Returns ``None`` for undecodable documents as well as misses.
+        The first load of a memory entry decodes its document; later
+        loads return that same read-only instance until the entry is
+        evicted or replaced.  An undecodable document counts as a miss
+        and leaves the memory tier, so the re-optimized plan set takes
+        its place.
         """
-        doc = self.get(signature)
-        if doc is None:
+        entry = self._lookup(signature, max_alpha)
+        if entry is None:
             return None
+        if entry.plan_set is not None:
+            return entry.plan_set
         try:
-            return decode_plan_set(doc)
-        except Exception:  # reprolint: disable=REP601
-            return None  # undecodable document counts as a miss
+            plan_set = decode_plan_set(entry.doc)
+        except Exception:
+            with self._lock:
+                self.hits -= 1  # reclassify: undecodable is a miss
+                self.misses += 1
+                if self._data.get(signature) is entry:
+                    self._data.pop(signature)
+            return None
+        with self._lock:
+            # Attach to the record the document was read from: a put
+            # that replaced it meanwhile keeps its own document.
+            if entry.plan_set is None:
+                entry.plan_set = plan_set
+            return entry.plan_set
 
     def put(self, signature: str, doc: dict,
             alpha: float = 0.0) -> None:
-        """Insert a plan-set document, persisting it when configured.
+        """Insert a plan-set document, writing through to the store.
 
         ``alpha`` tags the entry with the guarantee rung the producing
         run achieved (``0`` = exact).  A coarser entry never overwrites
         a tighter one under the same signature — an interrupted anytime
-        run cannot degrade a previously cached exact result.
-
-        Disk writes go through a writer-unique temp file plus atomic
-        rename, so concurrent processes sharing one directory never
-        install a half-written document.
+        run cannot degrade a previously cached exact result.  A put that
+        does replace an entry drops the old entry's decoded plan set
+        with it.
         """
         alpha = float(alpha)
-        stored = {"alpha": alpha, "plan_set": doc}
         if self.store is not None:
             # Write-through to the persistent store tier; the store
             # applies the coarser-never-overwrites-tighter rule itself
@@ -238,37 +210,12 @@ class WarmStartCache:
                 self.store.put(signature, store_doc)
             except Exception:
                 # Persistent tier unavailable (disk fault, locked or
-                # closed database): absorb — memory/disk tiers still
-                # serve — but count it so operators can see the store
+                # closed database): absorb — the memory tier still
+                # serves — but count it so operators can see the store
                 # silently shedding writes.
                 self.store.counters.write_faults_absorbed += 1
-        if self.directory and alpha > 1e-12:
-            # Consult the shared disk tier *before* touching memory: a
-            # tighter entry written by another process must veto both
-            # tiers, or the coarser entry would shadow it in memory.
-            # (Exact entries skip the read — nothing can be tighter.)
-            # Best-effort under concurrent writers: two simultaneous
-            # puts can interleave read and rename, so a racing coarser
-            # writer may still land last; readers stating max_alpha
-            # re-optimize in that case rather than degrade silently.
-            disk = self._disk_entry(signature)
-            if disk is not None and disk[1] < alpha - 1e-12:
-                return
         with self._lock:
             existing = self._data.get(signature)
-            if existing is not None and (
-                    self._unwrap(existing)[1] < alpha - 1e-12):
+            if existing is not None and existing.alpha < alpha - 1e-12:
                 return  # keep the tighter entry
-            self._data.put(signature, stored)
-        if self.directory:
-            path = os.path.join(self.directory, f"{signature}.json")
-            fd, tmp = tempfile.mkstemp(dir=self.directory,
-                                       suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(stored, handle)
-                os.replace(tmp, path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
+            self._data.put(signature, _Entry(doc, alpha))

@@ -719,20 +719,15 @@ class OptimizerSession:
             return None
         if max_alpha is None:
             max_alpha = self._target_alpha()
-        doc = self.cache.get(signature, max_alpha=max_alpha)
-        if doc is None:
-            return None
-        alpha = float(doc.get("alpha", 0.0))
-        try:
-            plan_set = decode_plan_set(doc)
-        except Exception:  # reprolint: disable=REP601
-            # Undecodable cache entry (e.g. older format in a shared
-            # directory): fall through and re-optimize.
+        # The cache decodes an entry once and hands every later hit the
+        # same read-only plan set; an undecodable entry is a miss.
+        plan_set = self.cache.load(signature, max_alpha=max_alpha)
+        if plan_set is None:
             return None
         return BatchItem(index=index, signature=signature, status="cached",
                          plan_set=plan_set, scenario=scenario_name,
-                         alpha=alpha,
-                         guarantee=float(doc.get("guarantee", 1.0)))
+                         alpha=plan_set.alpha,
+                         guarantee=plan_set.guarantee)
 
     def _store_seed(self, query: Query, signature: str,
                     scenario_name: str, options,
@@ -995,9 +990,9 @@ class OptimizerSession:
         """
         self._check_open()
         scenario_name = self._scenario_name(scenario)
-        # Plan the batch: warm hits are decoded immediately, one leader is
-        # kept per distinct signature, in-batch duplicates become
-        # followers of their leader.
+        # Plan the batch: warm hits are answered at once from the cache's
+        # decoded plan sets, one leader is kept per distinct signature,
+        # in-batch duplicates become followers of their leader.
         hits: list[BatchItem] = []
         leaders: list[tuple[int, str, Query]] = []
         followers: dict[int, list[int]] = {}

@@ -315,6 +315,34 @@ class TestGatewayEndToEnd:
         assert metrics["qps"] > 0
 
 
+class TestCachedHitBytes:
+    def test_two_parameter_hit_sends_the_canonical_encoding(self):
+        """A warm hit answers from the cache's one decode of the stored
+        document: same bytes as the first answer and as
+        ``encode_plan_set(decode_plan_set(stored_doc))``, on the session
+        and on the wire."""
+        query = QueryGenerator(seed=71).generate(3, "chain", 2)
+        with OptimizerSession("cloud", resolution=1) as session:
+            first = session.optimize(query)
+            second = session.optimize(query)
+            stored_doc = session.cache.get(first.signature)
+        assert (first.status, second.status) == ("ok", "cached")
+        canonical = encode_plan_set(decode_plan_set(stored_doc))
+        assert encode_plan_set(first.plan_set) == canonical
+        assert encode_plan_set(second.plan_set) == canonical
+        wire = json.dumps(canonical, sort_keys=True)
+        with launch(GatewayConfig(shards=1, resolution=1,
+                                  tenant_rate=1000.0,
+                                  tenant_burst=1000.0)) as handle:
+            client = GatewayClient(handle.host, handle.port, timeout=120.0)
+            served = [client.optimize(query, deadline_seconds=120.0).doc
+                      for _ in range(3)]
+        assert [doc["status"] for doc in served] == ["ok", "cached",
+                                                     "cached"]
+        for doc in served:
+            assert json.dumps(doc["plan_set"], sort_keys=True) == wire
+
+
 class TestGracefulDrain:
     def test_drain_finishes_in_flight_then_rejects_new(self):
         with launch(GatewayConfig(shards=1, tenant_rate=1000.0,

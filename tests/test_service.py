@@ -11,9 +11,10 @@ from __future__ import annotations
 import pytest
 
 from repro.api import OptimizerSession, optimize_query
-from repro.core import PWLRRPAOptions, PlanSelector
+from repro.core import PWLRRPAOptions, PlanSelector, decode_plan_set
 from repro.query import QueryGenerator
 from repro.service import WarmStartCache, query_signature
+from repro.service import cache as cache_module
 from repro.service import session as session_module
 
 
@@ -165,30 +166,47 @@ class TestWarmStartCache:
         assert cache.get("sig0") is None
         assert cache.get("sig3") is not None
 
-    def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
-        queries = make_queries(1)
-        sig = query_signature(queries[0])
-        (tmp_path / f"{sig}.json").write_text("{ not json")
-        with OptimizerSession(
-                "cloud", cache=WarmStartCache(directory=tmp_path)) as session:
-            items = session.map(queries)
-        # The damaged file neither fails the batch nor serves bad data.
-        assert items[0].status == "ok"
-        assert items[0].plan_set.entries
-
     def test_undecodable_memory_entry_reoptimizes(self):
         queries = make_queries(1)
         with OptimizerSession("cloud") as session:
             session.cache.put(query_signature(queries[0]), {"version": 999})
             items = session.map(queries)
-        assert items[0].status == "ok"
+            assert items[0].status == "ok"
+            # The failed decode counts as a miss and drops the entry, so
+            # the re-optimized plan set takes its place.
+            assert (session.cache.hits, session.cache.misses) == (0, 1)
+            assert session.map(queries)[0].status == "cached"
 
-    def test_directory_persistence(self, tmp_path):
+    def test_repeated_hits_decode_once(self, monkeypatch):
+        decodes = []
+
+        def counting(doc):
+            decodes.append(doc)
+            return decode_plan_set(doc)
+
+        monkeypatch.setattr(cache_module, "decode_plan_set", counting)
         queries = make_queries(1)
-        with OptimizerSession(
-                "cloud", cache=WarmStartCache(directory=tmp_path)) as first:
-            assert first.map(queries)[0].status == "ok"
-        # A fresh process/cache instance warm-starts from disk.
-        with OptimizerSession(
-                "cloud", cache=WarmStartCache(directory=tmp_path)) as second:
-            assert second.map(queries)[0].status == "cached"
+        with OptimizerSession("cloud") as session:
+            assert session.map(queries)[0].status == "ok"
+            hits = [session.map(queries)[0] for _ in range(5)]
+            assert session.cache.hits == 5
+        assert [item.status for item in hits] == ["cached"] * 5
+        assert len(decodes) == 1
+        # One read-only instance answers every hit.
+        assert all(item.plan_set is hits[0].plan_set for item in hits)
+        with pytest.raises(AttributeError):
+            hits[0].plan_set.entries = ()
+
+    def test_replaced_or_evicted_entry_decodes_afresh(self):
+        cache = WarmStartCache(maxsize=1)
+        first = {"version": 1, "guarantee": 1.0, "entries": []}
+        second = {"version": 1, "guarantee": 2.0, "entries": []}
+        cache.put("sig", first)
+        decoded = cache.load("sig")
+        assert cache.load("sig") is decoded
+        cache.put("sig", second)
+        replaced = cache.load("sig")
+        assert replaced.guarantee == 2.0
+        cache.put("other", first)  # evicts "sig" with its plan set
+        cache.put("sig", second)
+        assert cache.load("sig") is not replaced

@@ -12,7 +12,7 @@ Covers:
   error whichever executor runs the stream;
 * warm-start alpha tags — a partial (coarse) cache entry never serves an
   exact request, and a tighter entry is never overwritten by a coarser
-  one;
+  one, also across caches sharing one plan-set store;
 * worker LP-memo deltas merged back into the session memo, with the
   session counters showing the cross-batch gain.
 """
@@ -23,7 +23,8 @@ import multiprocessing
 
 import pytest
 
-from repro.api import Budget, OptimizerSession, WarmStartCache
+from repro.api import (Budget, OptimizerSession, PlanSetStore,
+                       WarmStartCache, decode_plan_set, encode_plan_set)
 from repro.cost import CLOUD_METRICS
 from repro.errors import OptimizationError
 from repro.query import QueryGenerator
@@ -390,46 +391,32 @@ class TestWarmStartAlphaTags:
         assert cache.get("sig", max_alpha=0.1) is None
         assert cache.get("sig", max_alpha=0.2) == doc
 
-    def test_disk_tier_preserves_alpha_tag(self, tmp_path):
-        writer = WarmStartCache(directory=tmp_path)
-        doc = {"version": 1, "entries": []}
-        writer.put("sig", doc, alpha=0.25)
-        reader = WarmStartCache(directory=tmp_path)
-        assert reader.get_entry("sig") == (doc, 0.25)
-        assert reader.get("sig", max_alpha=0.0) is None
-        # A tighter write replaces it; a coarser one afterwards does not.
-        writer.put("sig", doc, alpha=0.0)
-        writer.put("sig", doc, alpha=0.5)
-        fresh = WarmStartCache(directory=tmp_path)
-        assert fresh.get_entry("sig") == (doc, 0.0)
-
-    def test_shared_directory_coherence_across_processes(self, tmp_path):
-        """A tighter entry on disk (another process) vetoes a coarser
-        put in both tiers, and a too-coarse memory entry falls back to
-        the tighter disk entry on read."""
+    def test_shared_store_keeps_the_tighter_entry(self):
+        """Two caches share one store: a coarse put from the second
+        never shadows the first's exact entry, and a too-coarse memory
+        entry falls back to the tighter stored one, decoded afresh."""
         doc_exact = {"version": 1, "alpha": 0.0, "entries": []}
-        doc_coarse = {"version": 1, "alpha": 0.5, "entries": []}
-        other = WarmStartCache(directory=tmp_path)
-        other.put("sig", doc_exact, alpha=0.0)
-        # A second process with a cold memory tier must not shadow the
-        # exact disk entry with its coarse partial result.
-        mine = WarmStartCache(directory=tmp_path)
-        mine.put("sig", doc_coarse, alpha=0.5)
-        assert mine.get("sig", max_alpha=0.0) == doc_exact
-        # Even with a coarse entry already in memory, an exact request
-        # finds the tighter disk entry written meanwhile.
-        late = WarmStartCache()  # memory only at first
-        late.put("sig", doc_coarse, alpha=0.5)
-        late.directory = str(tmp_path)
-        assert late.get("sig", max_alpha=0.0) == doc_exact
-
-    def test_legacy_bare_disk_entry_reads_as_exact(self, tmp_path):
-        import json
-        doc = {"version": 1, "entries": []}
-        (tmp_path / "sig.json").write_text(json.dumps(doc))
-        cache = WarmStartCache(directory=tmp_path)
-        assert cache.get_entry("sig") == (doc, 0.0)
-        assert cache.get("sig", max_alpha=0.0) == doc
+        doc_coarse = {"version": 1, "alpha": 0.5, "guarantee": 3.0,
+                      "entries": []}
+        with PlanSetStore() as store:
+            first = WarmStartCache(store=store)
+            first.put("sig", doc_exact, alpha=0.0)
+            # The second cache's memory tier is cold: its coarse put
+            # lands in its memory, but the store keeps the exact entry.
+            second = WarmStartCache(store=store)
+            second.put("sig", doc_coarse, alpha=0.5)
+            assert store.get("sig") == doc_exact
+            assert first.get_entry("sig") == (doc_exact, 0.0)
+            assert second.get("sig", max_alpha=0.0) == doc_exact
+            # A coarse entry already decoded in memory is no answer to
+            # an exact load: the tighter stored document is decoded.
+            late = WarmStartCache(store=store)
+            late.put("sig", doc_coarse, alpha=0.5)
+            assert late.load("sig").alpha == 0.5
+            exact = late.load("sig", max_alpha=0.0)
+            assert encode_plan_set(exact) == encode_plan_set(
+                decode_plan_set(doc_exact))
+            assert late.load("sig", max_alpha=0.0) is exact
 
 
 class TestLpMemoMergeBack:
