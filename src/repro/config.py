@@ -12,20 +12,14 @@ ways:
 * **Docs**: the knob table in ``docs/architecture.md`` is generated
   from this module (``python -m repro.config``) and checked for
   staleness by REP203.
-* **Tests**: knob precedence is *explicit argument > environment >
-  declared default*, regression-tested in ``tests/test_config.py``.
+* **Tests**: knob precedence is *environment > declared default*,
+  regression-tested in ``tests/test_config.py``.
 
 Parse kinds (behavior-preserving ports of the historical ad-hoc reads):
 
 * ``flag`` — truthy iff the raw value, stripped, is neither empty nor
   ``"0"`` (so ``REPRO_SCALAR_KERNELS=false`` *enables* the flag, as it
   always has).
-* ``switch`` — truthy unless the raw value lower-cases to ``"0"``,
-  ``"false"`` or ``"off"``.
-* ``float`` — :class:`float` of the raw value; unparseable or unset
-  values yield the declared default.
-* ``choice`` — the lower-cased raw value when it is one of
-  ``choices``, else the declared default.
 * ``path`` — the raw string, or the default when unset.
 
 Knobs are re-read from the environment on every call (the reads are
@@ -36,7 +30,7 @@ trivially cheap next to any LP) so tests can flip them with
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -47,20 +41,18 @@ class Knob:
         name: The environment variable, always ``REPRO_``-prefixed.
         default: Raw default applied when the variable is unset (as if
             the environment contained this string); ``None`` means
-            "unset" — boolean kinds then parse the empty string, value
-            kinds return ``None`` and the caller supplies its own
+            "unset" — a ``flag`` then parses the empty string, a
+            ``path`` returns ``None`` and the caller supplies its own
             fallback (documented in ``doc``).
-        kind: Parse semantics — ``flag`` / ``switch`` / ``float`` /
-            ``choice`` / ``path`` (see the module docstring).
+        kind: Parse semantics — ``flag`` or ``path`` (see the module
+            docstring).
         doc: One-line effect description (becomes the docs table row).
-        choices: Accepted values for ``choice`` knobs.
     """
 
     name: str
     default: str | None
     kind: str
     doc: str
-    choices: tuple[str, ...] = field(default=())
 
 
 #: Every knob the library reads, in table order.  Keyword arguments are
@@ -73,24 +65,6 @@ KNOBS: tuple[Knob, ...] = (
          doc="Force the scalar (oracle) geometry kernels instead of "
              "the batched ones.  The equivalence suites sweep both "
              "sides of this switch."),
-    Knob(name="REPRO_STORE_SEED",
-         default="1",
-         kind="switch",
-         doc="Allow sessions to seed anytime runs from the persistent "
-             "plan-set store's nearest same-family neighbor."),
-    Knob(name="REPRO_STORE_SEED_BREADTH",
-         default="auto",
-         kind="choice",
-         choices=("auto", "all", "one"),
-         doc="Seeding breadth policy: adopt the neighbor's whole "
-             "frontier (all), one incumbent per table set (one), or "
-             "decide from its recorded repair cost (auto)."),
-    Knob(name="REPRO_STORE_SEED_ALPHA",
-         default=None,
-         kind="float",
-         doc="Coarsest ladder rung a seeded run still descends "
-             "through; unset/unparseable falls back to "
-             "repro.core.run.SEED_JUMP_ALPHA (0.05)."),
     Knob(name="REPRO_STORE_PERSIST_DB",
          default=None,
          kind="path",
@@ -131,58 +105,22 @@ def _raw(declared: Knob) -> str | None:
     return raw
 
 
-def enabled(name: str, override: bool | None = None) -> bool:
-    """Parsed boolean state of a ``flag`` or ``switch`` knob.
-
-    Args:
-        name: Declared knob name.
-        override: Explicit caller argument; when not ``None`` it wins
-            over both the environment and the default.
-    """
+def enabled(name: str) -> bool:
+    """Parsed boolean state of a ``flag`` knob."""
     declared = knob(name)
-    if declared.kind not in ("flag", "switch"):
+    if declared.kind != "flag":
         raise TypeError(f"{name} is a {declared.kind} knob, not boolean")
-    if override is not None:
-        return bool(override)
     raw = _raw(declared)
-    if raw is None:
-        raw = ""
-    if declared.kind == "flag":
-        return raw.strip() not in ("", "0")
-    return raw.lower() not in ("0", "false", "off")
+    return (raw or "").strip() not in ("", "0")
 
 
-def value(name: str, override=None):
-    """Parsed value of a ``float`` / ``choice`` / ``path`` knob.
-
-    Args:
-        name: Declared knob name.
-        override: Explicit caller argument; when not ``None`` it is
-            returned as-is (explicit argument > environment > default).
-
-    Returns:
-        The parsed value, or the declared default (possibly ``None``)
-        when the variable is unset or unparseable.
-    """
+def value(name: str) -> str | None:
+    """Raw string of a ``path`` knob, or its declared default (possibly
+    ``None``) when the variable is unset."""
     declared = knob(name)
-    if override is not None:
-        return override
-    raw = _raw(declared)
-    if declared.kind == "float":
-        if raw is None:
-            return None
-        try:
-            return float(raw)
-        except ValueError:
-            return float(declared.default) if declared.default else None
-    if declared.kind == "choice":
-        if raw is None:
-            return declared.default
-        lowered = raw.lower()
-        return lowered if lowered in declared.choices else declared.default
-    if declared.kind == "path":
-        return raw
-    raise TypeError(f"{name} is a {declared.kind} knob; use enabled()")
+    if declared.kind != "path":
+        raise TypeError(f"{name} is a {declared.kind} knob; use enabled()")
+    return _raw(declared)
 
 
 def declared() -> tuple[Knob, ...]:
@@ -201,11 +139,8 @@ def knob_table_markdown() -> str:
     for declared_knob in KNOBS:
         default = ("*(unset)*" if declared_knob.default is None
                    else f"`{declared_knob.default}`")
-        kind = declared_knob.kind
-        if declared_knob.choices:
-            kind = f"{kind} ({'/'.join(declared_knob.choices)})"
-        lines.append(f"| `{declared_knob.name}` | {kind} | {default} "
-                     f"| {declared_knob.doc} |")
+        lines.append(f"| `{declared_knob.name}` | {declared_knob.kind} "
+                     f"| {default} | {declared_knob.doc} |")
     return "\n".join(lines)
 
 

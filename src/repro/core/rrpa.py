@@ -113,8 +113,7 @@ PRUNE_CHUNK = 8
 
 
 def prune_into(backend: RRPABackend, entries: list[PlanEntry],
-               new_plan: Plan, new_cost: Any, stats: OptimizerStats,
-               chunk_size: int = PRUNE_CHUNK) -> None:
+               new_plan: Plan, new_cost: Any, stats: OptimizerStats) -> None:
     """Insert ``new_plan`` into ``entries`` unless it is irrelevant.
 
     Algorithm 1's procedure ``Prune``, shared by :class:`RRPA` and the
@@ -123,8 +122,8 @@ def prune_into(backend: RRPABackend, entries: list[PlanEntry],
     stats.plans_created += 1
     new_region = backend.full_region()
     # Reduce the new plan's RR by every incumbent's dominance region.
-    for start in range(0, len(entries), chunk_size):
-        chunk = entries[start:start + chunk_size]
+    for start in range(0, len(entries), PRUNE_CHUNK):
+        chunk = entries[start:start + PRUNE_CHUNK]
         dom_lists = backend.dominance_many(
             [old.cost for old in chunk], new_cost)
         for dominated in dom_lists:
@@ -168,19 +167,8 @@ class RRPA:
             desired cost-function class.
     """
 
-    #: Per-instance/subclass override of the dominance batch size,
-    #: honored by :meth:`_prune` (the module-level :data:`PRUNE_CHUNK`
-    #: is the default).
-    PRUNE_CHUNK = PRUNE_CHUNK
-
     def __init__(self, backend: RRPABackend) -> None:
         self.backend = backend
-
-    def _prune(self, entries: list[PlanEntry], new_plan: Plan,
-               new_cost: Any, stats: OptimizerStats) -> None:
-        """Algorithm 1's ``Prune`` (delegates to :func:`prune_into`)."""
-        prune_into(self.backend, entries, new_plan, new_cost, stats,
-                   chunk_size=self.PRUNE_CHUNK)
 
     def start_run(self, query: Query, *, precision_ladder=None,
                   on_event=None, seed_plans=None):
@@ -198,7 +186,6 @@ class RRPA:
         return OptimizationRun(self.backend, query,
                                precision_ladder=precision_ladder,
                                on_event=on_event,
-                               prune_chunk=self.PRUNE_CHUNK,
                                seed_plans=seed_plans)
 
     def optimize(self, query: Query) -> OptimizationResult:

@@ -41,7 +41,7 @@ from ..plans import JoinPlan, Plan, ScanPlan, combine
 from ..query import Query
 from .backend import RRPABackend
 from .enumeration import splits, subsets_in_size_order
-from .rrpa import PRUNE_CHUNK, OptimizationResult, prune_into
+from .rrpa import OptimizationResult, prune_into
 from .stats import OptimizerStats
 
 #: Default precision ladder for anytime optimization: coarse rungs finish
@@ -265,12 +265,9 @@ class OptimizationRun:
                  precision_ladder=None,
                  fold_stats: OptimizerStats | None = None,
                  on_event: Callable[[ProgressEvent], None] | None = None,
-                 prune_chunk: int | None = None,
                  seed_plans=None) -> None:
         self.backend = backend
         self.query = query
-        self.prune_chunk = (prune_chunk if prune_chunk is not None
-                            else PRUNE_CHUNK)
         self._explicit_ladder = precision_ladder is not None
         if precision_ladder is None:
             precision_ladder = (
@@ -440,8 +437,7 @@ class OptimizationRun:
             for operator in backend.scan_operators(table):
                 plan = ScanPlan(table=table, operator=operator)
                 prune_into(backend, entries, plan,
-                           self._scan_cost(plan), stats,
-                           chunk_size=self.prune_chunk)
+                           self._scan_cost(plan), stats)
             if not entries:
                 raise OptimizationError(
                     f"no scan plans survived for table {table!r}")
@@ -461,8 +457,7 @@ class OptimizationRun:
                     # Foreign seed the cost model rejects: skip it — the
                     # enumeration below covers the table set regardless.
                     continue
-                prune_into(backend, entries, plan, cost, stats,
-                           chunk_size=self.prune_chunk)
+                prune_into(backend, entries, plan, cost, stats)
                 self.seeded_plans += 1
         for left_set, right_set in splits(self.query, subset):
             left_entries = dp.get(left_set)
@@ -476,8 +471,7 @@ class OptimizationRun:
                     for right in right_entries:
                         plan = combine(left.plan, right.plan, operator)
                         cost = self._plan_cost(plan, local, left, right)
-                        prune_into(backend, entries, plan, cost, stats,
-                                   chunk_size=self.prune_chunk)
+                        prune_into(backend, entries, plan, cost, stats)
         if not entries:
             raise OptimizationError(
                 f"no plans survived for table set {sorted(subset)}")

@@ -1,11 +1,13 @@
 """A small, dependency-free dense simplex solver.
 
-The paper's implementation used Gurobi; this repository primarily uses
-scipy's HiGHS backend (see :mod:`repro.lp.solver`).  This module provides a
+The paper's implementation used Gurobi.  This module provides a
 pure-Python two-phase simplex implementation that serves two purposes:
 
-* it makes the repository runnable in environments without scipy, and
-* it gives the test suite an independent oracle to cross-check LP results.
+* the default ``"hybrid"`` backend of :mod:`repro.lp.solver` solves
+  every LP the closed form in :mod:`repro.lp.lowdim` does not take with
+  it (scipy's HiGHS answers only when it raises), and
+* on its own (``backend="simplex"``) it gives the test suite an oracle
+  independent of scipy to cross-check LP results.
 
 The solver handles problems of the form::
 

@@ -8,13 +8,13 @@ Figure 12 of the paper.
 
 Three backends are available:
 
-* ``"hybrid"`` — LPs with at most two variables, all free, are solved in
-  closed form by :mod:`repro.lp.lowdim`; what it defers
-  (``LPStats.lowdim_deferred``) and every other LP go to the simplex
-  below, and scipy answers when the simplex raises
-  :class:`~repro.errors.SolverError` (default when scipy is importable).
+* ``"hybrid"`` (the default) — LPs with at most two variables, all
+  free, are solved in closed form by :mod:`repro.lp.lowdim`; what it
+  defers (``LPStats.lowdim_deferred``) and every other LP go to the
+  simplex below, and scipy answers when the simplex raises
+  :class:`~repro.errors.SolverError`.
 * ``"simplex"`` — the pure-Python two-phase simplex from
-  :mod:`repro.lp.simplex`, used without scipy and as testing oracle.
+  :mod:`repro.lp.simplex`, a testing oracle.
 * ``"scipy"`` — :func:`scipy.optimize.linprog` with the HiGHS method,
   the second oracle.
 """
@@ -29,6 +29,7 @@ from collections.abc import Sequence
 from itertools import chain
 
 import numpy as np
+from scipy.optimize import linprog as _scipy_linprog
 
 from ..errors import SolverError
 from ..faults import failpoint
@@ -36,13 +37,6 @@ from ..util import BoundedLRU
 from .counters import LPStats, default_stats
 from .lowdim import solve_lowdim_lists
 from .simplex import solve_simplex
-
-try:  # pragma: no cover - exercised implicitly on import
-    from scipy.optimize import linprog as _scipy_linprog
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover
-    _scipy_linprog = None
-    _HAVE_SCIPY = False
 
 
 @dataclass(frozen=True)
@@ -241,8 +235,8 @@ class LinearProgramSolver:
     Args:
         stats: Counter object to charge solves against.  Defaults to the
             process-wide counter from :func:`repro.lp.counters.default_stats`.
-        backend: ``"scipy"``, ``"simplex"``, ``"hybrid"`` or ``"auto"``
-            (hybrid when scipy is available, simplex otherwise).
+        backend: ``"hybrid"`` (closed form, then simplex, then scipy),
+            or one of the oracles ``"simplex"`` and ``"scipy"``.
         cache_size: Size of the LP-result memo cache; ``0`` (the default)
             disables memoization so counters reflect every solve.
         cache: Explicit memo cache to use, overriding both ``cache_size``
@@ -251,18 +245,10 @@ class LinearProgramSolver:
     """
 
     def __init__(self, stats: LPStats | None = None,
-                 backend: str = "auto", cache_size: int = 0,
+                 backend: str = "hybrid", cache_size: int = 0,
                  cache: LPResultCache | None = None) -> None:
-        if backend == "auto":
-            # The LPs arising in PWL-RRPA are tiny (at most 3 variables,
-            # a few dozen rows): closed form and the dependency-free
-            # simplex avoid scipy's per-call set-up there.  scipy
-            # remains the fallback for anything the simplex cannot handle.
-            backend = "hybrid" if _HAVE_SCIPY else "simplex"
         if backend not in ("scipy", "simplex", "hybrid"):
             raise ValueError(f"unknown LP backend: {backend!r}")
-        if backend in ("scipy", "hybrid") and not _HAVE_SCIPY:
-            raise SolverError("scipy backend requested but scipy is missing")
         self.backend = backend
         self.stats = stats if stats is not None else default_stats()
         if cache is not None:
@@ -465,7 +451,7 @@ class LinearProgramSolver:
 
 
 def make_solver(stats: LPStats | None = None,
-                backend: str = "auto",
+                backend: str = "hybrid",
                 cache_size: int = 0) -> LinearProgramSolver:
     """Convenience constructor mirroring :class:`LinearProgramSolver`."""
     return LinearProgramSolver(stats=stats, backend=backend,

@@ -7,9 +7,10 @@ documents produced by :mod:`repro.core.serialize` in a memory tier
 bounded by an LRU policy, optionally backed by a persistent
 :class:`repro.store.PlanSetStore` so warm state survives process
 restarts and is shared between gateway shards.  A memory entry keeps the
-:class:`~repro.core.StoredPlanSet` its first :meth:`WarmStartCache.load`
-decoded, so every later hit selects from that one read-only instance
-instead of decoding the document again.
+:class:`~repro.core.StoredPlanSet` decoded from its document — handed
+over by the put that installed it, or decoded by its first
+:meth:`WarmStartCache.load` — so every hit selects from that one
+read-only instance instead of decoding the document again.
 
 Since the anytime redesign every entry carries an **alpha tag**: the
 approximation rung the producing run achieved (``0`` for exact results,
@@ -29,8 +30,9 @@ from ..util import BoundedLRU
 
 
 class _Entry:
-    """A memory-tier record: a document, its alpha tag and, once a
-    :meth:`WarmStartCache.load` has decoded the document, its plan set.
+    """A memory-tier record: a document, its alpha tag and, once the
+    document has been decoded (by the put that installed the record or
+    by a :meth:`WarmStartCache.load`), its plan set.
 
     A put that replaces the entry installs a new record, so a decode
     still running for the old one can only ever attach to the old one.
@@ -38,10 +40,11 @@ class _Entry:
 
     __slots__ = ("doc", "alpha", "plan_set")
 
-    def __init__(self, doc: dict, alpha: float) -> None:
+    def __init__(self, doc: dict, alpha: float,
+                 plan_set: StoredPlanSet | None = None) -> None:
         self.doc = doc
         self.alpha = alpha
-        self.plan_set: StoredPlanSet | None = None
+        self.plan_set = plan_set
 
 
 class WarmStartCache:
@@ -186,8 +189,8 @@ class WarmStartCache:
                 entry.plan_set = plan_set
             return entry.plan_set
 
-    def put(self, signature: str, doc: dict,
-            alpha: float = 0.0) -> None:
+    def put(self, signature: str, doc: dict, alpha: float = 0.0, *,
+            plan_set: StoredPlanSet | None = None) -> None:
         """Insert a plan-set document, writing through to the store.
 
         ``alpha`` tags the entry with the guarantee rung the producing
@@ -195,7 +198,9 @@ class WarmStartCache:
         a tighter one under the same signature — an interrupted anytime
         run cannot degrade a previously cached exact result.  A put that
         does replace an entry drops the old entry's decoded plan set
-        with it.
+        with it.  ``plan_set`` is the caller's decode of ``doc``, if it
+        has one: the new entry keeps it, so no hit decodes ``doc``
+        again.
         """
         alpha = float(alpha)
         if self.store is not None:
@@ -218,4 +223,4 @@ class WarmStartCache:
             existing = self._data.get(signature)
             if existing is not None and existing.alpha < alpha - 1e-12:
                 return  # keep the tighter entry
-            self._data.put(signature, _Entry(doc, alpha))
+            self._data.put(signature, _Entry(doc, alpha, plan_set))

@@ -69,12 +69,11 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
-from ..core import (DEFAULT_SEED_CAP, RUN_COMPLETED, SEED_JUMP_ALPHA, Budget,
+from ..core import (DEFAULT_SEED_CAP, RUN_COMPLETED, Budget,
                     OptimizerStats, ProgressEvent, PWLRRPAOptions,
                     StoredPlanSet, decode_plan, decode_plan_set,
                     encode_result, ladder_to, trim_ladder_for_seed,
                     validate_ladder)
-from .. import config
 from ..errors import OptimizationError
 from ..faults import failpoint
 from ..lp import (LPResultCache, install_shared_lp_cache,
@@ -290,41 +289,29 @@ def _tag_repair_cost(doc: dict, lps) -> dict:
     return doc
 
 
-#: Marker for "the seed spec carried no breadth": keep the run's default.
-_SEED_CAP_UNSET = object()
-
-
-def _decode_seed_spec(spec) -> tuple[list | None, object]:
-    """Decode a seed payload into ``(seed_plans, seed_cap)``.
-
-    The spec is either a mapping (``{"plans": [...], "cap": int|None}``,
-    what :meth:`OptimizerSession._store_seed` builds) or a bare list of
-    plan documents; undecodable plans degrade to an unseeded run.
-    """
-    seed_cap = _SEED_CAP_UNSET
-    if isinstance(spec, dict):
-        seed_docs = spec.get("plans")
-        seed_cap = spec.get("cap", _SEED_CAP_UNSET)
-    else:
-        seed_docs = spec
-    if not seed_docs:
-        return None, seed_cap
+def _decode_seed_plans(spec: dict | None) -> list | None:
+    """The plan trees of a seed spec (``{"plans": [...], "cap": ...}``,
+    what :meth:`OptimizerSession._store_seed` builds); undecodable
+    plans degrade to an unseeded run."""
+    if not spec or not spec["plans"]:
+        return None
     try:
-        return [decode_plan(doc) for doc in seed_docs], seed_cap
+        return [decode_plan(doc) for doc in spec["plans"]]
     except Exception:  # reprolint: disable=REP601
-        return None, seed_cap  # unusable seed: run cold
+        return None  # unusable seed: run cold
 
 
 def _start_run(scenario, query: Query, resolution: int, options,
                 anytime: dict):
     """Build the (possibly store-seeded) run an anytime payload asks for."""
-    seed_plans, seed_cap = _decode_seed_spec(anytime.get("seed"))
+    spec = anytime.get("seed")
+    seed_plans = _decode_seed_plans(spec)
     run = scenario.start_run(
         query, resolution=resolution, options=options,
         precision_ladder=tuple(anytime["ladder"]),
         seed_plans=seed_plans)
-    if seed_plans and seed_cap is not _SEED_CAP_UNSET:
-        run.seed_cap = seed_cap
+    if seed_plans:
+        run.seed_cap = spec["cap"]
     return run
 
 
@@ -731,7 +718,7 @@ class OptimizerSession:
 
     def _store_seed(self, query: Query, signature: str,
                     scenario_name: str, options,
-                    ladder: tuple) -> list[dict] | None:
+                    ladder: tuple) -> dict | None:
         """Similar-query seed lookup in the persistent store tier.
 
         Runs on anytime cache misses.  Registers the query's family
@@ -740,14 +727,13 @@ class OptimizerSession:
         entry with the nearest statistics feature vector.  Returns a
         picklable seed spec — the neighbor's plan-tree documents plus
         the chosen seeding breadth (see :meth:`_seed_breadth`), ready to
-        embed in a pooled payload — or ``None`` when seeding is disabled
-        (``REPRO_STORE_SEED=0``), no store is configured, the ladder has
-        no coarse rung to seed, or the store has no neighbor.
+        embed in a pooled payload — or ``None`` when no store is
+        configured, warm starts are off, the ladder has no coarse rung
+        to seed, or the store has no neighbor.
         """
         store = getattr(self.cache, "store", None)
         if (store is None or not self.warm_start
-                or not ladder or ladder[0] <= 0
-                or not config.enabled("REPRO_STORE_SEED")):
+                or not ladder or ladder[0] <= 0):
             return None
         effective = options if options is not None else self.options
         try:
@@ -784,41 +770,12 @@ class OptimizerSession:
         enough to amortize the quadratic installation, otherwise install
         one near-free incumbent per table set
         (:data:`repro.core.run.DEFAULT_SEED_CAP`).
-        ``REPRO_STORE_SEED_BREADTH`` forces ``all`` or ``one``.
         """
-        raw = config.value("REPRO_STORE_SEED_BREADTH")
-        if raw == "all":
-            return None
-        if raw == "one":
-            return DEFAULT_SEED_CAP
         try:
             repair = float(document.get("repair_lps") or 0.0)
         except (TypeError, ValueError):
             repair = 0.0
         return None if repair >= SEED_ALL_IN_LPS else DEFAULT_SEED_CAP
-
-    def _seed_jump_alpha(self) -> float:
-        """Coarsest rung a seeded run still descends through.
-
-        ``REPRO_STORE_SEED_ALPHA`` overrides the default jump point
-        (:data:`repro.core.run.SEED_JUMP_ALPHA`); unparseable values
-        fall back to the default.
-        """
-        parsed = config.value("REPRO_STORE_SEED_ALPHA")
-        return SEED_JUMP_ALPHA if parsed is None else parsed
-
-    def _seeded_ladder(self, ladder: tuple) -> tuple:
-        """Trim a default ladder for a seeded (warm) run.
-
-        With near-optimal incumbents already in the DP table, the coarse
-        protective rungs no longer pay for themselves: the seeded run
-        jumps straight to the tightest approximate rung and then the
-        target.  This is the measured source of the warm-start speedup
-        (seeds alone merely break even on LPs) — see
-        ``docs/plan-store.md``.  Only applied when the caller did *not*
-        pass an explicit ``precision_ladder``.
-        """
-        return trim_ladder_for_seed(ladder, self._seed_jump_alpha())
 
     def _merge_memo_delta(self, outcome: dict) -> None:
         """Adopt a worker's freshly learned LP-memo entries.
@@ -839,8 +796,8 @@ class OptimizerSession:
         self._merge_memo_delta(outcome)
         status = outcome.get("status", "ok")
         doc = outcome.get("doc")
-        events = tuple(_event_from_doc(event_doc)
-                       for event_doc in outcome.get("trail", ()))
+        trail = outcome.get("trail", ())
+        events = tuple(_event_from_doc(event_doc) for event_doc in trail)
         if doc is None:  # anytime run whose budget beat the first rung
             item = self._error_item(
                 index, signature, scenario_name, "timeout",
@@ -848,14 +805,25 @@ class OptimizerSession:
             item.events = events
             return item
         alpha = float(outcome.get("alpha") or 0.0)
+        # An anytime outcome's document is its last rung's, which that
+        # rung's event has decoded already (pickling keeps the two
+        # references one object); anything else is decoded here.
+        plan_set = None
+        for event_doc, event in zip(trail, events):
+            if event_doc.get("rung", {}).get("doc") is doc:
+                plan_set = event.plan_set
+        if plan_set is None:
+            plan_set = decode_plan_set(doc)
         if self.warm_start:
+            # The cache entry keeps this decoded set, so the first hit
+            # does not decode the document again.
             _tag_repair_cost(doc, (stats or {}).get("lps_solved"))
-            self.cache.put(signature, doc, alpha=alpha)
+            self.cache.put(signature, doc, alpha=alpha, plan_set=plan_set)
         if stats:
             self.lp_cache_hits_total += int(
                 stats.get("lp_cache_hits", 0))
         return BatchItem(index=index, signature=signature, status=status,
-                         plan_set=decode_plan_set(doc), stats=stats,
+                         plan_set=plan_set, stats=stats,
                          seconds=seconds, scenario=scenario_name,
                          alpha=alpha,
                          guarantee=float(outcome.get("guarantee") or 1.0),
@@ -1185,14 +1153,19 @@ class OptimizerSession:
                          budget: Budget | None, *, trim: bool) -> dict:
         """The anytime part of a task payload: ladder, budget, seed.
 
-        Looks up a similar-query seed in the store; a seeded run whose
+        Looks up a similar-query seed in the store.  A seeded run whose
         ladder the caller did not choose (``trim``) skips the coarse
-        rungs (:meth:`_seeded_ladder`).
+        rungs (:func:`~repro.core.run.trim_ladder_for_seed`): with
+        near-optimal incumbents already in the DP table, the protective
+        rungs no longer pay for themselves, and the run jumps straight
+        to the tightest approximate rung and then the target — the
+        measured source of the warm-start speedup (seeds alone merely
+        break even on LPs), see ``docs/plan-store.md``.
         """
         seed = self._store_seed(query, signature, scenario_name, options,
                                 ladder)
         if seed and trim:
-            ladder = self._seeded_ladder(ladder)
+            ladder = trim_ladder_for_seed(ladder)
         anytime = {"ladder": ladder,
                    "budget": budget.as_dict() if budget else None}
         if seed:
@@ -1231,14 +1204,17 @@ class OptimizerSession:
 
         Every completed rung's plan set goes into the cache under its
         alpha tag the moment it exists, and the ``rung_completed`` event
-        carries the decoded set.
+        carries the decoded set — the same instance the cache entry
+        keeps.
         """
+        event = _event_from_doc(doc)
         rung = doc.get("rung")
         if rung is not None and self.warm_start:
             _tag_repair_cost(rung["doc"], doc["event"]["lps_solved"])
             self.cache.put(signature, rung["doc"],
-                           alpha=float(rung["alpha"]))
-        return _event_from_doc(doc)
+                           alpha=float(rung["alpha"]),
+                           plan_set=event.plan_set)
+        return event
 
     def _pooled_event_docs(self, query: Query, scenario_name: str,
                            options, signature: str,

@@ -4,12 +4,12 @@ The parametric plan sets this library produces are precomputed
 artifacts: a Pareto plan set tagged with its parameter region and alpha
 guarantee answers future queries, not just the one that produced it.
 This package persists them in a relational layout where warm-start
-lookups are set-based queries — exact-signature hits, parameter-box
-subsumption, and nearest-neighbor search over statistics feature
-vectors for cross-query seeding.  See ``docs/plan-store.md``.
+lookups are set-based queries — exact-signature hits and
+nearest-neighbor search over statistics feature vectors for
+cross-query seeding.  See ``docs/plan-store.md``.
 """
 
-from .codec import StoreRecord, document_box
+from .codec import StoreRecord
 from .counters import StoreCounters
 from .schema import SCHEMA_VERSION, StoreSchemaError
 from .store import PlanSetStore
@@ -20,5 +20,4 @@ __all__ = [
     "StoreCounters",
     "StoreRecord",
     "StoreSchemaError",
-    "document_box",
 ]

@@ -3,15 +3,13 @@
 Translates between ``encode_plan_set`` documents (the JSON format of
 :mod:`repro.core.serialize`) and the store's relational layout: the
 document itself is kept verbatim as JSON text, while the pieces the
-lookup queries touch — alpha/guarantee tags, the axis-aligned parameter
-bounding box, the statistics feature vector — are lifted into columns
-and side tables at write time.
+lookup queries touch — alpha/guarantee tags and the statistics feature
+vector — are lifted into columns and a side table at write time.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 
@@ -41,44 +39,6 @@ class StoreRecord:
     num_params: int
     features: tuple[float, ...]
     document: dict
-
-
-def document_box(document: dict) -> list[tuple[float, float]]:
-    """Axis-aligned parameter bounding box of a plan-set document.
-
-    The box of the union of the entries' region *spaces*, derived from
-    axis-aligned constraints (``a`` with one non-zero coefficient);
-    oblique constraints cannot tighten an axis-aligned box, so they are
-    ignored — the result is a conservative cover.  Dimensions left
-    unbounded by every entry default to ``[0, 1]`` (the selectivity
-    parameter domain).
-    """
-    dim = max(1, int(document.get("num_params", 1)))
-    los = [math.inf] * dim
-    his = [-math.inf] * dim
-    entries = document.get("entries", [])
-    for entry in entries:
-        space = entry["region"]["space"]
-        entry_lo = [0.0] * dim
-        entry_hi = [1.0] * dim
-        for constraint in space["constraints"]:
-            a, b = constraint["a"], float(constraint["b"])
-            nonzero = [(i, c) for i, c in enumerate(a) if c != 0.0]
-            if len(nonzero) != 1:
-                continue
-            i, coeff = nonzero[0]
-            if coeff > 0:
-                entry_hi[i] = min(entry_hi[i], b / coeff)
-            else:
-                entry_lo[i] = max(entry_lo[i], b / coeff)
-        for i in range(dim):
-            los[i] = min(los[i], entry_lo[i])
-            his[i] = max(his[i], entry_hi[i])
-    if not entries:
-        return [(0.0, 1.0)] * dim
-    return [(lo if math.isfinite(lo) else 0.0,
-             hi if math.isfinite(hi) else 1.0)
-            for lo, hi in zip(los, his)]
 
 
 def encode_document(document: dict) -> str:

@@ -23,7 +23,6 @@ class StoreCounters:
         puts: Documents written (inserted or tightened).
         puts_rejected_coarser: Writes skipped because the store already
             held a tighter (lower-alpha) document for the signature.
-        covering_queries: Parameter-box subsumption queries executed.
         nn_queries: Nearest-neighbor queries executed.
         migrations: Schema migrations applied while opening the store.
         corruption_recoveries: Unreadable database files renamed aside
@@ -39,7 +38,6 @@ class StoreCounters:
     near_hits: int = 0
     puts: int = 0
     puts_rejected_coarser: int = 0
-    covering_queries: int = 0
     nn_queries: int = 0
     migrations: int = 0
     corruption_recoveries: int = 0

@@ -2,13 +2,13 @@
 
 The store keeps one row per query signature in ``plan_sets`` (the full
 ``encode_plan_set`` document plus its alpha/guarantee tags and family
-metadata), the axis-aligned parameter bounding box in ``param_boxes``
-(one row per dimension, so box subsumption is a relational anti-join),
-and the statistics feature vector in ``features`` (one row per
+metadata), the statistics feature vector in ``features`` (one row per
 dimension, so nearest-neighbor search is a ``SUM`` of squared
-differences).  ``PRAGMA user_version`` carries the schema version;
-:func:`ensure_schema` creates fresh databases at the current version and
-upgrades old ones in-place through :data:`MIGRATIONS`.
+differences), and the metadata :meth:`PlanSetStore.register` records
+per signature in ``signatures``.  ``PRAGMA user_version`` carries the
+schema version; :func:`ensure_schema` creates fresh databases at the
+current version and upgrades old ones in-place through
+:data:`MIGRATIONS`.
 """
 
 from __future__ import annotations
@@ -18,16 +18,14 @@ import sqlite3
 from ..errors import ReproError
 
 #: Current schema version (``PRAGMA user_version`` of a fresh store).
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class StoreSchemaError(ReproError):
     """Raised for store files from the future or failed migrations."""
 
 
-#: Version-2 DDL.  Executed statement-by-statement on fresh databases.
-SCHEMA_V2 = (
-    """
+_PLAN_SETS = """
     CREATE TABLE IF NOT EXISTS plan_sets (
         id INTEGER PRIMARY KEY,
         signature TEXT NOT NULL UNIQUE,
@@ -41,22 +39,14 @@ SCHEMA_V2 = (
         num_entries INTEGER NOT NULL,
         document TEXT NOT NULL
     )
-    """,
     """
+
+_FAMILY_INDEX = """
     CREATE INDEX IF NOT EXISTS ix_plan_sets_family
         ON plan_sets (family, alpha)
-    """,
     """
-    CREATE TABLE IF NOT EXISTS param_boxes (
-        plan_set_id INTEGER NOT NULL
-            REFERENCES plan_sets(id) ON DELETE CASCADE,
-        dim INTEGER NOT NULL,
-        lo REAL NOT NULL,
-        hi REAL NOT NULL,
-        PRIMARY KEY (plan_set_id, dim)
-    )
-    """,
-    """
+
+_FEATURES = """
     CREATE TABLE IF NOT EXISTS features (
         plan_set_id INTEGER NOT NULL
             REFERENCES plan_sets(id) ON DELETE CASCADE,
@@ -64,8 +54,9 @@ SCHEMA_V2 = (
         value REAL NOT NULL,
         PRIMARY KEY (plan_set_id, dim)
     )
-    """,
     """
+
+_SIGNATURES = """
     CREATE TABLE IF NOT EXISTS signatures (
         signature TEXT PRIMARY KEY,
         family TEXT NOT NULL,
@@ -75,8 +66,10 @@ SCHEMA_V2 = (
         num_params INTEGER NOT NULL,
         features TEXT NOT NULL DEFAULT '[]'
     )
-    """,
-)
+    """
+
+#: Current DDL.  Executed statement-by-statement on fresh databases.
+SCHEMA = (_PLAN_SETS, _FAMILY_INDEX, _FEATURES, _SIGNATURES)
 
 
 def _migrate_v1_to_v2(conn: sqlite3.Connection) -> None:
@@ -86,19 +79,28 @@ def _migrate_v1_to_v2(conn: sqlite3.Connection) -> None:
     ``stats_digest`` column, plus ``param_boxes``).  Version 2 adds the
     statistics digest, the ``features`` table for nearest-neighbor
     lookups and the ``signatures`` metadata side table.  Old rows keep
-    working for exact hits and box subsumption; they simply have no
-    feature vector, so they are invisible to nearest-neighbor search
-    until rewritten.
+    working for exact hits; they simply have no feature vector, so they
+    are invisible to nearest-neighbor search until rewritten.
     """
     conn.execute(
         "ALTER TABLE plan_sets ADD COLUMN stats_digest TEXT "
         "NOT NULL DEFAULT ''")
-    for statement in SCHEMA_V2[3:]:
-        conn.execute(statement)
+    conn.execute(_FEATURES)
+    conn.execute(_SIGNATURES)
+
+
+def _migrate_v2_to_v3(conn: sqlite3.Connection) -> None:
+    """v2 -> v3: drop the ``param_boxes`` box-subsumption index.
+
+    Every plan set the built-in scenarios produce covers the whole
+    parameter space, so every stored box was the unit box and the index
+    answered nothing; no lookup reads it any more.
+    """
+    conn.execute("DROP TABLE IF EXISTS param_boxes")
 
 
 #: ``from_version -> migration(conn)`` steps, applied in sequence.
-MIGRATIONS = {1: _migrate_v1_to_v2}
+MIGRATIONS = {1: _migrate_v1_to_v2, 2: _migrate_v2_to_v3}
 
 
 def ensure_schema(conn: sqlite3.Connection) -> int:
@@ -116,7 +118,7 @@ def ensure_schema(conn: sqlite3.Connection) -> int:
             f"different store file")
     applied = 0
     if version == 0:
-        for statement in SCHEMA_V2:
+        for statement in SCHEMA:
             conn.execute(statement)
     else:
         while version < SCHEMA_VERSION:

@@ -2,11 +2,9 @@
 
 :class:`PlanSetStore` persists serialized Pareto plan sets
 (``encode_plan_set`` documents) keyed by query signature, with the
-lookup structure the warm-start tier needs:
+two lookups the warm-start tier serves:
 
 * **exact hits** — ``get(signature)``, optionally alpha-bounded;
-* **box subsumption** — ``covering(box)``: which stored plan sets'
-  parameter bounding boxes cover a query box, at ``alpha <= a``;
 * **nearest neighbor** — ``nearest(family, features)``: the stored plan
   set of the same structural family whose statistics feature vector is
   closest, for cross-query warm-start seeding.
@@ -29,12 +27,9 @@ from collections.abc import Sequence
 
 from ..faults import failpoint
 from .codec import (StoreRecord, decode_document, decode_features,
-                    document_box, encode_document, encode_features)
+                    encode_document, encode_features)
 from .counters import StoreCounters
 from .schema import SCHEMA_VERSION, StoreSchemaError, ensure_schema
-
-#: Slack applied to box-subsumption comparisons (floating-point safety).
-BOX_EPS = 1e-9
 
 #: Alpha slack for "coarser never overwrites tighter" (mirrors
 #: :class:`repro.service.cache.WarmStartCache`).
@@ -189,17 +184,14 @@ class PlanSetStore:
     # Writes
     # ------------------------------------------------------------------
 
-    def put(self, signature: str, document: dict, *,
-            family: str | None = None, scenario: str | None = None,
-            stats_digest: str | None = None,
-            num_tables: int | None = None,
-            features: Sequence[float] | None = None) -> bool:
+    def put(self, signature: str, document: dict) -> bool:
         """Store a plan-set document under a signature.
 
-        Metadata omitted by the caller is joined from a prior
-        :meth:`register` for the signature.  A coarser document (higher
-        alpha) never overwrites a tighter stored one; equal-or-tighter
-        documents replace the row (and its box/feature side rows).
+        The row's family metadata and feature vector are joined from a
+        prior :meth:`register` for the signature (empty without one).  A
+        coarser document (higher alpha) never overwrites a tighter
+        stored one; equal-or-tighter documents replace the row (and its
+        feature rows).
 
         Returns:
             Whether the document was written.
@@ -210,21 +202,15 @@ class PlanSetStore:
         failpoint("store.put.fail")
         failpoint("store.put.locked")
         meta = self.metadata(signature)
-        family = family if family is not None else (
-            meta.family if meta else "")
-        scenario = scenario if scenario is not None else (
-            meta.scenario if meta else "")
-        stats_digest = stats_digest if stats_digest is not None else (
-            meta.stats_digest if meta else "")
-        num_tables = num_tables if num_tables is not None else (
-            meta.num_tables if meta else 0)
-        if features is None:
-            features = meta.features if meta else ()
+        family = meta.family if meta else ""
+        scenario = meta.scenario if meta else ""
+        stats_digest = meta.stats_digest if meta else ""
+        num_tables = meta.num_tables if meta else 0
+        features = meta.features if meta else ()
         alpha = float(document.get("alpha", 0.0))
         guarantee = float(document.get("guarantee", 1.0))
         num_params = max(1, int(document.get("num_params", 1)))
         num_entries = len(document.get("entries", []))
-        box = document_box(document)
         with self._lock:
             conn = self._cursor()
             row = conn.execute(
@@ -234,8 +220,6 @@ class PlanSetStore:
                 self.counters.puts_rejected_coarser += 1
                 return False
             if row is not None:
-                conn.execute("DELETE FROM param_boxes WHERE plan_set_id = ?",
-                             (row[0],))
                 conn.execute("DELETE FROM features WHERE plan_set_id = ?",
                              (row[0],))
                 conn.execute("DELETE FROM plan_sets WHERE id = ?", (row[0],))
@@ -247,11 +231,6 @@ class PlanSetStore:
                  int(num_tables), num_params, alpha, guarantee,
                  num_entries, encode_document(document)))
             plan_set_id = cursor.lastrowid
-            conn.executemany(
-                "INSERT INTO param_boxes (plan_set_id, dim, lo, hi) "
-                "VALUES (?,?,?,?)",
-                [(plan_set_id, dim, float(lo), float(hi))
-                 for dim, (lo, hi) in enumerate(box)])
             conn.executemany(
                 "INSERT INTO features (plan_set_id, dim, value) "
                 "VALUES (?,?,?)",
@@ -283,61 +262,9 @@ class PlanSetStore:
         self.counters.exact_hits += 1
         return decode_document(row[1])
 
-    def covering(self, box: Sequence[tuple[float, float]], *,
-                 family: str | None = None,
-                 max_alpha: float | None = None,
-                 limit: int | None = None) -> list[dict]:
-        """Stored plan sets whose parameter box covers ``box``.
-
-        Args:
-            box: ``(lo, hi)`` per parameter dimension.
-            family: Restrict to one structural family.
-            max_alpha: Only entries pruned at ``alpha <= max_alpha``.
-            limit: Cap on returned rows.
-
-        Returns:
-            ``{"signature", "family", "alpha", "guarantee", "document"}``
-            dicts, tightest (lowest alpha) first.  A stored set covers
-            the query box when for every dimension its stored interval
-            contains the queried interval (with float slack); stored
-            sets lacking a dimension do not cover.
-        """
-        box = [(float(lo), float(hi)) for lo, hi in box]
-        if not box:
-            raise ValueError("covering() needs at least one dimension")
-        values = ", ".join(["(?, ?, ?)"] * len(box))
-        params: list = []
-        for dim, (lo, hi) in enumerate(box):
-            params.extend((dim, lo, hi))
-        sql = (
-            f"WITH qbox(dim, lo, hi) AS (VALUES {values}) "
-            "SELECT p.signature, p.family, p.alpha, p.guarantee, p.document"
-            " FROM plan_sets p WHERE p.num_params = ?"
-            " AND (? IS NULL OR p.family = ?)"
-            " AND (? IS NULL OR p.alpha <= ? + ?)"
-            " AND NOT EXISTS ("
-            "   SELECT 1 FROM qbox q LEFT JOIN param_boxes b"
-            "     ON b.plan_set_id = p.id AND b.dim = q.dim"
-            "   WHERE b.dim IS NULL"
-            f"     OR b.lo > q.lo + {BOX_EPS!r}"
-            f"     OR b.hi < q.hi - {BOX_EPS!r})"
-            " ORDER BY p.alpha ASC, p.signature ASC")
-        params.extend((len(box), family, family,
-                       max_alpha, max_alpha, ALPHA_EPS))
-        if limit is not None:
-            sql += " LIMIT ?"
-            params.append(int(limit))
-        with self._lock:
-            rows = self._cursor().execute(sql, params).fetchall()
-        self.counters.covering_queries += 1
-        return [{"signature": r[0], "family": r[1], "alpha": r[2],
-                 "guarantee": r[3], "document": decode_document(r[4])}
-                for r in rows]
-
     def nearest(self, family: str, features: Sequence[float], *,
                 limit: int = 1, exclude_signature: str | None = None,
-                exclude_stats_digest: str | None = None,
-                max_alpha: float | None = None) -> list[dict]:
+                exclude_stats_digest: str | None = None) -> list[dict]:
         """Same-family plan sets ranked by statistics similarity.
 
         Euclidean (squared) distance between the stored feature vectors
@@ -366,12 +293,10 @@ class PlanSetStore:
             " WHERE p.family = ?"
             " AND (? IS NULL OR p.signature <> ?)"
             " AND (? IS NULL OR p.stats_digest <> ?)"
-            " AND (? IS NULL OR p.alpha <= ? + ?)"
             " GROUP BY p.id HAVING COUNT(*) = ?"
             " ORDER BY dist ASC, p.signature ASC LIMIT ?")
         params.extend((family, exclude_signature, exclude_signature,
                        exclude_stats_digest, exclude_stats_digest,
-                       max_alpha, max_alpha, ALPHA_EPS,
                        len(features), int(limit)))
         with self._lock:
             rows = self._cursor().execute(sql, params).fetchall()

@@ -6,8 +6,8 @@ from repro import config
 
 
 def read_via_registry():
-    return (config.enabled("REPRO_STORE_SEED"),
-            config.value("REPRO_STORE_SEED_BREADTH"))
+    return (config.enabled("REPRO_SCALAR_KERNELS"),
+            config.value("REPRO_FAULTS"))
 
 
 def read_non_knob_env():

@@ -155,7 +155,7 @@ def test_rep203_stale_and_missing_knob_table(tmp_path):
     root = make_tree(tmp_path, {"docs/architecture.md": fresh})
     assert lint(root, "src").findings == []
 
-    stale = fresh.replace("REPRO_STORE_SEED_BREADTH", "REPRO_RENAMED_BREADTH")
+    stale = fresh.replace("REPRO_STORE_PERSIST_DB", "REPRO_RENAMED_DB")
     make_tree(tmp_path, {"docs/architecture.md": stale})
     assert rule_ids(lint(root, "src")) == ["REP203"]
 

@@ -8,10 +8,13 @@ warm starts.  Streaming, pool lifecycle and scenarios are covered in
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.api import OptimizerSession, optimize_query
-from repro.core import PWLRRPAOptions, PlanSelector, decode_plan_set
+from repro.core import (PWLRRPAOptions, PlanSelector, decode_plan_set,
+                        encode_plan_set)
 from repro.query import QueryGenerator
 from repro.service import WarmStartCache, query_signature
 from repro.service import cache as cache_module
@@ -178,6 +181,9 @@ class TestWarmStartCache:
             assert session.map(queries)[0].status == "cached"
 
     def test_repeated_hits_decode_once(self, monkeypatch):
+        # Decodes are counted in both modules that bind the decoder: the
+        # miss decodes its document once and hands the plan set to the
+        # cache entry it puts, so no hit decodes it again.
         decodes = []
 
         def counting(doc):
@@ -185,17 +191,47 @@ class TestWarmStartCache:
             return decode_plan_set(doc)
 
         monkeypatch.setattr(cache_module, "decode_plan_set", counting)
+        monkeypatch.setattr(session_module, "decode_plan_set", counting)
         queries = make_queries(1)
         with OptimizerSession("cloud") as session:
-            assert session.map(queries)[0].status == "ok"
-            hits = [session.map(queries)[0] for _ in range(5)]
-            assert session.cache.hits == 5
-        assert [item.status for item in hits] == ["cached"] * 5
+            miss = session.map(queries)[0]
+            assert miss.status == "ok"
+            hits = [session.map(queries)[0] for _ in range(10)]
+            assert (session.cache.hits, session.cache.misses) == (10, 1)
+        assert [item.status for item in hits] == ["cached"] * 10
         assert len(decodes) == 1
-        # One read-only instance answers every hit.
-        assert all(item.plan_set is hits[0].plan_set for item in hits)
+        # One read-only instance answers the miss and every hit.
+        assert all(item.plan_set is miss.plan_set for item in hits)
+        assert len({json.dumps(encode_plan_set(item.plan_set),
+                               sort_keys=True)
+                    for item in [miss, *hits]}) == 1
         with pytest.raises(AttributeError):
             hits[0].plan_set.entries = ()
+
+    def test_put_keeps_the_callers_decode(self, monkeypatch):
+        decodes = []
+
+        def counting(doc):
+            decodes.append(doc)
+            return decode_plan_set(doc)
+
+        monkeypatch.setattr(cache_module, "decode_plan_set", counting)
+        cache = WarmStartCache()
+        exact = {"version": 1, "alpha": 0.0, "guarantee": 1.0,
+                 "entries": []}
+        coarse = {"version": 1, "alpha": 0.5, "guarantee": 3.375,
+                  "entries": []}
+        plan_set = decode_plan_set(exact)
+        cache.put("sig", exact, alpha=0.0, plan_set=plan_set)
+        assert cache.load("sig") is plan_set
+        # A refused coarser put attaches nothing: the tighter entry
+        # keeps its document and its decoded set.
+        cache.put("sig", coarse, alpha=0.5,
+                  plan_set=decode_plan_set(coarse))
+        assert cache.load("sig") is plan_set
+        assert cache.get_entry("sig") == (exact, 0.0)
+        assert decodes == []
+        assert (cache.hits, cache.misses) == (3, 0)
 
     def test_replaced_or_evicted_entry_decodes_afresh(self):
         cache = WarmStartCache(maxsize=1)

@@ -282,6 +282,36 @@ class TestOptimizeIter:
         assert events[0].alpha == 0.0
         assert events[0].plan_set is not None
 
+    @pytest.mark.parametrize("call", ["optimize_iter", "optimize"])
+    def test_rungs_decode_once_each(self, monkeypatch, call):
+        # Every rung is decoded once, for its event.  The streamed
+        # rung's put, or the item's put of the last rung's document,
+        # hands that plan set to the cache entry, so later hits on the
+        # exact rung decode nothing.
+        from repro.service import cache as cache_module
+        from repro.service import session as session_module
+        decodes = []
+
+        def counting(doc):
+            decodes.append(doc)
+            return decode_plan_set(doc)
+
+        monkeypatch.setattr(cache_module, "decode_plan_set", counting)
+        monkeypatch.setattr(session_module, "decode_plan_set", counting)
+        query = make_query(seed=13, num_tables=3)
+        exact = {"precision": 0.0, "budget": Budget(seconds=1e9)}
+        with OptimizerSession("cloud") as session:
+            if call == "optimize_iter":
+                events = list(session.optimize_iter(query))
+            else:
+                events = session.optimize(query, **exact).events
+            rungs = [e for e in events if e.kind == "rung_completed"]
+            hits = [session.optimize(query, **exact) for _ in range(10)]
+        assert [e.alpha for e in rungs] == [0.5, 0.2, 0.05, 0.0]
+        assert [item.status for item in hits] == ["cached"] * 10
+        assert len(decodes) == len(rungs)
+        assert all(item.plan_set is rungs[-1].plan_set for item in hits)
+
     def test_invalid_ladder_rejected(self):
         query = make_query(seed=13, num_tables=2)
         with OptimizerSession("cloud") as session, \

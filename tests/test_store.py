@@ -5,11 +5,11 @@ Covers the contract of :class:`repro.store.PlanSetStore` in isolation
 
 * round trips, alpha bounds, and the coarser-never-overwrites-tighter
   write rule shared with :class:`repro.service.cache.WarmStartCache`;
-* box subsumption (``covering``) and same-family nearest-neighbor
-  search (``nearest``), including exclusion filters;
+* same-family nearest-neighbor search (``nearest``), including
+  exclusion filters;
 * schema versioning — fresh stores at the current version, in-place
-  migration of a checked-in version-1 fixture, refusal of files from
-  the future;
+  migration of checked-in version-1 and version-2 fixtures, refusal of
+  files from the future;
 * robustness — corrupted files degrade to a cold start with a warning,
   two store instances on one WAL file interleave writes safely, and a
   file written by one process is read back by the next (the CI
@@ -37,11 +37,12 @@ from repro.query import QueryGenerator
 from repro.service.registry import get_scenario
 from repro.service.signature import (family_digest, query_signature,
                                      signature_features, statistics_digest)
-from repro.store import (PlanSetStore, SCHEMA_VERSION, StoreSchemaError,
-                         document_box)
+from repro.store import PlanSetStore, SCHEMA_VERSION, StoreSchemaError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-V1_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "store_v1.sql"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+V1_FIXTURE = FIXTURES / "store_v1.sql"
+V2_FIXTURE = FIXTURES / "store_v2.sql"
 
 
 @pytest.fixture(scope="module")
@@ -64,11 +65,26 @@ def coarse_doc(doc, alpha):
     return out
 
 
+def table_names(path) -> set[str]:
+    conn = sqlite3.connect(path)
+    try:
+        return {row[0] for row in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'")}
+    finally:
+        conn.close()
+
+
 class TestRoundTrip:
     def test_fresh_store_is_current_version(self):
         with PlanSetStore() as store:
-            assert store.schema_version() == SCHEMA_VERSION
+            assert store.schema_version() == SCHEMA_VERSION == 3
             assert len(store) == 0
+
+    def test_fresh_store_has_no_box_index(self, tmp_path, plan_doc):
+        path = tmp_path / "store.db"
+        with PlanSetStore(path) as store:
+            assert store.put("sig-a", plan_doc)
+        assert table_names(path) == {"plan_sets", "features", "signatures"}
 
     def test_put_get_round_trip(self, plan_doc):
         with PlanSetStore() as store:
@@ -117,61 +133,10 @@ class TestRoundTrip:
         assert snap["puts"] == 1
         assert snap["schema_version"] == SCHEMA_VERSION
         for key in ("exact_hits", "misses", "near_hits", "nn_queries",
-                    "covering_queries", "puts_rejected_coarser",
-                    "migrations", "corruption_recoveries"):
+                    "puts_rejected_coarser", "migrations",
+                    "corruption_recoveries"):
             assert key in snap
-
-
-class TestBoxSubsumption:
-    def test_document_box_defaults_to_unit_interval(self):
-        assert document_box({"num_params": 2, "entries": []}) == [
-            (0.0, 1.0), (0.0, 1.0)]
-
-    def test_document_box_reads_axis_aligned_constraints(self):
-        doc = {"num_params": 1, "entries": [
-            {"region": {"space": {"constraints": [
-                {"a": [1.0], "b": 0.6},     # x <= 0.6
-                {"a": [-1.0], "b": -0.2},   # x >= 0.2
-            ]}}},
-            {"region": {"space": {"constraints": [
-                {"a": [1.0], "b": 0.9},     # x <= 0.9
-                {"a": [0.3], "b": 0.15},    # x <= 0.5 (scaled)
-            ]}}},
-        ]}
-        # Entry boxes [0.2, 0.6] and [0.0, 0.5]; the document box is
-        # their union.
-        box = document_box(doc)
-        assert box == [(0.0, 0.6)]
-
-    def test_covering_finds_subsuming_boxes(self, plan_doc):
-        narrow = {"num_params": 1, "alpha": 0.0, "guarantee": 1.0,
-                  "entries": [{"plan": {}, "region": {"space": {
-                      "constraints": [{"a": [1.0], "b": 0.5}]}}}]}
-        with PlanSetStore() as store:
-            store.register("sig-wide", family="fam", scenario="cloud")
-            store.register("sig-narrow", family="fam", scenario="cloud")
-            store.put("sig-wide", plan_doc)        # box [0, 1]
-            store.put("sig-narrow", narrow)        # box [0, 0.5]
-            hits = store.covering([(0.2, 0.8)], family="fam")
-            assert [h["signature"] for h in hits] == ["sig-wide"]
-            hits = store.covering([(0.1, 0.4)], family="fam")
-            assert {h["signature"] for h in hits} == {"sig-wide",
-                                                     "sig-narrow"}
-
-    def test_covering_respects_family_and_alpha(self, plan_doc):
-        with PlanSetStore() as store:
-            store.register("sig-a", family="fam-a", scenario="cloud")
-            store.put("sig-a", coarse_doc(plan_doc, 0.2))
-            assert store.covering([(0.0, 1.0)], family="fam-b") == []
-            assert store.covering([(0.0, 1.0)], family="fam-a",
-                                  max_alpha=0.05) == []
-            assert len(store.covering([(0.0, 1.0)], family="fam-a",
-                                      max_alpha=0.2)) == 1
-
-    def test_covering_dimension_mismatch_does_not_cover(self, plan_doc):
-        with PlanSetStore() as store:
-            store.put("sig-a", plan_doc)  # 1 parameter dimension
-            assert store.covering([(0.0, 1.0), (0.0, 1.0)]) == []
+        assert "covering_queries" not in snap
 
 
 class TestNearestNeighbor:
@@ -212,18 +177,18 @@ class TestNearestNeighbor:
 
 
 class TestSchemaVersioning:
-    def build_v1(self, path):
+    def build(self, path, fixture):
         conn = sqlite3.connect(path)
-        conn.executescript(V1_FIXTURE.read_text(encoding="utf-8"))
+        conn.executescript(fixture.read_text(encoding="utf-8"))
         conn.commit()
         conn.close()
 
     def test_v1_fixture_migrates_in_place(self, tmp_path, plan_doc):
         path = tmp_path / "store.db"
-        self.build_v1(path)
+        self.build(path, V1_FIXTURE)
         with PlanSetStore(path) as store:
             assert store.schema_version() == SCHEMA_VERSION
-            assert store.counters.migrations == 1
+            assert store.counters.migrations == 2  # v1 -> v2 -> v3
             # The legacy row survives and still answers exact hits.
             legacy = store.get("sig-legacy")
             assert legacy is not None and legacy["entries"] == []
@@ -236,6 +201,25 @@ class TestSchemaVersioning:
         # Reopening the migrated file applies no further migrations.
         with PlanSetStore(path) as store:
             assert store.counters.migrations == 0
+        assert "param_boxes" not in table_names(path)
+
+    def test_v2_fixture_migrates_in_place(self, tmp_path):
+        path = tmp_path / "store.db"
+        self.build(path, V2_FIXTURE)
+        assert "param_boxes" in table_names(path)
+        with PlanSetStore(path) as store:
+            assert store.schema_version() == SCHEMA_VERSION
+            assert store.counters.migrations == 1  # v2 -> v3
+            # The stored row keeps answering both lookups.
+            doc = store.get("sig-v2")
+            assert doc is not None and doc["entries"] == []
+            rows = store.nearest("fam-v2", (1.0, 2.0))
+            assert [row["signature"] for row in rows] == ["sig-v2"]
+            assert rows[0]["distance"] == 0.0
+        assert table_names(path) == {"plan_sets", "features", "signatures"}
+        with PlanSetStore(path) as store:
+            assert store.counters.migrations == 0
+            assert store.get("sig-v2") == doc
 
     def test_future_version_refused_not_destroyed(self, tmp_path):
         path = tmp_path / "store.db"

@@ -7,22 +7,29 @@ guarantee cheaper than a cold run — by seeding the DP table with the
 neighbor's plan subtrees and jumping the precision ladder straight to
 the tight rungs — while the final exact plan set stays bit-identical
 to a cold run's (the exact rung re-runs the full DP; seeds only ever
-add candidate incumbents, never remove candidates).
+add candidate incumbents, never remove candidates).  Both seeding
+breadths are covered, with one and with two parameters.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
+import repro.service.session as session_module
 from repro.api import (Budget, OptimizerSession, PlanSetStore,
                        WarmStartCache, encode_plan_set)
 from repro.bench import drift_statistics as drift_query
-from repro.core import (DEFAULT_PRECISION_LADDER, SEED_JUMP_ALPHA,
-                        trim_ladder_for_seed)
+from repro.core import (DEFAULT_PRECISION_LADDER, DEFAULT_SEED_CAP,
+                        SEED_JUMP_ALPHA, trim_ladder_for_seed)
 from repro.query import QueryGenerator
 from repro.serve import GatewayConfig, ServingGateway
+from repro.service.session import SEED_ALL_IN_LPS
+
+#: Anytime arguments of an exact, unbounded call (the seeding path).
+EXACT = {"precision": 0.0, "budget": Budget(seconds=1e9)}
 
 
 @pytest.fixture()
@@ -32,16 +39,44 @@ def family():
     return base, drift_query(base, seed=99)
 
 
-def warm_store(base: Query) -> PlanSetStore:
-    """A store already holding the base query's exact plan set."""
+@pytest.fixture()
+def started_runs(monkeypatch):
+    """Every run the session module starts, to read its seed breadth
+    (``seed_cap``) and ``seeded_plans`` afterwards."""
+    runs = []
+    start = session_module._start_run
+
+    def spy(*args, **kwargs):
+        run = start(*args, **kwargs)
+        runs.append(run)
+        return run
+
+    monkeypatch.setattr(session_module, "_start_run", spy)
+    return runs
+
+
+def warm_store(base: Query, *, resolution: int = 2,
+               repair_lps: float | None = None) -> PlanSetStore:
+    """A store already holding the base query's exact plan set.
+
+    With ``repair_lps`` the stored document is re-put carrying that
+    recorded repair cost, which picks the seeding breadth of runs
+    seeded from it.
+    """
     store = PlanSetStore()
-    with OptimizerSession("cloud",
+    with OptimizerSession("cloud", resolution=resolution,
                           cache=WarmStartCache(store=store)) as session:
-        item = session.optimize(base, precision=0.0,
-                                budget=Budget(seconds=1e9))
+        item = session.optimize(base, **EXACT)
         assert item.status == "ok"
     assert len(store) >= 1
+    if repair_lps is not None:
+        document = dict(store.get(item.signature), repair_lps=repair_lps)
+        assert store.put(item.signature, document)
     return store
+
+
+def plan_set_bytes(item) -> str:
+    return json.dumps(encode_plan_set(item.plan_set), sort_keys=True)
 
 
 def rung_alphas(session: OptimizerSession, query: Query, **kwargs):
@@ -105,34 +140,6 @@ class TestSessionSeeding:
                                  precision_ladder=(0.5, 0.0))
             assert session.store_seed_hits == 1  # seeded, not trimmed
         assert tuple(alphas) == (0.5, 0.0)
-        store.close()
-
-    def test_jump_alpha_env_override(self, family, monkeypatch):
-        base, drifted = family
-        store = warm_store(base)
-        monkeypatch.setenv("REPRO_STORE_SEED_ALPHA", "0.2")
-        with OptimizerSession(
-                "cloud", cache=WarmStartCache(store=store)) as session:
-            assert tuple(rung_alphas(session, drifted)) == (0.2, 0.05, 0.0)
-        monkeypatch.setenv("REPRO_STORE_SEED_ALPHA", "not-a-number")
-        # A fresh near miss (the first one's exact set is now stored, so
-        # it would be an exact hit): unparseable values use the default.
-        other = drift_query(base, seed=123)
-        with OptimizerSession(
-                "cloud", cache=WarmStartCache(store=store)) as session:
-            assert tuple(rung_alphas(session, other)) == (0.05, 0.0)
-        store.close()
-
-    def test_seeding_disabled_by_env(self, family, monkeypatch):
-        base, drifted = family
-        store = warm_store(base)
-        monkeypatch.setenv("REPRO_STORE_SEED", "0")
-        with OptimizerSession(
-                "cloud", cache=WarmStartCache(store=store)) as session:
-            assert tuple(rung_alphas(session, drifted)) == \
-                DEFAULT_PRECISION_LADDER
-            assert session.store_seed_hits == 0
-            assert session.store_seed_misses == 0
         store.close()
 
     def test_exact_store_hit_short_circuits_seeding(self, family):
@@ -201,9 +208,7 @@ class TestSeedBreadth:
         assert float(doc["repair_lps"]) > 0
         store.close()
 
-    def test_breadth_policy_follows_recorded_repair_cost(self, monkeypatch):
-        from repro.core import DEFAULT_SEED_CAP
-        from repro.service.session import SEED_ALL_IN_LPS
+    def test_breadth_policy_follows_recorded_repair_cost(self):
         with OptimizerSession("cloud") as session:
             cheap = {"repair_lps": 10.0}
             expensive = {"repair_lps": SEED_ALL_IN_LPS}
@@ -215,27 +220,78 @@ class TestSeedBreadth:
             assert session._seed_breadth({"repair_lps": "junk"}) == \
                 DEFAULT_SEED_CAP
             assert session._seed_breadth(expensive) is None
-            monkeypatch.setenv("REPRO_STORE_SEED_BREADTH", "all")
-            assert session._seed_breadth(cheap) is None
-            monkeypatch.setenv("REPRO_STORE_SEED_BREADTH", "one")
-            assert session._seed_breadth(expensive) == DEFAULT_SEED_CAP
 
     def test_whole_frontier_seed_stays_bit_identical(self, family,
-                                                     monkeypatch):
+                                                     started_runs):
         base, drifted = family
-        store = warm_store(base)
-        monkeypatch.setenv("REPRO_STORE_SEED_BREADTH", "all")
+        # The base re-put as an expensive repair: its neighbors adopt
+        # the whole frontier.
+        store = warm_store(base, repair_lps=SEED_ALL_IN_LPS)
         with OptimizerSession(
                 "cloud", cache=WarmStartCache(store=store)) as session:
             warm = session.optimize(drifted, precision=0.0,
                                     budget=Budget(seconds=1e9))
             assert session.store_seed_hits == 1
+        run = started_runs[-1]
+        assert run.seed_cap is None and run.seeded_plans > 0
         with OptimizerSession("cloud") as session:
             cold = session.optimize(drifted, precision=0.0,
                                     budget=Budget(seconds=1e9))
         assert encode_plan_set(warm.plan_set) == encode_plan_set(
             cold.plan_set)
         store.close()
+
+
+class TestTwoParameterSeeding:
+    """Both breadth arms on a 2-parameter family: a 3-table chain at
+    resolution 1, drifted statistics, seeded from the base's exact set.
+    """
+
+    RESOLUTION = 1
+
+    @pytest.fixture(scope="class")
+    def two_param_family(self):
+        base = QueryGenerator(seed=71).generate(num_tables=3,
+                                                shape="chain",
+                                                num_params=2)
+        drifted = drift_query(base, seed=99)
+        with OptimizerSession("cloud",
+                              resolution=self.RESOLUTION) as session:
+            cold = session.optimize(drifted, **EXACT)
+        assert cold.status == "ok" and cold.alpha == 0.0
+        return base, drifted, plan_set_bytes(cold)
+
+    def seeded(self, store, drifted):
+        with OptimizerSession("cloud", resolution=self.RESOLUTION,
+                              cache=WarmStartCache(store=store)) as session:
+            warm = session.optimize(drifted, **EXACT)
+            assert session.store_seed_hits == 1
+        store.close()
+        assert warm.status == "ok" and warm.alpha == 0.0
+        return warm
+
+    def test_cheap_neighbor_seeds_one_incumbent(self, two_param_family,
+                                                started_runs):
+        base, drifted, cold_bytes = two_param_family
+        store = warm_store(base, resolution=self.RESOLUTION)
+        # The base run's LP count is the repair cost its document
+        # records: below the whole-frontier threshold.
+        (base_run,) = started_runs
+        assert 0 < base_run.result().stats.lps_solved < SEED_ALL_IN_LPS
+        warm = self.seeded(store, drifted)
+        run = started_runs[-1]
+        assert run.seed_cap == DEFAULT_SEED_CAP and run.seeded_plans > 0
+        assert plan_set_bytes(warm) == cold_bytes
+
+    def test_expensive_neighbor_seeds_whole_frontier(self, two_param_family,
+                                                     started_runs):
+        base, drifted, cold_bytes = two_param_family
+        store = warm_store(base, resolution=self.RESOLUTION,
+                           repair_lps=SEED_ALL_IN_LPS)
+        warm = self.seeded(store, drifted)
+        run = started_runs[-1]
+        assert run.seed_cap is None and run.seeded_plans > 0
+        assert plan_set_bytes(warm) == cold_bytes
 
 
 class TestGatewaySharedStore:

@@ -80,14 +80,10 @@ class KnobDecl:
     default: str | None
     kind: str
     doc: str
-    choices: tuple[str, ...] = ()
 
     def table_row(self) -> str:
         default = "*(unset)*" if self.default is None else f"`{self.default}`"
-        kind = self.kind
-        if self.choices:
-            kind = f"{kind} ({'/'.join(self.choices)})"
-        return f"| `{self.name}` | {kind} | {default} | {self.doc} |"
+        return f"| `{self.name}` | {self.kind} | {default} | {self.doc} |"
 
 
 def knob_table_markdown(knobs: tuple[KnobDecl, ...]) -> str:
@@ -169,8 +165,7 @@ class ProjectContext:
                 name=kwargs["name"],
                 default=kwargs.get("default"),
                 kind=kwargs.get("kind", ""),
-                doc=kwargs.get("doc", ""),
-                choices=tuple(kwargs.get("choices", ()) or ())))
+                doc=kwargs.get("doc", "")))
         return tuple(knobs)
 
     @cached_property
