@@ -1,4 +1,4 @@
-"""Ablation: the Section 6.2 refinements of PWL-RRPA, plus kernel modes.
+"""Ablation: the Section 6.2 refinements of PWL-RRPA.
 
 The paper lists three refinements that "led to significant performance
 improvements in our experiments": redundant-constraint elimination,
@@ -6,13 +6,6 @@ redundant-cutout elimination, and relevance points.  This bench runs the
 same query with each refinement toggled, plus both emptiness strategies
 (the paper's convexity-recognition path vs. direct difference), recording
 time and LP counts for EXPERIMENTS.md.
-
-A second axis ablates the geometry *kernels*: the batched/vectorized
-emptiness, dominance and PWL-addition paths vs. the scalar
-per-piece-pair loops (``REPRO_SCALAR_KERNELS=1``).  Each point records
-``emptiness_lp_seconds`` — the wall time of the region-difference LP cost
-center — so the benchmark's JSON artifact carries the before/after split
-of the batched-kernel work.
 
 Run with::
 
@@ -40,32 +33,9 @@ CONFIGS = {
     "alpha_dominance_0.25": PWLRRPAOptions(approximation_factor=0.25),
 }
 
-#: Kernel ablation: REPRO_SCALAR_KERNELS value per configuration.
-KERNELS = {"batched_kernels": "", "scalar_kernels": "1"}
-
 
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
 def test_refinement_ablation(benchmark, record_point, config_name):
     m = record_point(benchmark, POINT, options=CONFIGS[config_name])
     benchmark.extra_info["config"] = config_name
     assert m.pareto_plans >= 1
-
-
-@pytest.mark.parametrize("kernel_name", sorted(KERNELS))
-def test_kernel_ablation(benchmark, record_point, monkeypatch,
-                         kernel_name):
-    """Batched vs. scalar geometry kernels on the same query.
-
-    Identical Pareto plan sets by construction; what differs — and what
-    the JSON artifact records — is ``emptiness_lp_seconds`` and the LP
-    count, the bottleneck the batched kernels shrink.
-    """
-    monkeypatch.setenv("REPRO_SCALAR_KERNELS", KERNELS[kernel_name])
-    # No-relevance-points options route every region decision through the
-    # emptiness LPs, which is exactly the cost center under ablation.
-    m = record_point(benchmark, POINT,
-                     options=PWLRRPAOptions(use_relevance_points=False))
-    benchmark.extra_info["config"] = f"kernels_{kernel_name}"
-    benchmark.extra_info["scalar_kernels"] = KERNELS[kernel_name] == "1"
-    assert m.pareto_plans >= 1
-    assert m.emptiness_lp_seconds > 0

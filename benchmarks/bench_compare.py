@@ -11,13 +11,12 @@ This tool distills them into a flat set of *tracked metrics* and either
   gated metric regresses beyond its tolerance** (default 20%).
 
 Gated metrics are deterministic optimizer counters (#solved LPs, #created
-plans — the paper's own cost measures) plus the batched-vs-scalar kernel
-LP ratio, all of which are machine-independent: the benchmark workloads
-are derived from stable CRC32 seeds (see
-:func:`repro.bench.workloads.queries_for_point`), so the same code
-produces the same counters everywhere.  Wall-clock metrics (qps,
-emptiness seconds) are recorded and reported but not gated by default —
-shared CI runners make raw timings too noisy.
+plans — the paper's own cost measures), all of which are
+machine-independent: the benchmark workloads are derived from stable
+CRC32 seeds (see :func:`repro.bench.workloads.queries_for_point`), so
+the same code produces the same counters everywhere.  Wall-clock
+metrics (qps, emptiness seconds) are recorded and reported but not
+gated by default — shared CI runners make raw timings too noisy.
 
 Refreshing the baseline after an intentional perf change — pass **all**
 artifact families (compare iterates baseline keys only, so omitting a
@@ -105,44 +104,20 @@ def _fig12_metrics(path: str) -> dict[str, dict]:
 
 
 def _ablation_metrics(path: str) -> dict[str, dict]:
-    """Tracked metrics from the refinement/kernel ablation artifact.
-
-    Besides the per-config LP counters this derives the batched/scalar
-    kernel ratios — the quantities that erode when the vectorized
-    kernels silently stop being used.
-    """
+    """Tracked metrics from the refinement ablation artifact: each
+    config's LP count (gated) and emptiness LP seconds (recorded)."""
     metrics: dict[str, dict] = {}
-    by_config: dict[str, dict] = {}
     for bench in _load(path).get("benchmarks", []):
         info = bench.get("extra_info", {})
         config = info.get("config")
         if not config:
             continue
-        by_config[config] = {"lps_solved": info.get("lps_solved"),
-                             "emptiness_lp_seconds":
-                                 info.get("emptiness_lp_seconds"),
-                             "seconds": bench["stats"]["mean"]}
         metrics[f"ablation.{config}.lps_solved"] = {
             "value": info["lps_solved"], "direction": "lower",
             "tolerance": DEFAULT_TOLERANCE, "gate": True}
         if info.get("emptiness_lp_seconds") is not None:
             metrics[f"ablation.{config}.emptiness_lp_seconds"] = {
                 "value": info["emptiness_lp_seconds"],
-                "direction": "lower",
-                "tolerance": DEFAULT_TOLERANCE, "gate": False}
-    batched = by_config.get("kernels_batched_kernels")
-    scalar = by_config.get("kernels_scalar_kernels")
-    if batched and scalar and scalar["lps_solved"]:
-        # Deterministic: the fraction of the scalar path's LPs the
-        # batched kernels actually solve.  Tighter tolerance — a full
-        # fallback to the scalar loops moves it by well under 20%.
-        metrics["ablation.kernels.lp_ratio"] = {
-            "value": batched["lps_solved"] / scalar["lps_solved"],
-            "direction": "lower", "tolerance": 0.08, "gate": True}
-        if scalar["emptiness_lp_seconds"]:
-            metrics["ablation.kernels.emptiness_seconds_ratio"] = {
-                "value": (batched["emptiness_lp_seconds"]
-                          / scalar["emptiness_lp_seconds"]),
                 "direction": "lower",
                 "tolerance": DEFAULT_TOLERANCE, "gate": False}
     return metrics

@@ -180,10 +180,9 @@ class PWLBackend(RRPABackend):
     def dominance_many(self, costs_a, cost_b) -> list[list[ConvexPolytope]]:
         """Vectorized ``Dom(a_k, b)`` over all aligned incumbents at once.
 
-        Unaligned batches fall back to pairwise ``Dom``, where each pair
-        runs the NumPy general-path kernel with batched emptiness LPs
-        (:meth:`MultiObjectivePWL._dominance_general_vectorized`) unless
-        ``REPRO_SCALAR_KERNELS=1`` forces the scalar piece-pair loops.
+        Batches the aligned kernel cannot take fall back to pairwise
+        ``Dom`` (:meth:`MultiObjectivePWL.dominance_polytopes`), where an
+        unaligned pair runs the paper's general piece-pair loop.
         """
         if self.options.vectorized_pruning:
             batch = batch_dominance_aligned(

@@ -28,9 +28,8 @@ from collections.abc import Callable, Iterable, Sequence
 import numpy as np
 
 from ..errors import DimensionMismatchError, EmptyRegionError
-from ..geometry import ConvexPolytope, emptiness_many
+from ..geometry import ConvexPolytope
 from ..lp import LinearProgramSolver
-from ..util import scalar_kernels_enabled
 from .linear import LinearPiece
 
 
@@ -139,11 +138,10 @@ class PiecewiseLinearFunction:
         On the shared-partition fast path no LP is solved; otherwise each
         pair of piece regions is intersected and pairs with empty
         intersections are dropped (one emptiness LP each, mirroring the
-        "check if intersection is empty" step in the pseudo-code).  The
-        general path sums the coefficient arrays of all piece pairs in
-        one NumPy pass and decides the pairwise emptiness LPs in one
-        batch (``REPRO_SCALAR_KERNELS=1`` selects the equivalent
-        per-piece-pair loop instead; the results are bit-identical).
+        "check if intersection is empty" step in the pseudo-code).  This
+        per-piece-pair loop is the paper's; the cost models build every
+        cost on one shared grid, so only functions on different
+        partitions reach it.
 
         Args:
             other: The function to add.
@@ -158,8 +156,6 @@ class PiecewiseLinearFunction:
                                            self.partition_token)
         if solver is None:
             raise ValueError("solver required for unaligned PWL addition")
-        if not scalar_kernels_enabled():
-            return self._add_general_vectorized(other, solver)
         pieces = []
         for p1 in self.pieces:
             for p2 in other.pieces:
@@ -169,37 +165,6 @@ class PiecewiseLinearFunction:
                 pieces.append(LinearPiece(region=region,
                                           w=np.asarray(p1.w) + p2.w,
                                           b=p1.b + p2.b))
-        if not pieces:
-            raise EmptyRegionError("sum has no non-empty piece region")
-        return PiecewiseLinearFunction(self.dim, pieces)
-
-    def _add_general_vectorized(self, other: PiecewiseLinearFunction,
-                                solver: LinearProgramSolver
-                                ) -> PiecewiseLinearFunction:
-        """Unaligned addition with NumPy coefficient sums and batched LPs.
-
-        Mirrors the scalar general path of :meth:`add` pair for pair: the
-        summed weight vectors and base costs of all ``n1 * n2`` piece
-        pairs come out of one broadcast addition (bit-identical to the
-        per-pair float additions), and the pairwise intersection
-        emptiness checks are decided by one batched LP pass instead of
-        ``n1 * n2`` sequential solver calls.
-        """
-        n2 = len(other.pieces)
-        w_sum = (np.array([p.w for p in self.pieces])[:, None, :]
-                 + np.array([p.w for p in other.pieces])[None, :, :])
-        b_sum = (np.array([p.b for p in self.pieces])[:, None]
-                 + np.array([p.b for p in other.pieces])[None, :])
-        regions = [p1.region.intersect(p2.region)
-                   for p1 in self.pieces for p2 in other.pieces]
-        empty = emptiness_many(regions, solver)
-        pieces = []
-        for idx, region in enumerate(regions):
-            if empty[idx]:
-                continue
-            i, j = divmod(idx, n2)
-            pieces.append(LinearPiece(region=region, w=w_sum[i, j],
-                                      b=b_sum[i, j]))
         if not pieces:
             raise EmptyRegionError("sum has no non-empty piece region")
         return PiecewiseLinearFunction(self.dim, pieces)
@@ -259,20 +224,15 @@ class PiecewiseLinearFunction:
                           take_max: bool) -> PiecewiseLinearFunction:
         """Piecewise max/min: split each region overlap at the crossing plane.
 
-        The general path decides its emptiness LPs (overlap feasibility
-        and the two crossing-split halves) in batched
-        :func:`~repro.geometry.emptiness_many` passes rather than one
-        Python solver call per piece pair; ``REPRO_SCALAR_KERNELS=1``
-        selects the equivalent per-pair loop (bit-identical results).
+        The general path loops over the piece pairs: one emptiness LP
+        per region overlap, then one per half of the overlap on either
+        side of the plane where the two linear functions cross.
         """
         if other.dim != self.dim:
             raise DimensionMismatchError("combining functions of mixed dims")
         aligned = self._aligned_extremum(other, take_max)
         if aligned is not None:
             return aligned
-        if not scalar_kernels_enabled():
-            return self._combine_extremum_vectorized(other, solver,
-                                                     take_max)
         pieces: list[LinearPiece] = []
         for p1 in self.pieces:
             for p2 in other.pieces:
@@ -290,47 +250,6 @@ class PiecewiseLinearFunction:
                     pieces.append(winner_on_p1le.restricted(p1_le))
                 if not p2_le.is_empty(solver):
                     pieces.append(winner_on_p2le.restricted(p2_le))
-        if not pieces:
-            raise EmptyRegionError("extremum has no non-empty piece region")
-        return PiecewiseLinearFunction(self.dim, pieces)
-
-    def _combine_extremum_vectorized(
-            self, other: PiecewiseLinearFunction,
-            solver: LinearProgramSolver,
-            take_max: bool) -> PiecewiseLinearFunction:
-        """Batched general-path max/min, mirroring the scalar loop.
-
-        Round 1 batches the overlap-emptiness LPs of all piece pairs;
-        round 2 batches the emptiness LPs of the two crossing-split
-        halves of every surviving overlap.  Pieces are appended in the
-        scalar loop's order (pair for pair, ``p1 <= p2`` half first), so
-        the resulting function is bit-identical.
-        """
-        pairs = [(p1, p2) for p1 in self.pieces for p2 in other.pieces]
-        overlaps = [p1.region.intersect(p2.region) for p1, p2 in pairs]
-        overlap_empty = emptiness_many(overlaps, solver)
-        halves: list[ConvexPolytope] = []
-        survivors: list[tuple[LinearPiece, LinearPiece]] = []
-        for (p1, p2), overlap, empty in zip(pairs, overlaps,
-                                            overlap_empty):
-            if empty:
-                continue
-            diff_w = np.asarray(p1.w) - np.asarray(p2.w)
-            diff_b = p2.b - p1.b
-            # Region where p1 <= p2: diff_w @ x <= diff_b.
-            halves.append(overlap.with_halfspace(diff_w, diff_b))
-            halves.append(overlap.with_halfspace(-diff_w, -diff_b))
-            survivors.append((p1, p2))
-        half_empty = emptiness_many(halves, solver)
-        pieces: list[LinearPiece] = []
-        for pair_index, (p1, p2) in enumerate(survivors):
-            p1_le, p2_le = halves[2 * pair_index:2 * pair_index + 2]
-            winner_on_p1le = p2 if take_max else p1
-            winner_on_p2le = p1 if take_max else p2
-            if not half_empty[2 * pair_index]:
-                pieces.append(winner_on_p1le.restricted(p1_le))
-            if not half_empty[2 * pair_index + 1]:
-                pieces.append(winner_on_p2le.restricted(p2_le))
         if not pieces:
             raise EmptyRegionError("extremum has no non-empty piece region")
         return PiecewiseLinearFunction(self.dim, pieces)
@@ -353,43 +272,29 @@ class PiecewiseLinearFunction:
                   solver: LinearProgramSolver) -> tuple[float, float]:
         """Return ``(min, max)`` of the function over ``region``.
 
-        Only pieces whose region intersects ``region`` contribute.  The
-        per-piece overlap emptiness checks and min/max objective LPs run
-        as two batched :meth:`~repro.lp.LinearProgramSolver.solve_many`
-        passes; ``REPRO_SCALAR_KERNELS=1`` selects the equivalent
-        per-piece loop (bit-identical results).
+        Only pieces whose region intersects ``region`` contribute: one
+        emptiness LP per piece overlap, then a minimizing and a
+        maximizing LP per non-empty overlap.
 
         Raises:
             EmptyRegionError: When no piece region intersects ``region``.
         """
         overlaps = [piece.region.intersect(region)
                     for piece in self.pieces]
-        if scalar_kernels_enabled():
-            empty = [overlap.is_empty(solver) for overlap in overlaps]
-        else:
-            empty = emptiness_many(overlaps, solver)
+        empty = [overlap.is_empty(solver) for overlap in overlaps]
         live = [(piece, overlap)
                 for piece, overlap, is_empty in zip(self.pieces, overlaps,
                                                     empty)
                 if not is_empty]
         if not live:
             raise EmptyRegionError("function has no piece on the region")
-        if scalar_kernels_enabled():
-            results = []
-            for piece, overlap in live:
-                results.append(solver.solve(piece.w, overlap._a,
-                                            overlap._b, purpose="bounds"))
-                results.append(solver.solve(-np.asarray(piece.w),
-                                            overlap._a, overlap._b,
-                                            purpose="bounds"))
-        else:
-            problems = []
-            for piece, overlap in live:
-                problems.append((np.asarray(piece.w, dtype=float),
-                                 overlap._a, overlap._b, None))
-                problems.append((-np.asarray(piece.w, dtype=float),
-                                 overlap._a, overlap._b, None))
-            results = solver.solve_many(problems, purpose="bounds")
+        results = []
+        for piece, overlap in live:
+            results.append(solver.solve(piece.w, overlap._a,
+                                        overlap._b, purpose="bounds"))
+            results.append(solver.solve(-np.asarray(piece.w),
+                                        overlap._a, overlap._b,
+                                        purpose="bounds"))
         lo, hi = np.inf, -np.inf
         bounded = False
         for index, (piece, __) in enumerate(live):

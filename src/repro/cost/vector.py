@@ -30,7 +30,6 @@ from ..errors import DimensionMismatchError
 from ..geometry import (GEOMETRY_EPS, ConvexPolytope, LinearConstraint,
                         emptiness_many)
 from ..lp import LinearProgramSolver
-from ..util import scalar_kernels_enabled
 from .linear import LinearPiece
 from .pwl import PiecewiseLinearFunction
 
@@ -188,6 +187,12 @@ class MultiObjectivePWL:
         within each linear region; the returned list is the union over the
         linear-region partition.
 
+        Functions on one shared partition take the aligned path, which
+        decides the emptiness LPs of all mixed cells in one batch.  Any
+        other pair takes the paper's general loop, one emptiness LP per
+        piece-pair region, dominance candidate and cross-metric
+        intersection.
+
         Args:
             other: The plan cost function to compare against.
             solver: LP solver (each emptiness filter counts one LP, as in
@@ -208,10 +213,7 @@ class MultiObjectivePWL:
             raise ValueError("approximation factor must be >= 0")
         if self.same_partition(other):
             return self._dominance_aligned(other, solver, relax=relax)
-        if scalar_kernels_enabled():
-            return self._dominance_general(other, solver, relax=relax)
-        return self._dominance_general_vectorized(other, solver,
-                                                  relax=relax)
+        return self._dominance_general(other, solver, relax=relax)
 
     def _dominance_aligned(self, other: MultiObjectivePWL,
                            solver: LinearProgramSolver,
@@ -222,12 +224,12 @@ class MultiObjectivePWL:
         dominance is first decided at the vertices: a linear inequality
         that holds at every vertex holds on the whole cell, and one that
         fails at every vertex fails on the whole cell.  Only genuinely
-        mixed cells fall back to an emptiness LP.
+        mixed cells fall back to an emptiness LP, all of them decided in
+        one batched pass.
         """
         names = self.metric_names
         factor = 1.0 + relax
         first = self.components[names[0]]
-        batch_lps = not scalar_kernels_enabled()
         polys: list[ConvexPolytope | None] = []
         undecided: list[ConvexPolytope] = []
         for idx in range(len(first.pieces)):
@@ -267,13 +269,11 @@ class MultiObjectivePWL:
                 # The cell centroid satisfies all constraints: non-empty
                 # without an LP.
                 polys.append(candidate)
-            elif batch_lps:
+            else:
                 # Genuinely mixed cell: hold its slot, decide all the
                 # mixed cells' emptiness LPs in one batched pass below.
                 polys.append(None)
                 undecided.append(candidate)
-            elif not candidate.is_empty(solver):
-                polys.append(candidate)
         if undecided:
             empty = emptiness_many(undecided, solver)
             decided = iter(zip(undecided, empty))
@@ -325,84 +325,6 @@ class MultiObjectivePWL:
                     if not candidate.is_empty(solver):
                         next_combined.append(candidate)
             combined = next_combined
-            if not combined:
-                return []
-        return combined
-
-    def _dominance_general_vectorized(self, other: MultiObjectivePWL,
-                                      solver: LinearProgramSolver,
-                                      relax: float = 0.0
-                                      ) -> list[ConvexPolytope]:
-        """NumPy form of the general ``Dom`` with batched emptiness LPs.
-
-        Mirrors :meth:`_dominance_general` decision for decision (the
-        scalar path stays available via ``REPRO_SCALAR_KERNELS=1`` and is
-        what the equivalence suite compares against):
-
-        * the per-metric dominance-constraint coefficients of all
-          ``n1 * n2`` piece pairs come out of one broadcast subtraction,
-          and their trivial / trivially-infeasible classification is one
-          vectorized norm test instead of a :class:`LinearConstraint`
-          construction per pair;
-        * the piece-pair intersection emptiness checks, the dominance
-          polytope emptiness checks, and each cross-metric combination
-          round run as single batched LP passes.
-
-        Constraints attached to surviving polytopes are added with
-        :meth:`ConvexPolytope.with_halfspace`, which normalizes the same
-        difference vectors the scalar path passes to
-        :meth:`LinearConstraint.make` the same way, so the produced
-        polytopes are identical.
-        """
-        factor = 1.0 + relax
-        per_metric: list[list[ConvexPolytope]] = []
-        for name in self.metric_names:
-            f1 = self.components[name]
-            f2 = other.components[name]
-            n2 = len(f2.pieces)
-            w1 = np.array([p.w for p in f1.pieces], dtype=float)
-            b1 = np.array([p.b for p in f1.pieces], dtype=float)
-            w2 = np.array([p.w for p in f2.pieces], dtype=float)
-            b2 = np.array([p.b for p in f2.pieces], dtype=float)
-            diff_w = w1[:, None, :] - factor * w2[None, :, :]  # (n1, n2, d)
-            diff_b = factor * b2[None, :] - b1[:, None]        # (n1, n2)
-            # Degenerate zero-coefficient constraints, classified exactly
-            # as LinearConstraint.make + is_trivial/is_infeasible_trivial
-            # would (near-zero rows keep their unnormalized rhs).
-            nontrivial = np.linalg.norm(diff_w, axis=-1) > GEOMETRY_EPS
-            trivial = ~nontrivial & (diff_b >= -GEOMETRY_EPS)
-            infeasible_triv = ~nontrivial & (diff_b < -GEOMETRY_EPS)
-
-            regions = [p1.region.intersect(p2.region)
-                       for p1 in f1.pieces for p2 in f2.pieces]
-            region_empty = emptiness_many(regions, solver)
-            candidates: list[ConvexPolytope] = []
-            for idx, region in enumerate(regions):
-                if region_empty[idx]:
-                    continue
-                i, j = divmod(idx, n2)
-                if infeasible_triv[i, j]:
-                    continue
-                if trivial[i, j]:
-                    candidates.append(region)
-                else:
-                    candidates.append(region.with_halfspace(
-                        diff_w[i, j], diff_b[i, j]))
-            dom_empty = emptiness_many(candidates, solver)
-            polys_m = [dom for dom, empty in zip(candidates, dom_empty)
-                       if not empty]
-            if not polys_m:
-                return []  # dominated nowhere according to this metric
-            per_metric.append(polys_m)
-        # Combine results from different metrics (cross intersections),
-        # one batched emptiness pass per combination round.
-        combined = per_metric[0]
-        for polys_m in per_metric[1:]:
-            crossed = [left.intersect(right)
-                       for left in combined for right in polys_m]
-            empty = emptiness_many(crossed, solver)
-            combined = [poly for poly, is_empty in zip(crossed, empty)
-                        if not is_empty]
             if not combined:
                 return []
         return combined

@@ -99,9 +99,8 @@ def chebyshev_many(polytopes: Sequence[ConvexPolytope],
 
 
 def has_interior_many(polytopes: Sequence[ConvexPolytope],
-                      solver: LinearProgramSolver,
-                      eps: float = INTERIOR_EPS) -> list[bool]:
+                      solver: LinearProgramSolver) -> list[bool]:
     """Batched :meth:`ConvexPolytope.has_interior` over many polytopes."""
-    return [radius > eps
+    return [radius > INTERIOR_EPS
             for __, radius in chebyshev_many(polytopes, solver)]
 

@@ -26,7 +26,7 @@ from collections.abc import Sequence
 from ..lp import LinearProgramSolver
 from .constraints import LinearConstraint
 from .difference import subtract_polytopes
-from .polytope import INTERIOR_EPS, ConvexPolytope
+from .polytope import ConvexPolytope
 
 
 def constraint_valid_for(constraint: LinearConstraint,
@@ -79,16 +79,15 @@ def envelope(polytopes: Sequence[ConvexPolytope],
 
 
 def union_as_polytope(polytopes: Sequence[ConvexPolytope],
-                      solver: LinearProgramSolver,
-                      interior_eps: float = INTERIOR_EPS
+                      solver: LinearProgramSolver
                       ) -> ConvexPolytope | None:
     """Recognize whether a union of polytopes is convex.
 
     Args:
         polytopes: Non-empty sequence of convex polytopes.
-        solver: LP solver for validity and difference checks.
-        interior_eps: Tolerance under which leftover slivers are ignored
-            (the union is treated as convex up to measure zero, consistent
+        solver: LP solver for validity and difference checks.  Leftover
+            slivers without an ``INTERIOR_EPS`` interior are ignored (the
+            union is treated as convex up to measure zero, consistent
             with the pruning tolerances documented in docs/tolerances.md).
 
     Returns:
@@ -101,8 +100,7 @@ def union_as_polytope(polytopes: Sequence[ConvexPolytope],
     if len(polys) == 1:
         return polys[0]
     env = envelope(polys, solver)
-    leftover = subtract_polytopes(env, polys, solver,
-                                  interior_eps=interior_eps)
+    leftover = subtract_polytopes(env, polys, solver)
     if leftover:
         return None
     return env

@@ -16,20 +16,17 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from ..lp import LinearProgramSolver
-from ..util import scalar_kernels_enabled
 from .batchops import emptiness_many, has_interior_many
-from .polytope import INTERIOR_EPS, ConvexPolytope
+from .polytope import ConvexPolytope
 
 
 def subtract_polytope(base: ConvexPolytope, cut: ConvexPolytope,
-                      solver: LinearProgramSolver,
-                      interior_eps: float = INTERIOR_EPS
-                      ) -> list[ConvexPolytope]:
+                      solver: LinearProgramSolver) -> list[ConvexPolytope]:
     """Return full-dimensional convex pieces covering ``base \\ cut``.
 
     The pieces returned use *closed* complements of the cut constraints, so
     they may overlap ``cut`` on measure-zero boundary sets; pieces whose
-    Chebyshev radius is below ``interior_eps`` are dropped.  Consequently
+    Chebyshev radius is at most ``INTERIOR_EPS`` are dropped.  Consequently
     the result is exact up to lower-dimensional sets, which is the
     tolerance contract documented in docs/tolerances.md.
 
@@ -37,7 +34,6 @@ def subtract_polytope(base: ConvexPolytope, cut: ConvexPolytope,
         base: The polytope to subtract from.
         cut: The polytope to remove.
         solver: LP solver used for emptiness/interior checks.
-        interior_eps: Minimum Chebyshev radius for a piece to be kept.
 
     Returns:
         A list of disjoint-interior convex polytopes whose union equals
@@ -54,13 +50,13 @@ def subtract_polytope(base: ConvexPolytope, cut: ConvexPolytope,
     # Fast path: a cut that misses the base entirely (no interior overlap)
     # leaves the base unchanged — avoids fragmenting the base into pieces
     # that would immediately be reassembled.
-    if not base.intersect(cut).has_interior(solver, eps=interior_eps):
+    if not base.intersect(cut).has_interior(solver):
         return [base]
     pieces: list[ConvexPolytope] = []
     prefix = base
     for row, negated in cut._cut_rows():
         piece = prefix._extended(negated)
-        if piece.has_interior(solver, eps=interior_eps):
+        if piece.has_interior(solver):
             pieces.append(piece)
         prefix = prefix._extended(row)
         if prefix.is_empty(solver):
@@ -70,8 +66,7 @@ def subtract_polytope(base: ConvexPolytope, cut: ConvexPolytope,
 
 def subtract_polytope_many(bases: Sequence[ConvexPolytope],
                            cut: ConvexPolytope,
-                           solver: LinearProgramSolver,
-                           interior_eps: float = INTERIOR_EPS
+                           solver: LinearProgramSolver
                            ) -> list[list[ConvexPolytope]]:
     """Subtract one cut from many base polytopes with batched LPs.
 
@@ -83,17 +78,13 @@ def subtract_polytope_many(bases: Sequence[ConvexPolytope],
     2. the overlap fast path — one interior check per surviving base,
     3. one interior check per candidate piece of every clipped base.
 
-    The scalar loop additionally solves a *prefix emptiness* LP after each
-    cut constraint purely to break out early; the batched form decides
-    every candidate piece directly, so those LPs disappear entirely
-    (pieces past a scalar early-exit lie inside an empty prefix and are
-    dropped by their own interior check, leaving the results identical).
-    With ``REPRO_SCALAR_KERNELS=1`` the scalar path runs instead.
+    The single-base loop additionally solves a *prefix emptiness* LP after
+    each cut constraint purely to break out early; the batched form
+    decides every candidate piece directly, so those LPs disappear
+    entirely (pieces past the loop's early exit lie inside an empty
+    prefix and are dropped by their own interior check, leaving the
+    results identical).
     """
-    if scalar_kernels_enabled():
-        return [subtract_polytope(base, cut, solver,
-                                  interior_eps=interior_eps)
-                for base in bases]
     for base in bases:
         if cut.dim != base.dim:
             raise ValueError("dimension mismatch in polytope subtraction")
@@ -108,13 +99,12 @@ def subtract_polytope_many(bases: Sequence[ConvexPolytope],
     # Fast path: cuts that miss a base entirely leave it unchanged.
     overlaps = [bases[i].intersect(cut) for i in live]
     clipped: list[int] = []
-    for i, interior in zip(live, has_interior_many(overlaps, solver,
-                                                   eps=interior_eps)):
+    for i, interior in zip(live, has_interior_many(overlaps, solver)):
         if interior:
             clipped.append(i)
         else:
             results[i] = [bases[i]]
-    # Candidate pieces of every clipped base, in the scalar path's order:
+    # Candidate pieces of every clipped base, in the single-base order:
     # piece_k keeps the points violating cut constraint k while satisfying
     # constraints 0..k-1.  Construction is LP-free; one batched interior
     # pass decides which candidates survive.  The cut's rows and their
@@ -129,7 +119,7 @@ def subtract_polytope_many(bases: Sequence[ConvexPolytope],
             candidates.append(prefix._extended(negated))
             prefix = prefix._extended(row)
         spans.append((i, start, len(candidates)))
-    keep = has_interior_many(candidates, solver, eps=interior_eps)
+    keep = has_interior_many(candidates, solver)
     for i, start, stop in spans:
         results[i] = [candidates[k] for k in range(start, stop) if keep[k]]
     return results
@@ -137,21 +127,17 @@ def subtract_polytope_many(bases: Sequence[ConvexPolytope],
 
 def subtract_polytopes(base: ConvexPolytope,
                        cuts: Iterable[ConvexPolytope],
-                       solver: LinearProgramSolver,
-                       interior_eps: float = INTERIOR_EPS,
-                       stop_when_empty: bool = True
+                       solver: LinearProgramSolver
                        ) -> list[ConvexPolytope]:
     """Subtract a sequence of polytopes from ``base``.
 
     Maintains a worklist of convex pieces and subtracts each cut from every
-    piece in turn.
+    piece in turn, returning as soon as no piece remains.
 
     Args:
         base: Polytope to subtract from.
         cuts: Polytopes to remove, applied in order.
         solver: LP solver for the geometric predicates.
-        interior_eps: Minimum Chebyshev radius for pieces to survive.
-        stop_when_empty: Return early as soon as no pieces remain.
 
     Returns:
         Convex pieces covering ``base`` minus the union of ``cuts`` (up to
@@ -159,23 +145,20 @@ def subtract_polytopes(base: ConvexPolytope,
     """
     pieces = [] if base.is_empty(solver) else [base]
     for cut in cuts:
-        if not pieces and stop_when_empty:
+        if not pieces:
             return []
-        groups = subtract_polytope_many(pieces, cut, solver,
-                                        interior_eps=interior_eps)
+        groups = subtract_polytope_many(pieces, cut, solver)
         pieces = [piece for group in groups for piece in group]
     return pieces
 
 
 def union_covers(base: ConvexPolytope,
                  cover: Iterable[ConvexPolytope],
-                 solver: LinearProgramSolver,
-                 interior_eps: float = INTERIOR_EPS) -> bool:
+                 solver: LinearProgramSolver) -> bool:
     """Return whether the union of ``cover`` contains ``base`` up to measure zero.
 
     This implements the emptiness test of Algorithm 2 directly: the
     relevance region (``base`` minus the cutouts) is empty iff the cutouts
     cover the parameter space.
     """
-    return not subtract_polytopes(base, cover, solver,
-                                  interior_eps=interior_eps)
+    return not subtract_polytopes(base, cover, solver)

@@ -322,11 +322,11 @@ class ConvexPolytope:
             self._cheb_cache = (x, r)
         return self._cheb_cache
 
-    def has_interior(self, solver: LinearProgramSolver,
-                     eps: float = INTERIOR_EPS) -> bool:
-        """Return whether the polytope is full-dimensional (radius > eps)."""
+    def has_interior(self, solver: LinearProgramSolver) -> bool:
+        """Return whether the polytope is full-dimensional (Chebyshev
+        radius above ``INTERIOR_EPS``)."""
         __, radius = self.chebyshev(solver)
-        return radius > eps
+        return radius > INTERIOR_EPS
 
     def interior_point(self, solver: LinearProgramSolver) -> np.ndarray:
         """Return a point in the (relative) interior.

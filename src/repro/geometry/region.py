@@ -34,7 +34,7 @@ from ..errors import DimensionMismatchError
 from ..lp import LinearProgramSolver
 from .convexity import union_as_polytope
 from .difference import subtract_polytope_many, subtract_polytopes
-from .polytope import INTERIOR_EPS, ConvexPolytope
+from .polytope import ConvexPolytope
 
 #: Emptiness-check strategies accepted by :meth:`RelevanceRegion.is_empty`.
 EMPTINESS_STRATEGIES = ("difference", "convexity")
@@ -171,8 +171,7 @@ class RelevanceRegion:
         return not any(cut.contains_point(x) for cut in self.cutouts)
 
     def is_empty(self, solver: LinearProgramSolver, *,
-                 strategy: str = "difference",
-                 interior_eps: float = INTERIOR_EPS) -> bool:
+                 strategy: str = "difference") -> bool:
         """Decide emptiness (function ``IsEmpty`` of Algorithm 2).
 
         Args:
@@ -181,11 +180,11 @@ class RelevanceRegion:
                 ``"convexity"`` (the paper's Algorithm 2; sound but may
                 answer "non-empty" for regions that are actually empty when
                 the cutout union is non-convex).
-            interior_eps: Chebyshev-radius tolerance below which leftover
-                pieces count as empty.
 
         Returns:
-            ``True`` when the region contains no full-dimensional subset.
+            ``True`` when the region contains no full-dimensional subset:
+            no leftover piece has a Chebyshev radius above
+            ``INTERIOR_EPS``.
         """
         if self._known_empty:
             return True
@@ -198,13 +197,12 @@ class RelevanceRegion:
             self._known_empty = empty
             return empty
         if strategy == "difference":
-            self._refresh_residual(solver, interior_eps)
+            self._refresh_residual(solver)
             if not self._residual:
                 self._known_empty = True
             return self._known_empty
         if strategy == "convexity":
-            union = union_as_polytope(self.cutouts, solver,
-                                      interior_eps=interior_eps)
+            union = union_as_polytope(self.cutouts, solver)
             if union is None:
                 return False
             if union.contains_polytope(self.space, solver):
@@ -213,8 +211,7 @@ class RelevanceRegion:
             return False
         raise ValueError(f"unknown emptiness strategy: {strategy!r}")
 
-    def _refresh_residual(self, solver: LinearProgramSolver,
-                          interior_eps: float = INTERIOR_EPS) -> None:
+    def _refresh_residual(self, solver: LinearProgramSolver) -> None:
         """Bring the incremental residual decomposition up to date.
 
         The first call materializes the full difference; later calls only
@@ -223,8 +220,7 @@ class RelevanceRegion:
         """
         if self._residual is None:
             self._residual = subtract_polytopes(
-                self.space, self.cutouts, solver,
-                interior_eps=interior_eps)
+                self.space, self.cutouts, solver)
             self._pending = []
             return
         while self._pending and self._residual:
@@ -250,8 +246,7 @@ class RelevanceRegion:
                 next_pieces.append(None)
                 touched.append(piece)
             if touched:
-                groups = iter(subtract_polytope_many(
-                    touched, cut, solver, interior_eps=interior_eps))
+                groups = iter(subtract_polytope_many(touched, cut, solver))
                 flattened: list[ConvexPolytope] = []
                 for entry in next_pieces:
                     if entry is None:
@@ -263,12 +258,11 @@ class RelevanceRegion:
         if not self._residual:
             self._pending = []
 
-    def witness(self, solver: LinearProgramSolver,
-                interior_eps: float = INTERIOR_EPS) -> np.ndarray | None:
+    def witness(self, solver: LinearProgramSolver) -> np.ndarray | None:
         """Return an interior point of the region, or ``None`` when empty."""
         if self._points:
             return self._points[0]
-        self._refresh_residual(solver, interior_eps)
+        self._refresh_residual(solver)
         if not self._residual:
             return None
         return self._residual[0].interior_point(solver)
@@ -298,12 +292,10 @@ class RelevanceRegion:
             self._pending = []
         return removed
 
-    def to_polytopes(self, solver: LinearProgramSolver,
-                     interior_eps: float = INTERIOR_EPS
+    def to_polytopes(self, solver: LinearProgramSolver
                      ) -> list[ConvexPolytope]:
         """Materialize the region as a list of convex pieces."""
-        return subtract_polytopes(self.space, self.cutouts, solver,
-                                  interior_eps=interior_eps)
+        return subtract_polytopes(self.space, self.cutouts, solver)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         pts = "off" if self._points is None else len(self._points)

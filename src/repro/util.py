@@ -1,8 +1,7 @@
 """Small shared utilities.
 
 Currently: the bounded LRU mapping backing every memo cache in the
-library (LP results, warm-start plan sets, run-time selection points),
-and the process-wide switch that forces the scalar geometry kernels.
+library (LP results, warm-start plan sets, run-time selection points).
 """
 
 from __future__ import annotations
@@ -10,24 +9,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from collections.abc import Hashable
 from typing import Any
-
-from . import config
-
-
-def scalar_kernels_enabled() -> bool:
-    """Whether ``REPRO_SCALAR_KERNELS`` forces the scalar geometry kernels.
-
-    The vectorized kernels (batched emptiness LPs, NumPy unaligned
-    dominance and PWL addition) produce bit-identical results to the
-    original per-piece-pair Python loops; setting ``REPRO_SCALAR_KERNELS``
-    to a non-empty value other than ``0`` selects the scalar loops anyway.
-    The equivalence test suite runs both sides of this switch against each
-    other, and it doubles as an escape hatch for debugging.
-
-    Read per call (the check is trivially cheap next to any LP) so tests
-    can flip the environment variable with ``monkeypatch.setenv``.
-    """
-    return config.enabled("REPRO_SCALAR_KERNELS")
 
 
 class BoundedLRU:

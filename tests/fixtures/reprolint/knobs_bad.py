@@ -9,11 +9,11 @@ from repro import config
 
 
 def read_direct():
-    flag = os.environ.get("REPRO_SCALAR_KERNELS")  # EXPECT REP201
+    spec = os.environ.get("REPRO_FAULTS")  # EXPECT REP201
     raw = os.getenv("REPRO_FAULTS", "")  # EXPECT REP201
     path = os.environ["REPRO_STORE_PERSIST_DB"]  # EXPECT REP201
-    return flag, raw, path
+    return spec, raw, path
 
 
 def read_typo():
-    return config.enabled("REPRO_TYPO_KNOB")  # EXPECT REP202: undeclared
+    return config.value("REPRO_TYPO_KNOB")  # EXPECT REP202: undeclared

@@ -6,7 +6,7 @@ from repro import config
 
 
 def read_via_registry():
-    return (config.enabled("REPRO_SCALAR_KERNELS"),
+    return (config.value("REPRO_STORE_PERSIST_DB"),
             config.value("REPRO_FAULTS"))
 
 

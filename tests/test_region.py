@@ -140,6 +140,20 @@ class TestMaintenance:
         rr.subtract(ConvexPolytope.box([0.0], [1.0]))
         assert rr.witness(solver) is None
 
+    def test_sliver_answers_with_the_one_interior_tolerance(self, solver):
+        # [0.98, 1] has Chebyshev radius 0.01, far above INTERIOR_EPS.
+        # The region caches its residual and emptiness verdict, so the
+        # tolerance is a constant: a per-call value would leak into
+        # later answers.
+        rr = unit_region(solver)
+        rr.subtract(ConvexPolytope.box([0.0], [0.98]))
+        assert not rr.is_empty(solver)
+        w = rr.witness(solver)
+        assert w is not None and 0.98 <= w[0] <= 1.0
+        with pytest.raises(TypeError):
+            rr.is_empty(solver, interior_eps=0.05)
+        assert not rr.is_empty(solver)
+
     def test_remove_redundant_cutouts(self, solver):
         rr = unit_region(solver)
         rr.subtract(ConvexPolytope.box([0.0], [0.5]))

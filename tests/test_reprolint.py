@@ -4,10 +4,9 @@ Every rule family is demonstrated on the planted-violation corpus in
 ``tests/fixtures/reprolint/`` by copying fixtures into temporary
 mini-project trees at the path prefixes the rules are scoped to, then
 asserting the exact findings.  The suite also pins the cross-artifact
-invariants the project rules depend on (knob-table parity between the
-runtime registry and reprolint's AST mirror, the stale-baseline
-detector) and finishes with the meta-test: reprolint over the real
-tree reports zero findings.
+invariants the project rules depend on (the generated knob table, the
+stale-baseline detector) and finishes with the meta-test: reprolint
+over the real tree reports zero findings.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(REPO_ROOT) not in sys.path:
     # `tools` is a repo-root package, not an installed one.
     sys.path.insert(0, str(REPO_ROOT))
-
-from repro import config as repro_config  # noqa: E402
 
 from tools.reprolint import ProjectContext, all_rules, lint_file, run  # noqa: E402
 from tools.reprolint.cli import main as cli_main  # noqa: E402
@@ -149,7 +146,7 @@ def test_rep201_exempts_the_registry_module_itself(tmp_path):
 
 def test_rep203_stale_and_missing_knob_table(tmp_path):
     copy_into(tmp_path, "src/repro/config.py")
-    table = repro_config.knob_table_markdown()
+    table = knob_table_markdown(ProjectContext(tmp_path).knob_registry)
     fresh = (f"# Architecture\n\n{KNOB_TABLE_BEGIN}\n"
              f"{table}\n{KNOB_TABLE_END}\n")
     root = make_tree(tmp_path, {"docs/architecture.md": fresh})
@@ -157,20 +154,15 @@ def test_rep203_stale_and_missing_knob_table(tmp_path):
 
     stale = fresh.replace("REPRO_STORE_PERSIST_DB", "REPRO_RENAMED_DB")
     make_tree(tmp_path, {"docs/architecture.md": stale})
-    assert rule_ids(lint(root, "src")) == ["REP203"]
+    result = lint(root, "src")
+    assert rule_ids(result) == ["REP203"]
+    # The finding carries the expected table: fixing it is a paste.
+    assert table in result.findings[0].message
 
     make_tree(tmp_path, {"docs/architecture.md": "# no markers\n"})
     result = lint(root, "src")
     assert rule_ids(result) == ["REP203"]
     assert "markers missing" in result.findings[0].message
-
-
-def test_knob_table_parity_between_runtime_and_ast_mirror():
-    # reprolint never imports linted code: it rebuilds the knob table
-    # from the registry's AST.  Pin the two implementations together.
-    registry = ProjectContext(REPO_ROOT).knob_registry
-    assert registry is not None
-    assert knob_table_markdown(registry) == repro_config.knob_table_markdown()
 
 
 # ---------------------------------------------------------------------------

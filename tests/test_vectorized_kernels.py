@@ -1,14 +1,16 @@
-"""Equivalence: batched/vectorized geometry kernels == scalar fallback.
+"""Oracles for the geometry and cost kernels.
 
-The vectorized kernels of this library — batched emptiness LPs behind
-region differences (:func:`repro.geometry.subtract_polytope_many`), the
-NumPy general (unaligned) dominance path and the NumPy PWL ``add`` general
-path — all promise *bit-identical* results to the scalar per-piece-pair
-loops they replace.  ``REPRO_SCALAR_KERNELS=1`` selects the scalar loops;
-these property-style tests run randomized inputs (random queries under
-both built-in scenarios, random unaligned PWL functions, random polytope
-differences) through both sides of the switch and compare exact float
-representations.
+Each operation has one implementation; these tests check it against an
+independent reference:
+
+* the batched region difference (:func:`repro.geometry.subtract_polytope_many`,
+  which decides all candidate pieces in one interior pass) against a loop
+  of the single-base :func:`repro.geometry.subtract_polytope`, per call and
+  over whole optimizations under both built-in scenarios;
+* the unaligned PWL operations (general ``Dom``, ``add``, ``maximum`` /
+  ``minimum`` and ``bounds_on``, the paper's per-piece-pair loops) against
+  pointwise evaluation at seeded sample points;
+* ``solve_many`` against a loop of ``solve``.
 """
 
 from __future__ import annotations
@@ -18,27 +20,25 @@ import json
 import numpy as np
 import pytest
 
+import repro.geometry.difference as difference_module
+import repro.geometry.region as region_module
 from repro.core import PWLRRPAOptions, encode_result
 from repro.core.serialize import _encode_polytope
 from repro.cost import MultiObjectivePWL, PiecewiseLinearFunction
+from repro.errors import EmptyRegionError
 from repro.geometry import (ConvexPolytope, LinearConstraint,
                             subtract_polytope, subtract_polytope_many)
 from repro.lp import LinearProgramSolver, LPStats
 from repro.query import QueryGenerator
 from repro.service.registry import get_scenario
 
+#: Seeded sample points per pointwise oracle.
+SAMPLES = 400
+
 
 def _polys_key(polys):
     """Exact (bitwise) representation of a polytope list."""
     return json.dumps([_encode_polytope(p) for p in polys], sort_keys=True)
-
-
-def _pwl_key(function: PiecewiseLinearFunction) -> str:
-    """Exact representation of a PWL function (weights, bases, regions)."""
-    return json.dumps(
-        [{"w": [float(v).hex() for v in p.w], "b": float(p.b).hex(),
-          "region": _encode_polytope(p.region)} for p in function.pieces],
-        sort_keys=True)
 
 
 def _random_unaligned_pwl(rng, space: ConvexPolytope, pieces: int
@@ -61,8 +61,25 @@ def _solver() -> LinearProgramSolver:
     return LinearProgramSolver(stats=LPStats())
 
 
+def _subtract_one_by_one(bases, cut, solver):
+    """Reference region difference: one :func:`subtract_polytope` per base."""
+    return [subtract_polytope(base, cut, solver) for base in bases]
+
+
+def _reference_difference(monkeypatch) -> None:
+    """Route every region difference through :func:`_subtract_one_by_one`.
+
+    Both modules that bind ``subtract_polytope_many`` are patched:
+    ``repro.geometry.difference`` (behind ``subtract_polytopes``) and
+    ``repro.geometry.region`` (incremental residual refreshes).
+    """
+    for module in (difference_module, region_module):
+        monkeypatch.setattr(module, "subtract_polytope_many",
+                            _subtract_one_by_one)
+
+
 class TestFullRunEquivalence:
-    """Whole optimizations under both scenarios, both kernel modes."""
+    """Whole optimizations: batched difference vs. the per-base loop."""
 
     @pytest.mark.parametrize("scenario,seed,num_tables,shape", [
         ("cloud", 0, 4, "chain"),
@@ -74,17 +91,17 @@ class TestFullRunEquivalence:
     def test_plan_sets_bit_identical(self, monkeypatch, scenario, seed,
                                      num_tables, shape):
         query = QueryGenerator(seed=seed).generate(num_tables, shape, 1)
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "1")
-        scalar = get_scenario(scenario).optimize(query)
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "")
+        with monkeypatch.context() as patch:
+            _reference_difference(patch)
+            reference = get_scenario(scenario).optimize(query)
         batched = get_scenario(scenario).optimize(query)
         assert (json.dumps(encode_result(batched), sort_keys=True)
-                == json.dumps(encode_result(scalar), sort_keys=True))
+                == json.dumps(encode_result(reference), sort_keys=True))
         # Pruning decisions match one for one, not just final plan sets.
         for counter in ("plans_created", "plans_inserted",
                         "plans_discarded_new", "plans_displaced_old"):
             assert (getattr(batched.stats, counter)
-                    == getattr(scalar.stats, counter)), counter
+                    == getattr(reference.stats, counter)), counter
 
     @pytest.mark.parametrize("scenario,seed,shape", [
         ("cloud", 0, "chain"),
@@ -94,36 +111,39 @@ class TestFullRunEquivalence:
     def test_two_params_across_memo_sizes(self, monkeypatch, scenario,
                                           seed, shape):
         """2-parameter runs at the default memo and at one small enough
-        to evict: plan sets and pruning counters match the scalar
-        oracle, and the LP requests (solved + memo hits) do not depend
-        on what the memo evicted."""
+        to evict: plan sets and pruning counters match the per-base
+        reference, and the LP requests (solved + memo hits) do not
+        depend on what the memo evicted."""
         query = QueryGenerator(seed=seed).generate(3, shape, 2)
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "1")
-        scalar = get_scenario(scenario).optimize(query, resolution=1)
-        scalar_doc = json.dumps(encode_result(scalar), sort_keys=True)
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "")
+        with monkeypatch.context() as patch:
+            _reference_difference(patch)
+            reference = get_scenario(scenario).optimize(query, resolution=1)
+        reference_doc = json.dumps(encode_result(reference), sort_keys=True)
         requests = set()
         for cache_size in (PWLRRPAOptions().lp_cache_size, 32):
             batched = get_scenario(scenario).optimize(
                 query, resolution=1,
                 options=PWLRRPAOptions(lp_cache_size=cache_size))
             assert json.dumps(encode_result(batched),
-                              sort_keys=True) == scalar_doc
+                              sort_keys=True) == reference_doc
             for counter in ("plans_created", "plans_inserted",
                             "plans_discarded_new", "plans_displaced_old",
                             "pruning_comparisons"):
                 assert (getattr(batched.stats, counter)
-                        == getattr(scalar.stats, counter)), counter
+                        == getattr(reference.stats, counter)), counter
             requests.add(batched.stats.lps_solved
                          + batched.stats.lp_stats.cache_hits)
         assert len(requests) == 1
 
 
 class TestUnalignedKernelEquivalence:
-    """The NumPy general dominance / add paths vs. the scalar loops."""
+    """General ``Dom`` and ``add`` against pointwise evaluation."""
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_general_dominance_identical(self, monkeypatch, seed):
+    def test_general_dominance_identical(self, seed):
+        """A sample lies in a returned polytope iff every metric has
+        ``one(x) <= (1 + relax) * two(x)`` (sound and complete), away
+        from a 1e-7 margin around the boundary."""
         rng = np.random.default_rng(seed)
         space = ConvexPolytope.unit_box(2)
         one = MultiObjectivePWL({
@@ -133,91 +153,85 @@ class TestUnalignedKernelEquivalence:
             "time": _random_unaligned_pwl(rng, space, 2),
             "fees": _random_unaligned_pwl(rng, space, 3)})
         relax = float(rng.choice([0.0, 0.2]))
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "1")
-        scalar = one.dominance_polytopes(two, _solver(), relax=relax)
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "")
-        batched = one.dominance_polytopes(two, _solver(), relax=relax)
-        assert _polys_key(batched) == _polys_key(scalar)
+        polys = one.dominance_polytopes(two, _solver(), relax=relax)
+        for x in rng.uniform(0.0, 1.0, size=(SAMPLES, 2)):
+            mine, theirs = one.evaluate(x), two.evaluate(x)
+            slack = min((1 + relax) * theirs[m] - mine[m] for m in mine)
+            covered = any(poly.contains_point(x) for poly in polys)
+            if covered:
+                assert slack >= -1e-7, (x, slack)
+            if slack > 1e-7:
+                assert covered, (x, slack)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_general_add_identical(self, monkeypatch, seed):
+    def test_general_add_identical(self, seed):
+        """``(one + two)(x) == one(x) + two(x)`` at every sample."""
         rng = np.random.default_rng(100 + seed)
         space = ConvexPolytope.unit_box(2)
         one = _random_unaligned_pwl(rng, space, 3)
         two = _random_unaligned_pwl(rng, space, 3)
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "1")
-        scalar = one.add(two, _solver())
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "")
-        batched = one.add(two, _solver())
-        assert _pwl_key(batched) == _pwl_key(scalar)
+        total = one.add(two, _solver())
+        for x in rng.uniform(0.0, 1.0, size=(SAMPLES, 2)):
+            assert total.evaluate(x) == pytest.approx(
+                one.evaluate(x) + two.evaluate(x), rel=0, abs=1e-9)
 
 
 class TestBoundsAndExtremumEquivalence:
-    """Batched bounds_on / maximum / minimum vs. the scalar loops."""
+    """``bounds_on`` / ``maximum`` / ``minimum`` against pointwise
+    evaluation."""
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_bounds_on_identical(self, monkeypatch, seed):
+    def test_bounds_on_identical(self, seed):
+        """Every sample of the region lies within ``[lo, hi]``."""
         rng = np.random.default_rng(300 + seed)
         space = ConvexPolytope.unit_box(2)
         function = _random_unaligned_pwl(rng, space, 3)
         lo = rng.uniform(0.0, 0.4, 2)
-        region = ConvexPolytope.box(lo, lo + rng.uniform(0.3, 0.5, 2))
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "1")
-        scalar = function.bounds_on(region, _solver())
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "")
-        batched = function.bounds_on(region, _solver())
-        assert (float(batched[0]).hex(), float(batched[1]).hex()) == (
-            float(scalar[0]).hex(), float(scalar[1]).hex())
+        hi = lo + rng.uniform(0.3, 0.5, 2)
+        region = ConvexPolytope.box(lo, hi)
+        low, high = function.bounds_on(region, _solver())
+        for x in rng.uniform(lo, hi, size=(SAMPLES, 2)):
+            assert low - 1e-9 <= function.evaluate(x) <= high + 1e-9, x
 
-    def test_bounds_on_raises_off_domain(self, monkeypatch):
+    def test_bounds_on_raises_off_domain(self):
         rng = np.random.default_rng(42)
         space = ConvexPolytope.unit_box(2)
         function = _random_unaligned_pwl(rng, space, 2)
         outside = ConvexPolytope.box([2.0, 2.0], [3.0, 3.0])
-        from repro.errors import EmptyRegionError
-        for env in ("1", ""):
-            monkeypatch.setenv("REPRO_SCALAR_KERNELS", env)
-            with pytest.raises(EmptyRegionError):
-                function.bounds_on(outside, _solver())
+        with pytest.raises(EmptyRegionError):
+            function.bounds_on(outside, _solver())
 
-    def test_bounds_on_raises_when_unbounded(self, monkeypatch):
+    def test_bounds_on_raises_when_unbounded(self):
         """Non-empty overlaps whose min/max LPs are all unbounded must
         raise rather than return the unusable (inf, -inf) pair."""
-        from repro.errors import EmptyRegionError
         universe = ConvexPolytope.universe(2)
         function = PiecewiseLinearFunction.affine(universe, [1.0, 0.0],
                                                   0.0)
-        for env in ("1", ""):
-            monkeypatch.setenv("REPRO_SCALAR_KERNELS", env)
-            with pytest.raises(EmptyRegionError, match="bounded"):
-                function.bounds_on(universe, _solver())
+        with pytest.raises(EmptyRegionError, match="bounded"):
+            function.bounds_on(universe, _solver())
 
     @pytest.mark.parametrize("seed,take_max", [
         (0, True), (1, True), (2, False), (3, False)])
-    def test_extremum_identical(self, monkeypatch, seed, take_max):
-        """The crossing-split general path (unaligned operands) batches
-        its emptiness LPs; piece lists must match bit for bit."""
+    def test_extremum_identical(self, seed, take_max):
+        """The crossing-split general path (unaligned operands):
+        ``h(x) == max/min(one(x), two(x))`` at every sample."""
         rng = np.random.default_rng(400 + seed)
         space = ConvexPolytope.unit_box(2)
         one = _random_unaligned_pwl(rng, space, 3)
         two = _random_unaligned_pwl(rng, space, 2)
-        combine = (PiecewiseLinearFunction.maximum if take_max
-                   else PiecewiseLinearFunction.minimum)
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "1")
-        scalar = combine(one, two, _solver())
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "")
-        batched = combine(one, two, _solver())
-        assert _pwl_key(batched) == _pwl_key(scalar)
-        # Spot-check values at sample points too.
-        for x in ([0.15, 0.4], [0.55, 0.8], [0.9, 0.1]):
-            assert batched.evaluate(x) == scalar.evaluate(x)
+        combine, pick = ((PiecewiseLinearFunction.maximum, max) if take_max
+                         else (PiecewiseLinearFunction.minimum, min))
+        combined = combine(one, two, _solver())
+        for x in rng.uniform(0.0, 1.0, size=(SAMPLES, 2)):
+            assert combined.evaluate(x) == pytest.approx(
+                pick(one.evaluate(x), two.evaluate(x)), rel=0, abs=1e-9)
 
 
 class TestBatchedDifferenceEquivalence:
     """subtract_polytope_many vs. per-base subtract_polytope."""
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_subtraction_identical(self, monkeypatch, seed):
+    def test_subtraction_identical(self, seed):
         rng = np.random.default_rng(200 + seed)
         bases = []
         for __ in range(4):
@@ -226,15 +240,14 @@ class TestBatchedDifferenceEquivalence:
             bases.append(ConvexPolytope.box(lo, np.minimum(hi, 1.0)))
         cut_lo = rng.uniform(0.1, 0.5, 2)
         cut = ConvexPolytope.box(cut_lo, cut_lo + 0.35)
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "")
         batched = subtract_polytope_many(
             [ConvexPolytope.from_arrays(b._a, b._b) for b in bases],
             cut, _solver())
-        scalar = [subtract_polytope(
-            ConvexPolytope.from_arrays(b._a, b._b), cut, _solver())
-            for b in bases]
-        assert len(batched) == len(scalar)
-        for got, expected in zip(batched, scalar):
+        reference = _subtract_one_by_one(
+            [ConvexPolytope.from_arrays(b._a, b._b) for b in bases],
+            cut, _solver())
+        assert len(batched) == len(reference)
+        for got, expected in zip(batched, reference):
             assert _polys_key(got) == _polys_key(expected)
 
     def test_empty_inputs(self):

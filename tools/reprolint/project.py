@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 
 #: Root-relative prefixes of the bit-identity modules: code whose
-#: results must stay bit-identical to the scalar oracle (REP1xx).
+#: results must stay bit-identical to their references (REP1xx).
 BIT_IDENTITY_PREFIXES = (
     "src/repro/core/",
     "src/repro/lp/",
@@ -78,19 +78,19 @@ class KnobDecl:
 
     name: str
     default: str | None
-    kind: str
     doc: str
 
     def table_row(self) -> str:
         default = "*(unset)*" if self.default is None else f"`{self.default}`"
-        return f"| `{self.name}` | {self.kind} | {default} | {self.doc} |"
+        return f"| `{self.name}` | {default} | {self.doc} |"
 
 
 def knob_table_markdown(knobs: tuple[KnobDecl, ...]) -> str:
-    """Rebuild the generated knob table (must mirror
-    ``repro.config.knob_table_markdown`` — pinned by a test)."""
-    lines = ["| knob | kind | default | effect |",
-             "|---|---|---|---|"]
+    """The generated knob table of ``docs/architecture.md``: one row per
+    declared knob, in registry order (REP203 checks the committed copy
+    and prints this one when they differ)."""
+    lines = ["| knob | default | effect |",
+             "|---|---|---|"]
     lines.extend(declared.table_row() for declared in knobs)
     return "\n".join(lines)
 
@@ -164,7 +164,6 @@ class ProjectContext:
             knobs.append(KnobDecl(
                 name=kwargs["name"],
                 default=kwargs.get("default"),
-                kind=kwargs.get("kind", ""),
                 doc=kwargs.get("doc", "")))
         return tuple(knobs)
 

@@ -7,8 +7,10 @@ central registry (:mod:`repro.config`).
   ``monkeypatch.setenv``/``delenv``) that the registry does not
   declare — catches typo'd knobs that would silently do nothing;
 * REP203 — the generated knob table in ``docs/architecture.md`` is
-  stale relative to the registry (regenerate with
-  ``python -m repro.config``).
+  stale relative to the registry, or its markers are missing.  The
+  table is built from the registry's AST (reprolint never imports
+  linted code), and the finding's message carries the expected table,
+  so the fix is a paste between the markers.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ ENV_READ_CALLS = frozenset({
 
 #: Callables taking a knob name that must be declared (REP202): the
 #: registry getters plus pytest's monkeypatch environment helpers.
-KNOB_NAME_CALLS = ("enabled", "value", "knob", "setenv", "delenv")
+KNOB_NAME_CALLS = ("value", "knob", "setenv", "delenv")
 
 KNOB_TABLE_BEGIN = "<!-- reprolint: knob-table begin -->"
 KNOB_TABLE_END = "<!-- reprolint: knob-table end -->"
@@ -56,8 +58,7 @@ class DirectEnvRead(Rule):
                         yield ctx.finding(
                             self.id, node,
                             f"direct read of {name} via {resolved}(); "
-                            f"go through repro.config "
-                            f"(enabled()/value()) instead")
+                            f"go through repro.config.value() instead")
             elif isinstance(node, ast.Subscript):
                 resolved = ctx.resolve(node.value)
                 if resolved == "os.environ" \
@@ -99,7 +100,7 @@ class UndeclaredKnob(Rule):
                 yield ctx.finding(
                     self.id, node,
                     f"{name} is not declared in repro.config.KNOBS; "
-                    f"declare it there (with default, kind and doc) "
+                    f"declare it there (with default and doc) "
                     f"before use")
 
 
@@ -116,20 +117,19 @@ class StaleKnobTable(Rule):
         rel = "docs/architecture.md"
         begin = doc.find(KNOB_TABLE_BEGIN)
         end = doc.find(KNOB_TABLE_END)
+        expected = knob_table_markdown(registry).strip()
         if begin < 0 or end < 0 or end < begin:
             yield Finding(
                 rule=self.id, path=rel, line=1, col=1,
-                message=f"knob table markers missing ({KNOB_TABLE_BEGIN}"
-                        f" ... {KNOB_TABLE_END}); regenerate with "
-                        f"'python -m repro.config'")
+                message=f"knob table markers missing; add "
+                        f"{KNOB_TABLE_BEGIN} and {KNOB_TABLE_END} with "
+                        f"this table between them:\n{expected}")
             return
         committed = doc[begin + len(KNOB_TABLE_BEGIN):end].strip()
-        expected = knob_table_markdown(registry).strip()
         if committed != expected:
             line = doc[:begin].count("\n") + 1
             yield Finding(
                 rule=self.id, path=rel, line=line, col=1,
-                message="knob table is stale relative to "
-                        "repro.config.KNOBS; regenerate with "
-                        "'python -m repro.config' and paste between "
-                        "the markers")
+                message=f"knob table is stale relative to "
+                        f"repro.config.KNOBS; paste this table between "
+                        f"the markers:\n{expected}")
