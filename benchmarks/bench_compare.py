@@ -171,8 +171,11 @@ def _serving_metrics(path: str) -> dict[str, dict]:
     signature-routing distribution are gated: any drift means the
     admission, routing or anytime-serving logic changed behavior.
     ``dropped`` (non-429 failures) gates at an expected baseline of 0 —
-    a single dropped request fails the compare outright.  Timing
-    metrics (qps, client-side latency percentiles) are informational.
+    a single dropped request fails the compare outright.
+    ``plan_set_encodes`` gates lower-is-better: the gateway serializes
+    each distinct plan set it serves once, so encoding per response
+    again multiplies it.  Timing metrics (qps, client-side latency
+    percentiles) are informational.
     """
     report = _load(path)
     tag = (f"serving.{report.get('shape', '?')}"
@@ -192,6 +195,9 @@ def _serving_metrics(path: str) -> dict[str, dict]:
             "tolerance": DEFAULT_TOLERANCE, "gate": True}
     metrics[f"{tag}.dropped"] = {
         "value": report.get("dropped", 0), "direction": "lower",
+        "tolerance": DEFAULT_TOLERANCE, "gate": True}
+    metrics[f"{tag}.plan_set_encodes"] = {
+        "value": report["plan_set_encodes"], "direction": "lower",
         "tolerance": DEFAULT_TOLERANCE, "gate": True}
     metrics[f"{tag}.sticky_hits"] = {
         "value": routing["sticky_hits"], "direction": "higher",

@@ -29,6 +29,11 @@ shard hit distribution — gated by ``bench_compare.py --serving``):
    budgets are machine-independent, wall-clock deadlines are not);
 4. streaming phase — NDJSON streams over the warm mix.
 
+The report also carries ``plan_set_encodes``: how many plan sets the
+gateway serialized, one per distinct plan set served (every later
+response reuses the serialized text).  It is deterministic and gated
+lower-is-better, so a return to per-response encoding fails the gate.
+
 Timing metrics (qps, latency percentiles from the full client-side
 sample set) are reported but never gated.  ``--min-qps`` turns the
 report into a smoke check: exit 1 below the bar, or if any request
@@ -176,6 +181,7 @@ def run_serving_benchmark(*, shards: int = 2, mix_size: int = 6,
         "statuses": statuses,
         "http": http_codes,
         "stream_events": stream_events,
+        "plan_set_encodes": counters["plan_set_encodes"],
         "latency_ms": {
             "mean": (sum(latency_ms) / len(latency_ms)
                      if latency_ms else 0.0),
@@ -207,6 +213,7 @@ def format_report(report: dict) -> str:
         f"{totals['deadline_partials']}, streams {totals['streams']}",
         f"  routing: sticky {routing['sticky_hits']}/"
         f"{routing['requests']}, shard hits {routing['shard_hits']}",
+        f"  plan sets encoded: {report['plan_set_encodes']}",
     ]
     return "\n".join(lines)
 

@@ -164,11 +164,18 @@ class ServingCounters:
     Aggregates tenant counters, the request-latency histogram and
     wall-clock bookkeeping for qps.  Router counters live on the
     router and are merged into the snapshot by the gateway.
+
+    Attributes:
+        plan_set_encodes: Plan sets the gateway serialized into
+            response JSON: one per distinct plan set served, since
+            every later response for the same plan set reuses its
+            text.  Deterministic like the tenant counts.
     """
 
     tenants: dict[str, TenantCounters] = field(default_factory=dict)
     latency: LatencyHistogram = field(default_factory=LatencyHistogram)
     started_monotonic: float = field(default_factory=time.monotonic)
+    plan_set_encodes: int = 0
 
     def tenant(self, name: str) -> TenantCounters:
         counters = self.tenants.get(name)
@@ -192,6 +199,7 @@ class ServingCounters:
         return {"uptime_seconds": uptime,
                 "qps": totals["completed"] / uptime,
                 "totals": totals,
+                "plan_set_encodes": self.plan_set_encodes,
                 "tenants": {name: counters.snapshot()
                             for name, counters
                             in sorted(self.tenants.items())},

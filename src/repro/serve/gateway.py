@@ -11,8 +11,9 @@ live over NDJSON.
 Threading model — three kinds of threads, one rule each:
 
 * the **event loop thread** owns every mutable gateway structure
-  (admission state, counters, router).  Handlers touch them only from
-  coroutines, so there are no locks;
+  (admission state, counters, router, the served plan sets' JSON
+  texts).  Handlers touch them only from coroutines, so there are no
+  locks;
 * each **shard thread** (a one-worker ``ThreadPoolExecutor``) owns its
   ``OptimizerSession`` and runs that shard's optimizations strictly
   serially — which is exactly what keeps the warm-start cache, LP memo
@@ -51,12 +52,13 @@ import asyncio
 import json
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .. import faults
-from ..core import (Budget, PWLRRPAOptions, decode_plan_set,
-                    encode_plan_set, ladder_to)
+from ..core import (Budget, PWLRRPAOptions, StoredPlanSet,
+                    decode_plan_set, encode_plan_set, ladder_to)
 from ..service import OptimizerSession, WarmStartCache
 from ..service.signature import query_signature
 from ..store import PlanSetStore
@@ -93,6 +95,36 @@ BREAKER_COOLDOWN = 2
 #: waits for in-flight requests to notice the stop event and answer
 #: with a clean 503 before tearing the shards down.
 STOP_SHED_SECONDS = 1.0
+
+
+class _WireText:
+    """A payload value that is already JSON text (a served plan set).
+
+    :meth:`ServingGateway._response_bytes` splices the text into the
+    body as it stands, so a plan set serialized once is never
+    serialized again.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
+def _json_body(payload: dict) -> str:
+    """``json.dumps(payload)`` with every :class:`_WireText` value
+    spliced in as is.
+
+    Same bytes as ``json.dumps`` with its default separators, in the
+    payload's key order, for the string-keyed payloads the gateway
+    sends.
+    """
+    members = []
+    for key, value in payload.items():
+        text = (value.text if isinstance(value, _WireText)
+                else json.dumps(value))
+        members.append(f"{json.dumps(key)}: {text}")
+    return "{" + ", ".join(members) + "}"
 
 
 def _discard(future) -> None:
@@ -218,6 +250,15 @@ class ServingGateway:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stopping: asyncio.Event | None = None
         self.port: int | None = None
+        #: JSON text of each plan set this gateway has served, keyed by
+        #: the plan set itself: every hit on a warm-start entry hands
+        #: back the entry's one immutable (identity-hashed) instance, so
+        #: its text is serialized once, and it is freed with the plan
+        #: set when the entry is replaced or evicted.  Read and filled
+        #: only on the event-loop thread; a plan set that dies on a
+        #: shard thread removes its key there, in one dict deletion.
+        self._wire_texts: weakref.WeakKeyDictionary = \
+            weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -382,7 +423,7 @@ class ServingGateway:
     @staticmethod
     def _response_bytes(status: int, payload: dict,
                         extra_headers: tuple = ()) -> bytes:
-        body = json.dumps(payload).encode()
+        body = _json_body(payload).encode()
         head = (f"HTTP/1.1 {status} {_REASONS[status]}\r\n"
                 f"Content-Type: application/json\r\n"
                 f"Content-Length: {len(body)}\r\n"
@@ -551,8 +592,16 @@ class ServingGateway:
         return shard.session.optimize(request.query,
                                       scenario=request.scenario)
 
-    @staticmethod
-    def _item_doc(item, shard_index: int) -> dict:
+    def _plan_set_text(self, plan_set: StoredPlanSet) -> _WireText:
+        """The served plan set as JSON text, serialized on first use."""
+        text = self._wire_texts.get(plan_set)
+        if text is None:
+            text = _WireText(json.dumps(encode_plan_set(plan_set)))
+            self._wire_texts[plan_set] = text
+            self.counters.plan_set_encodes += 1
+        return text
+
+    def _item_doc(self, item, shard_index: int) -> dict:
         doc = {"status": item.status,
                "signature": item.signature,
                "scenario": item.scenario,
@@ -561,7 +610,7 @@ class ServingGateway:
                "guarantee": item.guarantee,
                "seconds": item.seconds}
         if item.ok:
-            doc["plan_set"] = encode_plan_set(item.plan_set)
+            doc["plan_set"] = self._plan_set_text(item.plan_set)
             doc["plans"] = len(item.plan_set.entries)
         if item.error:
             doc["error"] = item.error
@@ -711,7 +760,7 @@ class ServingGateway:
                    "alpha": float(doc.get("alpha", 0.0)),
                    "guarantee": float(doc.get("guarantee", 1.0)),
                    "seconds": 0.0,
-                   "plan_set": encode_plan_set(plan_set),
+                   "plan_set": self._plan_set_text(plan_set),
                    "plans": len(plan_set.entries)}
         if error:
             payload["degraded_reason"] = error

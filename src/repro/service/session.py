@@ -829,6 +829,24 @@ class OptimizerSession:
                          guarantee=float(outcome.get("guarantee") or 1.0),
                          events=events)
 
+    def _stream_item(self, index: int, signature: str,
+                     scenario_name: str, outcome: dict, stats: dict,
+                     seconds: float) -> BatchItem:
+        """The status-only item of a pooled ``optimize_iter`` run.
+
+        Its events have decoded every rung, and the stream put each
+        rung into the cache as it arrived, so the item decodes and puts
+        nothing again; it only takes in the run's LP-memo delta and
+        memo hits, as :meth:`_ok_item` does.
+        """
+        self._merge_memo_delta(outcome)
+        if stats:
+            self.lp_cache_hits_total += int(
+                stats.get("lp_cache_hits", 0))
+        return BatchItem(index=index, signature=signature,
+                         status=outcome.get("status", "ok"), stats=stats,
+                         seconds=seconds, scenario=scenario_name)
+
     def _error_item(self, index: int, signature: str, scenario_name: str,
                     status: str, error: str) -> BatchItem:
         return BatchItem(index=index, signature=signature, status=status,
@@ -843,7 +861,7 @@ class OptimizerSession:
 
     def _submit(self, index: int, signature: str, scenario_name: str,
                 query: Query, options: PWLRRPAOptions | None = None,
-                anytime: dict | None = None
+                anytime: dict | None = None, *, stream: bool = False
                 ) -> tuple[Future, Future | None]:
         """Submit one optimization task to the session's executor.
 
@@ -851,7 +869,9 @@ class OptimizerSession:
         to a :class:`BatchItem` (never raises), the raw future is the
         executor handle (``None`` when submission itself failed) kept for
         deadline-driven cancellation.  In-process tasks have run, and
-        both futures are resolved, by the time this returns.
+        both futures are resolved, by the time this returns.  A
+        ``stream`` task's item carries only the outcome's status (see
+        :meth:`_stream_item`).
         """
         item_future: Future = Future()
         payload = (index, scenario_name,
@@ -899,9 +919,10 @@ class OptimizerSession:
                             f"{type(exc).__name__}: {exc}")
                     else:
                         __, outcome, stats, seconds = done.result()
-                        item = self._ok_item(index, signature,
-                                             scenario_name, outcome,
-                                             stats, seconds)
+                        build = (self._stream_item if stream
+                                 else self._ok_item)
+                        item = build(index, signature, scenario_name,
+                                     outcome, stats, seconds)
                 item_future.set_result(item)
             except Exception as exc:  # reprolint: disable=REP601
                 # Decoding/caching failure: reported as an error item.
@@ -1231,7 +1252,8 @@ class OptimizerSession:
         if events_queue is not None:
             anytime = dict(anytime, events=events_queue)
         item_future, raw = self._submit(0, signature, scenario_name, query,
-                                        options=options, anytime=anytime)
+                                        options=options, anytime=anytime,
+                                        stream=True)
         self._live_stream_future = raw
         streamed = 0
         if events_queue is not None:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict
+from dataclasses import fields
 
 from ..core import PWLRRPAOptions
 from ..query import Query
@@ -74,8 +74,19 @@ def signature_document(query: Query, *, scenario: str = "cloud",
         "indexes": indexes,
         "scenario": scenario,
         "resolution": resolution,
-        "options": asdict(options or PWLRRPAOptions()),
+        "options": _options_document(options),
     }
+
+
+def _options_document(options: PWLRRPAOptions | None) -> dict:
+    """The options part of a signature document.
+
+    Field by field: the options are a flat frozen dataclass of scalars,
+    so this is the dict ``dataclasses.asdict`` builds, without the
+    recursive deep copy that made up most of its cost.
+    """
+    options = options or PWLRRPAOptions()
+    return {f.name: getattr(options, f.name) for f in fields(options)}
 
 
 def query_signature(query: Query, *, scenario: str = "cloud",
@@ -130,7 +141,7 @@ def family_document(query: Query, *, scenario: str = "cloud",
         "indexes": indexes,
         "scenario": scenario,
         "resolution": resolution,
-        "options": asdict(options or PWLRRPAOptions()),
+        "options": _options_document(options),
     }
 
 

@@ -5,25 +5,37 @@ admission layer (tenant token buckets, capacity backpressure, drain),
 signature-affine routing, the end-to-end HTTP contract (one shared
 gateway: bit-identical plan sets vs. a direct session, deadline
 partials with guarantees, NDJSON streaming order, 4xx mapping,
-metrics counters) and graceful drain.
+metrics counters), graceful drain, and the response bytes: each served
+plan set is serialized once, and every body equals the per-response
+``json.dumps`` encoding byte for byte.
 """
 
 from __future__ import annotations
 
+import gc
+import http.client
 import json
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.api import OptimizerSession
-from repro.core import decode_plan_set, encode_plan_set, guarantee_bound
+from repro import faults
+from repro.api import OptimizerSession, PlanSetStore, WarmStartCache
+from repro.core import (Budget, decode_plan_set, encode_plan_set,
+                        guarantee_bound)
 from repro.query import QueryGenerator
 from repro.serve import (AdmissionController, GatewayClient,
-                         GatewayConfig, ProtocolError, SignatureRouter,
-                         TokenBucket, launch, parse_optimize_request,
-                         query_from_doc, query_to_doc)
+                         GatewayConfig, ProtocolError, ServingGateway,
+                         SignatureRouter, TokenBucket, launch,
+                         parse_optimize_request, query_from_doc,
+                         query_to_doc)
+from repro.serve import gateway as gateway_module
 from repro.service.signature import query_signature
+
+GENEROUS = dict(tenant_rate=1000.0, tenant_burst=1000.0)
 
 
 def make_query(seed: int = 0, num_tables: int = 3):
@@ -341,6 +353,191 @@ class TestCachedHitBytes:
                                                      "cached"]
         for doc in served:
             assert json.dumps(doc["plan_set"], sort_keys=True) == wire
+
+
+# ----------------------------------------------------------------------
+# Response bytes: one serialization per served plan set
+# ----------------------------------------------------------------------
+
+def raw_optimize(handle, query, **fields) -> tuple[int, bytes]:
+    """POST one optimize request; return the raw status and body."""
+    connection = http.client.HTTPConnection(handle.host, handle.port,
+                                            timeout=120.0)
+    try:
+        connection.request("POST", "/v1/optimize",
+                           body=request_body(query, **fields),
+                           headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        return response.status, response.read()
+    finally:
+        connection.close()
+
+
+def per_response_body(doc: dict, plan_set) -> bytes:
+    """The body of a plan-set response as ``json.dumps`` of the whole
+    dict, with the plan set encoded for this one response: the fields
+    and key order of ``_item_doc`` / ``_serve_degraded``, scalars read
+    back from the response ``doc``."""
+    payload = {key: doc[key] for key in (
+        "status", "signature", "scenario", "shard", "alpha", "guarantee",
+        "seconds")}
+    payload["plan_set"] = encode_plan_set(plan_set)
+    payload["plans"] = len(plan_set.entries)
+    if "degraded_reason" in doc:
+        payload["degraded_reason"] = doc["degraded_reason"]
+    return json.dumps(payload).encode()
+
+
+def wire_text(body: bytes) -> str:
+    """The plan-set part of a response body, re-serialized."""
+    return json.dumps(json.loads(body)["plan_set"])
+
+
+@pytest.fixture
+def no_ambient_faults(monkeypatch):
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    faults.reset()
+    yield
+    faults.reset()
+
+
+class TestResponseBytes:
+    def test_bodies_equal_the_per_response_encoding(self, tmp_path,
+                                                    no_ambient_faults):
+        query = make_query(seed=41)
+        fresh = make_query(seed=42, num_tables=5)
+        with OptimizerSession("cloud") as session:
+            exact = session.optimize(query).plan_set
+            partial = session.optimize(
+                fresh, budget=Budget(lps=150)).plan_set
+        with launch(GatewayConfig(shards=2,
+                                  store_path=str(tmp_path / "plans.db"),
+                                  **GENEROUS)) as handle:
+            responses = [raw_optimize(handle, query),
+                         raw_optimize(handle, query),
+                         raw_optimize(handle, fresh, budget={"lps": 150})]
+            # Both attempts die: the store answers "degraded".
+            faults.install("serve.shard.die:1-2")
+            responses.append(raw_optimize(handle, query))
+        # The degraded path serves the stored document's decode.
+        with PlanSetStore(str(tmp_path / "plans.db")) as store:
+            stored = decode_plan_set(store.get(
+                json.loads(responses[-1][1])["signature"]))
+        expected = [("ok", exact), ("cached", exact),
+                    ("partial", partial), ("degraded", stored)]
+        for (code, body), (status, plan_set) in zip(responses, expected):
+            doc = json.loads(body)
+            assert (code, doc["status"]) == (200, status)
+            assert body == per_response_body(doc, plan_set)
+
+    def test_hits_on_one_signature_encode_once(self, monkeypatch):
+        calls = []
+        real = gateway_module.encode_plan_set
+
+        def counting(plan_set):
+            calls.append(plan_set)
+            return real(plan_set)
+
+        monkeypatch.setattr(gateway_module, "encode_plan_set", counting)
+        query = make_query(seed=43)
+        with launch(GatewayConfig(shards=2, **GENEROUS)) as handle:
+            first = raw_optimize(handle, query)
+            hits = [raw_optimize(handle, query) for _ in range(10)]
+            client = GatewayClient(handle.host, handle.port, timeout=120.0)
+            encodes = client.metrics()["plan_set_encodes"]
+        assert json.loads(first[1])["status"] == "ok"
+        assert [json.loads(body)["status"] for _, body in hits] == \
+            ["cached"] * 10
+        assert len(calls) == 1 and encodes == 1
+        assert len({body for _, body in hits}) == 1
+
+    def test_tighter_put_serves_the_new_plan_set(self):
+        # A budgeted request leaves a coarse entry; an exact run of the
+        # same signature replaces it, and the next hit must send the
+        # exact plan set's text, not the coarse one's.
+        query = make_query(seed=13, num_tables=5)
+        with OptimizerSession("cloud") as session:
+            exact = session.optimize(query).plan_set
+        with launch(GatewayConfig(shards=1, **GENEROUS)) as handle:
+            coarse = raw_optimize(handle, query, budget={"lps": 150})
+            tight = raw_optimize(handle, query, budget={"lps": 10 ** 9})
+            hit = raw_optimize(handle, query, budget={"lps": 10 ** 9})
+            client = GatewayClient(handle.host, handle.port, timeout=120.0)
+            encodes = client.metrics()["plan_set_encodes"]
+        statuses = [json.loads(body)["status"]
+                    for _, body in (coarse, tight, hit)]
+        assert statuses == ["partial", "ok", "cached"]
+        assert hit[1] == per_response_body(json.loads(hit[1]), exact)
+        assert wire_text(hit[1]) == wire_text(tight[1])
+        assert wire_text(hit[1]) != wire_text(coarse[1])
+        assert encodes == 2
+
+    def test_evicted_entry_is_encoded_anew_and_texts_die_with_sets(self):
+        # After an eviction the next hit loads the entry from the store
+        # and decodes a new plan set (whose cost maps come back in the
+        # store's sorted key order): it must get that set's own text.
+        gateway = ServingGateway(GatewayConfig(shards=1))
+        query, other = make_query(seed=44), make_query(seed=45)
+
+        def body(item) -> bytes:
+            response = ServingGateway._response_bytes(
+                200, gateway._item_doc(item, 0))
+            return response.split(b"\r\n\r\n", 1)[1]
+
+        with PlanSetStore(":memory:") as store:
+            session = OptimizerSession(
+                "cloud", cache=WarmStartCache(maxsize=1, store=store))
+            with session:
+                first = session.optimize(query)
+                bodies = [body(first), body(session.optimize(query))]
+                session.optimize(other)  # evicts the first entry
+                again = session.optimize(query)
+                bodies += [body(again), body(session.optimize(query))]
+        assert (first.status, again.status) == ("ok", "cached")
+        assert again.plan_set is not first.plan_set
+        assert gateway.counters.plan_set_encodes == 2
+        plan_sets = [first.plan_set] * 2 + [again.plan_set] * 2
+        assert bodies == [per_response_body(json.loads(b), plan_set)
+                          for b, plan_set in zip(bodies, plan_sets)]
+        assert bodies[2] != bodies[1]
+        assert len(gateway._wire_texts) == 2
+        del first, again, plan_sets, session
+        gc.collect()
+        assert len(gateway._wire_texts) == 0
+
+    def test_concurrent_hits_on_both_shards_are_identical(self):
+        router = SignatureRouter(2)
+        queries, seed = {}, 50
+        while len(queries) < 2:
+            query = make_query(seed=seed)
+            queries.setdefault(router.shard_for(query_signature(query)),
+                               query)
+            seed += 1
+        with launch(GatewayConfig(shards=2, **GENEROUS)) as handle:
+            for query in queries.values():
+                raw_optimize(handle, query)  # the miss
+            jobs = [queries[i % 2] for i in range(24)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # interleave the threads finely
+            try:
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    responses = list(pool.map(
+                        lambda query: raw_optimize(handle, query), jobs))
+            finally:
+                sys.setswitchinterval(interval)
+            client = GatewayClient(handle.host, handle.port, timeout=120.0)
+            encodes = client.metrics()["plan_set_encodes"]
+        assert encodes == 2
+        for shard, query in queries.items():
+            bodies = {body for (_, body), job in zip(responses, jobs)
+                      if job is query}
+            assert len(bodies) == 1
+            (body,) = bodies
+            doc = json.loads(body)
+            assert (doc["status"], doc["shard"]) == ("cached", shard)
+            with OptimizerSession("cloud") as session:
+                plan_set = session.optimize(query).plan_set
+            assert body == per_response_body(doc, plan_set)
 
 
 class TestGracefulDrain:

@@ -13,12 +13,14 @@ import json
 import pytest
 
 from repro.api import OptimizerSession, optimize_query
+from repro.bench.workloads import SweepPoint, queries_for_point
 from repro.core import (PWLRRPAOptions, PlanSelector, decode_plan_set,
                         encode_plan_set)
 from repro.query import QueryGenerator
 from repro.service import WarmStartCache, query_signature
 from repro.service import cache as cache_module
 from repro.service import session as session_module
+from repro.service.signature import family_digest
 
 
 def make_queries(count: int, num_tables: int = 3, seed: int = 0):
@@ -41,6 +43,28 @@ class TestQuerySignature:
         assert (query_signature(base)
                 != query_signature(base, options=PWLRRPAOptions(
                     approximation_factor=0.1)))
+
+    def test_digests_are_pinned(self):
+        # Stored plan sets are keyed by these digests, so a change in
+        # how the signature documents are built must not move them.
+        query = queries_for_point(
+            SweepPoint(num_tables=3, shape="chain", num_params=1,
+                       resolution=2), count=1, base_seed=0)[0]
+        options = PWLRRPAOptions(approximation_factor=0.05)
+        assert query_signature(query) == (
+            "5ea2cb79efdece30bb5ff21efbbfd167"
+            "0ae7dff931d14e408310c63a82018298")
+        assert family_digest(query) == (
+            "085730dc309ca51285e8e4b6d816f27c"
+            "75e6abadf5e7caa3d9c85b5153ec93db")
+        assert query_signature(query, scenario="approx", resolution=1,
+                               options=options) == (
+            "c8d4931573384c061b3308382df69f0e"
+            "afdf7fead0d4ac7589a7e626ab79b124")
+        assert family_digest(query, scenario="approx", resolution=1,
+                             options=options) == (
+            "c79d28e51032e13cbec64d1c8e73d27e"
+            "fa941138f5f5bcb5decb2701472ababe")
 
 
 class TestBatchOrderingAndResults:

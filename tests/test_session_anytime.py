@@ -282,12 +282,16 @@ class TestOptimizeIter:
         assert events[0].alpha == 0.0
         assert events[0].plan_set is not None
 
-    @pytest.mark.parametrize("call", ["optimize_iter", "optimize"])
-    def test_rungs_decode_once_each(self, monkeypatch, call):
+    @pytest.mark.parametrize("call,workers,puts", [
+        ("optimize_iter", 0, 4), ("optimize", 0, 1), ("optimize_iter", 2, 4),
+    ], ids=["optimize_iter", "optimize", "optimize_iter-pooled"])
+    def test_rungs_decode_once_each(self, monkeypatch, tmp_path, call,
+                                    workers, puts):
         # Every rung is decoded once, for its event.  The streamed
         # rung's put, or the item's put of the last rung's document,
         # hands that plan set to the cache entry, so later hits on the
-        # exact rung decode nothing.
+        # exact rung decode nothing.  A stream stores each rung once
+        # (an item stores only the last), also when a pool runs it.
         from repro.service import cache as cache_module
         from repro.service import session as session_module
         decodes = []
@@ -300,16 +304,21 @@ class TestOptimizeIter:
         monkeypatch.setattr(session_module, "decode_plan_set", counting)
         query = make_query(seed=13, num_tables=3)
         exact = {"precision": 0.0, "budget": Budget(seconds=1e9)}
-        with OptimizerSession("cloud") as session:
+        with PlanSetStore(str(tmp_path / "plans.db")) as store, \
+                OptimizerSession("cloud", workers=workers,
+                                 cache=WarmStartCache(store=store)
+                                 ) as session:
             if call == "optimize_iter":
                 events = list(session.optimize_iter(query))
             else:
                 events = session.optimize(query, **exact).events
             rungs = [e for e in events if e.kind == "rung_completed"]
             hits = [session.optimize(query, **exact) for _ in range(10)]
+            store_puts = store.counters.puts
         assert [e.alpha for e in rungs] == [0.5, 0.2, 0.05, 0.0]
         assert [item.status for item in hits] == ["cached"] * 10
         assert len(decodes) == len(rungs)
+        assert store_puts == puts
         assert all(item.plan_set is rungs[-1].plan_set for item in hits)
 
     def test_invalid_ladder_rejected(self):

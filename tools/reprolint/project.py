@@ -64,7 +64,8 @@ COUNTER_CLASSES: dict[str, tuple[str, ...]] = {
     "src/repro/core/stats.py": ("OptimizerStats",),
     "src/repro/lp/counters.py": ("LPStats",),
     "src/repro/serve/counters.py": ("TenantCounters",
-                                    "ResilienceCounters"),
+                                    "ResilienceCounters",
+                                    "ServingCounters"),
     "src/repro/store/counters.py": ("StoreCounters",),
 }
 
@@ -251,6 +252,8 @@ class ProjectContext:
         """Names a gated ``serving.*`` key tail may resolve to."""
         names = self._class_members("src/repro/serve/counters.py",
                                     "TenantCounters")
+        names |= self._class_members("src/repro/serve/counters.py",
+                                     "ServingCounters")
         names |= self._string_literals("src/repro/serve/router.py")
         # Workload-level outcomes computed by the serving benchmark
         # itself (e.g. "dropped") count as live when the benchmark
