@@ -9,6 +9,11 @@ on any entry whose digest or work key differs: a changed plan set is a
 correctness regression, and a changed work key shifts the benchmark's
 stratified draws.
 
+Each row also reports the entry's full LP accounting (solves, memo hits,
+infeasible and unbounded verdicts, closed-form deferrals, solves per
+purpose) and its created plans.  These fields gate nothing: two runs'
+``--json`` files diff to show whether a change kept the accounting.
+
 It only reads ``perfbench/``: the pool comes from ``perfbench/inputs.py``
 and the digest from ``perfbench/measure.py``, imported unmodified.
 
@@ -46,18 +51,27 @@ def pool() -> list[tuple[str, object, int]]:
 
 
 def check(expected: dict) -> list[dict]:
-    """One row per pool entry: committed and measured digest and work."""
+    """One row per pool entry: committed and measured digest and work,
+    then the measured LP accounting and created plans."""
     rows = []
     for entry, query, resolution in pool():
         result = optimize_query(query, "cloud", resolution=resolution)
         stats = result.stats
+        lp = stats.lp_stats
         committed = expected.get(entry, {})
         rows.append({
             "entry": entry,
             "digest": canonical_digest(encode_result(result)),
             "expected_digest": committed.get("digest"),
-            "work": stats.lps_solved + stats.lp_stats.cache_hits,
+            "work": stats.lps_solved + lp.cache_hits,
             "expected_work": committed.get("work"),
+            "solved": lp.solved,
+            "hits": lp.cache_hits,
+            "infeasible": lp.infeasible,
+            "unbounded": lp.unbounded,
+            "lowdim_deferred": lp.lowdim_deferred,
+            "by_purpose": lp.by_purpose(),
+            "plans_created": stats.plans_created,
         })
     return rows
 

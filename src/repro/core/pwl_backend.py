@@ -52,11 +52,6 @@ class PWLRRPAOptions:
             region accumulates more than ``cutout_cleanup_threshold``
             cutouts.
         cutout_cleanup_threshold: See above.
-        vectorized_pruning: Decide aligned-partition dominance against all
-            incumbents in one NumPy array pass instead of one Python loop
-            per incumbent.  Produces identical polytope sets to the scalar
-            path (falls back to it whenever the batch preconditions do not
-            hold); off only for ablation/regression comparisons.
         lp_cache_size: Size of the per-run LP-result memo cache keyed by
             canonicalized constraint sets (0 disables).  Cache hits are
             not counted as solved LPs.
@@ -76,7 +71,6 @@ class PWLRRPAOptions:
     simplify_polytopes: bool = False
     remove_redundant_cutouts: bool = False
     cutout_cleanup_threshold: int = 12
-    vectorized_pruning: bool = True
     lp_cache_size: int = 4096
     approximation_factor: float = 0.0
 
@@ -184,23 +178,21 @@ class PWLBackend(RRPABackend):
         ``Dom`` (:meth:`MultiObjectivePWL.dominance_polytopes`), where an
         unaligned pair runs the paper's general piece-pair loop.
         """
-        if self.options.vectorized_pruning:
-            batch = batch_dominance_aligned(
-                costs_a, cost_b, self.solver,
-                relax=self.options.approximation_factor, many_first=True)
-            if batch is not None:
-                return [self._simplified(polys) for polys in batch]
+        batch = batch_dominance_aligned(
+            costs_a, cost_b, self.solver,
+            relax=self.options.approximation_factor, many_first=True)
+        if batch is not None:
+            return [self._simplified(polys) for polys in batch]
         return [self.dominance(cost_a, cost_b) for cost_a in costs_a]
 
     def dominance_many_rev(self, cost_a, costs_b
                            ) -> list[list[ConvexPolytope]]:
         """Vectorized ``Dom(a, b_k)`` over all aligned incumbents at once."""
-        if self.options.vectorized_pruning:
-            batch = batch_dominance_aligned(
-                costs_b, cost_a, self.solver,
-                relax=self.options.approximation_factor, many_first=False)
-            if batch is not None:
-                return [self._simplified(polys) for polys in batch]
+        batch = batch_dominance_aligned(
+            costs_b, cost_a, self.solver,
+            relax=self.options.approximation_factor, many_first=False)
+        if batch is not None:
+            return [self._simplified(polys) for polys in batch]
         return [self.dominance(cost_a, cost_b) for cost_b in costs_b]
 
     @property

@@ -1,9 +1,9 @@
 """PWL-RRPA: the paper's algorithm for piecewise-linear MPQ (Section 6).
 
-:class:`PWLRRPA` wires the generic RRPA loop to a backend (by default the
-PWL backend) and a cost model, producing Pareto plan sets with relevance
-mappings for PWL-MPQ problem instances.  It is the optimizer evaluated in
-Section 7 / Figure 12.
+:class:`PWLRRPA` wires the generic RRPA loop to the PWL backend and a
+cost model, producing Pareto plan sets with relevance mappings for
+PWL-MPQ problem instances.  It is the optimizer evaluated in Section 7 /
+Figure 12.
 
 To optimize under a named cost-model scenario, go through
 :func:`repro.api.optimize_query` or :class:`repro.api.OptimizerSession`.
@@ -27,19 +27,12 @@ class PWLRRPA:
             ready cost model via :meth:`optimize_with_model` instead if it
             is already built.
         options: Backend tunables (emptiness strategy, refinements).
-        backend_factory: Optional backend constructor with the signature
-            ``(cost_model, *, options, lp_stats, stats) -> RRPABackend``;
-            defaults to :class:`PWLBackend`.  This is the hook the
-            scenario registry uses to plug alternative backends into the
-            same optimizer loop.
     """
 
     def __init__(self, cost_model_factory=None,
-                 options: PWLRRPAOptions | None = None,
-                 backend_factory=None) -> None:
+                 options: PWLRRPAOptions | None = None) -> None:
         self.cost_model_factory = cost_model_factory
         self.options = options or PWLRRPAOptions()
-        self.backend_factory = backend_factory
 
     def optimize(self, query: Query) -> OptimizationResult:
         """Optimize a query, building the cost model via the factory."""
@@ -84,9 +77,8 @@ class PWLRRPA:
         rung at ``options.approximation_factor``.
         """
         stats = OptimizerStats()
-        factory = self.backend_factory or PWLBackend
-        backend = factory(cost_model, options=self.options,
-                          lp_stats=stats.lp_stats, stats=stats)
+        backend = PWLBackend(cost_model, options=self.options,
+                             lp_stats=stats.lp_stats, stats=stats)
         return OptimizationRun(backend, query,
                                precision_ladder=precision_ladder,
                                fold_stats=stats, on_event=on_event,

@@ -64,6 +64,13 @@ def _encode_pwl(f: PiecewiseLinearFunction) -> dict:
                        for p in f.pieces]}
 
 
+def _encode_cost(cost: MultiObjectivePWL) -> dict:
+    """Components in :attr:`MultiObjectivePWL.metric_names` order, so a
+    plan set has one byte form whatever key order it was decoded from."""
+    return {name: _encode_pwl(cost.components[name])
+            for name in cost.metric_names}
+
+
 def _encode_region(region) -> dict:
     return {"space": _encode_polytope(region.space),
             "cutouts": [_encode_polytope(c) for c in region.cutouts]}
@@ -101,8 +108,7 @@ def encode_result(result: OptimizationResult) -> dict:
     for entry in result.entries:
         entries.append({
             "plan": _encode_plan(entry.plan),
-            "cost": {name: _encode_pwl(f)
-                     for name, f in entry.cost.components.items()},
+            "cost": _encode_cost(entry.cost),
             "region": _encode_region(entry.region),
         })
     return {"version": FORMAT_VERSION,
@@ -129,8 +135,7 @@ def encode_plan_set(plan_set: StoredPlanSet) -> dict:
     for entry in plan_set.entries:
         entries.append({
             "plan": _encode_plan(entry.plan),
-            "cost": {name: _encode_pwl(f)
-                     for name, f in entry.cost.components.items()},
+            "cost": _encode_cost(entry.cost),
             "region": {"space": _encode_polytope(entry.space),
                        "cutouts": [_encode_polytope(c)
                                    for c in entry.cutouts]},

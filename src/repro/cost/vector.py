@@ -27,8 +27,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from ..errors import DimensionMismatchError
-from ..geometry import (GEOMETRY_EPS, ConvexPolytope, LinearConstraint,
-                        emptiness_many)
+from ..geometry import GEOMETRY_EPS, ConvexPolytope, LinearConstraint
 from ..lp import LinearProgramSolver
 from .linear import LinearPiece
 from .pwl import PiecewiseLinearFunction
@@ -188,10 +187,10 @@ class MultiObjectivePWL:
         linear-region partition.
 
         Functions on one shared partition take the aligned path, which
-        decides the emptiness LPs of all mixed cells in one batch.  Any
-        other pair takes the paper's general loop, one emptiness LP per
-        piece-pair region, dominance candidate and cross-metric
-        intersection.
+        solves an emptiness LP only for a cell its vertices and centroid
+        leave undecided.  Any other pair takes the paper's general loop,
+        one emptiness LP per piece-pair region, dominance candidate and
+        cross-metric intersection.
 
         Args:
             other: The plan cost function to compare against.
@@ -224,14 +223,12 @@ class MultiObjectivePWL:
         dominance is first decided at the vertices: a linear inequality
         that holds at every vertex holds on the whole cell, and one that
         fails at every vertex fails on the whole cell.  Only genuinely
-        mixed cells fall back to an emptiness LP, all of them decided in
-        one batched pass.
+        mixed cells fall back to an emptiness LP.
         """
         names = self.metric_names
         factor = 1.0 + relax
         first = self.components[names[0]]
-        polys: list[ConvexPolytope | None] = []
-        undecided: list[ConvexPolytope] = []
+        polys: list[ConvexPolytope] = []
         for idx in range(len(first.pieces)):
             region = first.pieces[idx].region
             verts = region.vertex_hint
@@ -269,23 +266,9 @@ class MultiObjectivePWL:
                 # The cell centroid satisfies all constraints: non-empty
                 # without an LP.
                 polys.append(candidate)
-            else:
-                # Genuinely mixed cell: hold its slot, decide all the
-                # mixed cells' emptiness LPs in one batched pass below.
-                polys.append(None)
-                undecided.append(candidate)
-        if undecided:
-            empty = emptiness_many(undecided, solver)
-            decided = iter(zip(undecided, empty))
-            resolved: list[ConvexPolytope] = []
-            for entry in polys:
-                if entry is not None:
-                    resolved.append(entry)
-                    continue
-                candidate, is_empty = next(decided)
-                if not is_empty:
-                    resolved.append(candidate)
-            return resolved
+            elif not candidate.is_empty(solver):
+                # Genuinely mixed cell: its emptiness LP decides.
+                polys.append(candidate)
         return polys
 
     def _dominance_general(self, other: MultiObjectivePWL,
@@ -479,8 +462,7 @@ def batch_dominance_aligned(many: Sequence[MultiObjectivePWL],
     centroids = {idx: verts[idx].mean(axis=0)
                  for idx in dict.fromkeys(work_idx)}
 
-    results: list[list[ConvexPolytope | None]] = [[] for __ in many]
-    undecided: list[ConvexPolytope] = []
+    results: list[list[ConvexPolytope]] = [[] for __ in many]
     live_k, live_idx = np.nonzero(~cell_infeasible)
     for k, idx, mixed in zip(live_k.tolist(), live_idx.tolist(),
                              needs_work[live_k, live_idx].tolist()):
@@ -488,27 +470,9 @@ def batch_dominance_aligned(many: Sequence[MultiObjectivePWL],
             results[k].append(regions[idx])
             continue
         candidate = next(candidates)
-        if candidate.contains_point(centroids[idx]):
+        # A centroid inside the candidate proves it non-empty; otherwise
+        # its emptiness LP decides.
+        if (candidate.contains_point(centroids[idx])
+                or not candidate.is_empty(solver)):
             results[k].append(candidate)
-        else:
-            # The centroid proves nothing: hold the slot and decide
-            # every batch member's leftover emptiness LPs in one
-            # batched pass below.
-            results[k].append(None)
-            undecided.append(candidate)
-    if undecided:
-        empty = emptiness_many(undecided, solver)
-        decided = iter(zip(undecided, empty))
-        resolved_results: list[list[ConvexPolytope]] = []
-        for polys in results:
-            resolved: list[ConvexPolytope] = []
-            for entry in polys:
-                if entry is not None:
-                    resolved.append(entry)
-                    continue
-                candidate, is_empty = next(decided)
-                if not is_empty:
-                    resolved.append(candidate)
-            resolved_results.append(resolved)
-        return resolved_results
     return results

@@ -76,7 +76,8 @@ SITES: dict[str, str] = {
     "store.put.fail": "raise",
     "store.put.locked": "raise",
     "store.put.torn": "exit",
-    # LP substrate (repro.lp.solver.LinearProgramSolver.solve)
+    # LP substrate: every LP request (LinearProgramSolver.solve and each
+    # problem of solve_many)
     "lp.solver.fail": "raise",
 }
 

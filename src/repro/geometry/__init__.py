@@ -9,10 +9,7 @@ Public API:
   enumeration).
 * :func:`subtract_polytope` / :func:`subtract_polytopes` /
   :func:`union_covers` — region differences; :func:`subtract_polytope_many`
-  batches one cut across many bases with batched emptiness LPs.
-* :func:`emptiness_many` / :func:`chebyshev_many` /
-  :func:`has_interior_many` — batched polytope predicates backed by
-  :meth:`repro.lp.LinearProgramSolver.solve_many`.
+  subtracts one cut from many bases, deciding their pieces pass by pass.
 * :func:`envelope` / :func:`union_as_polytope` — Bemporad-style convexity
   recognition of polytope unions (used by Algorithm 2's ``IsEmpty``).
 * :class:`RelevanceRegion` — complement-of-cutouts region with the paper's
@@ -21,7 +18,6 @@ Public API:
   approximation of nonlinear cost functions.
 """
 
-from .batchops import chebyshev_many, emptiness_many, has_interior_many
 from .constraints import GEOMETRY_EPS, LinearConstraint
 from .convexity import constraint_valid_for, envelope, union_as_polytope
 from .difference import (subtract_polytope, subtract_polytope_many,
@@ -41,12 +37,9 @@ __all__ = [
     "RelevanceRegion",
     "Simplex",
     "box_simplices",
-    "chebyshev_many",
     "constraint_valid_for",
     "default_relevance_points",
-    "emptiness_many",
     "envelope",
-    "has_interior_many",
     "interval_pieces",
     "kuhn_triangulation_unit_cell",
     "subtract_polytope",

@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from ..lp import LinearProgramSolver
-from .batchops import emptiness_many, has_interior_many
 from .polytope import ConvexPolytope
 
 
@@ -68,29 +67,28 @@ def subtract_polytope_many(bases: Sequence[ConvexPolytope],
                            cut: ConvexPolytope,
                            solver: LinearProgramSolver
                            ) -> list[list[ConvexPolytope]]:
-    """Subtract one cut from many base polytopes with batched LPs.
+    """Subtract one cut from many base polytopes, pass by pass.
 
     Produces, for every base, exactly the piece list
-    :func:`subtract_polytope` would return, but assembles the underlying
-    LPs into three batched passes instead of interleaving them per base:
+    :func:`subtract_polytope` would return, but decides all bases in three
+    passes instead of one base at a time:
 
     1. base emptiness (usually answered from the per-polytope cache),
     2. the overlap fast path — one interior check per surviving base,
     3. one interior check per candidate piece of every clipped base.
 
     The single-base loop additionally solves a *prefix emptiness* LP after
-    each cut constraint purely to break out early; the batched form
-    decides every candidate piece directly, so those LPs disappear
-    entirely (pieces past the loop's early exit lie inside an empty
-    prefix and are dropped by their own interior check, leaving the
-    results identical).
+    each cut constraint purely to break out early; this form decides
+    every candidate piece directly, so those LPs disappear entirely
+    (pieces past the loop's early exit lie inside an empty prefix and are
+    dropped by their own interior check, leaving the results identical).
     """
     for base in bases:
         if cut.dim != base.dim:
             raise ValueError("dimension mismatch in polytope subtraction")
     results: list[list[ConvexPolytope] | None] = [None] * len(bases)
     live: list[int] = []
-    for i, empty in enumerate(emptiness_many(bases, solver)):
+    for i, empty in enumerate([base.is_empty(solver) for base in bases]):
         if empty or not cut.num_constraints:
             # An empty base, or subtracting the universe, leaves nothing.
             results[i] = []
@@ -99,15 +97,16 @@ def subtract_polytope_many(bases: Sequence[ConvexPolytope],
     # Fast path: cuts that miss a base entirely leave it unchanged.
     overlaps = [bases[i].intersect(cut) for i in live]
     clipped: list[int] = []
-    for i, interior in zip(live, has_interior_many(overlaps, solver)):
+    for i, interior in zip(live, [overlap.has_interior(solver)
+                                  for overlap in overlaps]):
         if interior:
             clipped.append(i)
         else:
             results[i] = [bases[i]]
     # Candidate pieces of every clipped base, in the single-base order:
     # piece_k keeps the points violating cut constraint k while satisfying
-    # constraints 0..k-1.  Construction is LP-free; one batched interior
-    # pass decides which candidates survive.  The cut's rows and their
+    # constraints 0..k-1.  Construction is LP-free; one interior pass
+    # decides which candidates survive.  The cut's rows and their
     # negations are built once, not once per base.
     cut_rows = cut._cut_rows() if clipped else []
     candidates: list[ConvexPolytope] = []
@@ -119,7 +118,7 @@ def subtract_polytope_many(bases: Sequence[ConvexPolytope],
             candidates.append(prefix._extended(negated))
             prefix = prefix._extended(row)
         spans.append((i, start, len(candidates)))
-    keep = has_interior_many(candidates, solver)
+    keep = [candidate.has_interior(solver) for candidate in candidates]
     for i, start, stop in spans:
         results[i] = [candidates[k] for k in range(start, stop) if keep[k]]
     return results

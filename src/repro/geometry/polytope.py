@@ -11,6 +11,7 @@ statistics — reproducing the paper's "#solved linear programs" metric.
 
 from __future__ import annotations
 
+import functools
 from itertools import combinations
 from collections.abc import Iterable, Sequence
 
@@ -32,6 +33,16 @@ INTERIOR_EPS = 1e-7
 # blocks in ``ConvexPolytope.__init__``.  When more than one block is
 # merged, the first is a polytope's own block (``_rows()``), so its keys
 # are distinct.
+
+
+@functools.cache
+def _chebyshev_objective(dim: int) -> np.ndarray:
+    """``maximize r`` over ``(x, r)``: one read-only objective per
+    dimension, shared by every Chebyshev LP."""
+    c = np.zeros(dim + 1)
+    c[-1] = -1.0
+    c.setflags(write=False)
+    return c
 
 
 def _zero_rows(a: np.ndarray, b: np.ndarray
@@ -271,8 +282,7 @@ class ConvexPolytope:
         """``True`` if any stored constraint is syntactically infeasible."""
         return self._infeasible
 
-    def is_empty(self, solver: LinearProgramSolver,
-                 tol: float = GEOMETRY_EPS) -> bool:
+    def is_empty(self, solver: LinearProgramSolver) -> bool:
         """Decide emptiness via a feasibility LP (result cached)."""
         if self._empty_cache is not None:
             return self._empty_cache
@@ -306,12 +316,12 @@ class ConvexPolytope:
             self._cheb_cache = (None, np.inf)
             return self._cheb_cache
         # Variables (x, r): maximize r subject to a_i @ x + r <= b_i
-        # (constraint normals are unit vectors, so ||a_i|| = 1).
-        m = self._a.shape[0]
-        a_ext = np.hstack([self._a, np.ones((m, 1))])
-        c = np.zeros(self.dim + 1)
-        c[-1] = -1.0  # maximize r
-        result = solver.solve(c, a_ext, self._b, purpose="chebyshev")
+        # (constraint normals are unit vectors, so ||a_i|| = 1), i.e.
+        # the rows [A | 1].
+        a_ext = np.ones((self._a.shape[0], self.dim + 1))
+        a_ext[:, :-1] = self._a
+        result = solver.solve(_chebyshev_objective(self.dim), a_ext,
+                              self._b, purpose="chebyshev")
         if result.is_infeasible:
             self._cheb_cache = (None, -np.inf)
         elif result.status == "unbounded":

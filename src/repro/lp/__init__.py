@@ -6,9 +6,8 @@ Public API:
   pluggable backends (the default ``hybrid``: closed form for at most
   two free variables, then the built-in simplex, then scipy HiGHS; or
   either of the last two alone); its
-  :meth:`~LinearProgramSolver.solve_many` solves a batch of independent
-  LPs with memo-backed in-batch deduplication (the entry point of the
-  batched geometry kernels).
+  :meth:`~LinearProgramSolver.solve_many` solves a sequence of
+  independent LPs as a loop of :meth:`~LinearProgramSolver.solve` does.
 * :class:`LPResult` — solve outcome.
 * :class:`LPResultCache` — bounded LRU memo over canonicalized LP inputs.
 * :func:`install_shared_lp_cache` / :func:`shared_lp_cache` — per-thread

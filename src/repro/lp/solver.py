@@ -300,22 +300,16 @@ class LinearProgramSolver:
     def solve_many(self, problems: Sequence[tuple], *,
                    purpose: str | Sequence[str] = "generic"
                    ) -> list[LPResult]:
-        """Solve a batch of independent LPs.
+        """Solve independent LPs in order: a loop of :meth:`solve`.
 
-        The batched entry point of the geometry kernels.  Semantically
-        (results *and* accounting) it equals calling :meth:`solve` per
-        problem: every backend solve is recorded, every memoized answer
-        is a cache hit, and answers are bit-identical to the per-problem
-        path.  The batch form buys memo-backed deduplication: every
-        problem is prepared and looked up first, then each distinct miss
-        is solved once, in input order, and results solved earlier in
-        the same batch answer later duplicates.
+        Every problem is one request, so the results and the accounting
+        (solves, memo hits, eviction) are the loop's.
 
         Args:
             problems: Sequence of ``(c, a_ub, b_ub, bounds)`` tuples, each
                 accepted exactly as by :meth:`solve`.
             purpose: Tag recorded in the LP statistics — one string for
-                the whole batch, or one per problem.
+                all problems, or one per problem.
 
         Returns:
             One :class:`LPResult` per problem, in input order.
@@ -329,50 +323,11 @@ class LinearProgramSolver:
                 raise SolverError(
                     "one purpose per problem required "
                     f"({len(purposes)} purposes for {count} problems)")
-        results: list[LPResult | None] = [None] * count
-        prepared: list[tuple] = [None] * count
-        keys: list[tuple | None] = [None] * count
-        misses: list[int] = []
-        pending: dict[tuple, int] = {}
-        duplicates: list[int] = []
-        for index, problem in enumerate(problems):
-            prepared[index] = self._prepare(*problem)
-            if self.cache is not None:
-                key = self._key(prepared[index])
-                keys[index] = key
-                cached = self.cache.get(key)
-                if cached is not None:
-                    self.stats.record_cache_hit()
-                    results[index] = cached
-                    continue
-                if key in pending:
-                    # The sequential path would have solved the earlier
-                    # twin before reaching this lookup, making this a
-                    # memo hit — preserve that accounting exactly.
-                    duplicates.append(index)
-                    continue
-                pending[key] = index
-            misses.append(index)
-        for index in misses:
-            result = self._solve_prepared(*prepared[index],
-                                          purpose=purposes[index])
-            if keys[index] is not None:
-                self.cache.put(keys[index], result)
-            results[index] = result
-        for index in duplicates:
-            cached = self.cache.get(keys[index])
-            if cached is None:  # evicted by a later miss of this batch
-                cached = self._solve_prepared(*prepared[index],
-                                              purpose=purposes[index])
-                self.cache.put(keys[index], cached)
-            else:
-                self.stats.record_cache_hit()
-            results[index] = cached
-        return results
+        return [self.solve(*problem, purpose=tag)
+                for problem, tag in zip(problems, purposes)]
 
     def _prepare(self, c, a_ub, b_ub, bounds) -> tuple:
-        """Normalize one LP's inputs (shared by :meth:`solve` and
-        :meth:`solve_many`).
+        """Normalize one LP request's inputs.
 
         Returns ``(c, a_ub, b_ub, bounds, costs, rows, rhs)``: canonical
         arrays (``a_ub`` and ``b_ub`` are ``None`` without rows), then

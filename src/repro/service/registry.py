@@ -5,9 +5,8 @@ The paper motivates MPQ with two concrete scenarios — Cloud computing
 (time vs. precision loss, Section 1) — and notes the algorithm itself is
 generic over the cost model.  This module makes that genericity a
 first-class API surface: a *scenario* bundles everything needed to
-optimize a query under one cost-model workload (a cost-model factory, the
-metric set, and optionally a custom RRPA backend factory), and a registry
-maps scenario names to scenarios so that
+optimize a query under one cost-model workload (a cost-model factory and
+the metric set), and a registry maps scenario names to scenarios so that
 :class:`repro.api.OptimizerSession` and the benchmark harness can select
 workloads by name (``--scenario approx``).
 
@@ -58,17 +57,12 @@ class Scenario:
         metrics: The scenario's cost metrics, in reporting order.  Used by
             callers to build selection weights; the cost model remains the
             source of truth during optimization.
-        backend_factory: Optional backend constructor forwarded to
-            :class:`repro.core.PWLRRPA` (signature ``(cost_model, *,
-            options, lp_stats, stats)``); ``None`` selects the standard
-            PWL backend.
         description: One-line human-readable summary.
     """
 
     name: str
     cost_model_factory: Callable[[Query, int], Any]
     metrics: tuple[CostMetric, ...]
-    backend_factory: Callable | None = None
     description: str = ""
 
     def optimizer(self, resolution: int = 2,
@@ -77,7 +71,7 @@ class Scenario:
         return PWLRRPA(
             cost_model_factory=lambda q: self.cost_model_factory(
                 q, resolution),
-            options=options, backend_factory=self.backend_factory)
+            options=options)
 
     def optimize(self, query: Query, resolution: int = 2,
                  options: PWLRRPAOptions | None = None
@@ -131,7 +125,6 @@ class ScenarioRegistry:
     def register(self, name: str,
                  cost_model_factory: Callable[[Query, int], Any],
                  metrics: Sequence[CostMetric],
-                 backend_factory: Callable | None = None,
                  description: str = "",
                  replace: bool = False) -> Scenario:
         """Register a scenario and return it.
@@ -140,7 +133,6 @@ class ScenarioRegistry:
             name: Registry key; must be new unless ``replace`` is set.
             cost_model_factory: ``(query, resolution) -> cost model``.
             metrics: The scenario's cost metrics.
-            backend_factory: Optional custom backend constructor.
             description: One-line summary.
             replace: Allow overwriting an existing registration.
 
@@ -154,7 +146,6 @@ class ScenarioRegistry:
         scenario = Scenario(name=name,
                             cost_model_factory=cost_model_factory,
                             metrics=tuple(metrics),
-                            backend_factory=backend_factory,
                             description=description)
         self._scenarios[name] = scenario
         return scenario
@@ -206,13 +197,11 @@ def default_registry() -> ScenarioRegistry:
 def register_scenario(name: str,
                       cost_model_factory: Callable[[Query, int], Any],
                       metrics: Sequence[CostMetric],
-                      backend_factory: Callable | None = None,
                       description: str = "",
                       replace: bool = False) -> Scenario:
     """Register a scenario in the default registry (see
     :meth:`ScenarioRegistry.register`)."""
     return _DEFAULT.register(name, cost_model_factory, metrics,
-                             backend_factory=backend_factory,
                              description=description, replace=replace)
 
 

