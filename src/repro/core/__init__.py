@@ -23,10 +23,9 @@ from .pwl_backend import PWLBackend, PWLRRPAOptions
 from .pwl_rrpa import PWLRRPA
 from .rrpa import RRPA, OptimizationResult
 from .run import (DEFAULT_PRECISION_LADDER, DEFAULT_SEED_CAP, RUN_COMPLETED,
-                  RUN_EXHAUSTED, RUN_STOPPED, SEED_JUMP_ALPHA, Budget,
-                  OptimizationRun, ProgressEvent, RungOutcome,
-                  guarantee_bound, ladder_to, trim_ladder_for_seed,
-                  validate_ladder)
+                  RUN_EXHAUSTED, SEED_JUMP_ALPHA, Budget, OptimizationRun,
+                  ProgressEvent, RungOutcome, guarantee_bound, ladder_to,
+                  trim_ladder_for_seed, validate_ladder)
 from .selection import PlanSelector, SelectedPlan
 from .serialize import (StoredPlanSet, decode_plan, decode_plan_set,
                         encode_plan, encode_plan_set, encode_result,
@@ -53,7 +52,6 @@ __all__ = [
     "RRPABackend",
     "RUN_COMPLETED",
     "RUN_EXHAUSTED",
-    "RUN_STOPPED",
     "RungOutcome",
     "SEED_JUMP_ALPHA",
     "SelectedPlan",
@@ -72,4 +70,5 @@ __all__ = [
     "splits",
     "subsets_in_size_order",
     "trim_ladder_for_seed",
+    "validate_ladder",
 ]

@@ -56,17 +56,15 @@ class PWLRRPA:
         return self.cost_model_factory(query)
 
     def start_run(self, query: Query, *, precision_ladder=None,
-                  on_event=None, seed_plans=None) -> OptimizationRun:
+                  seed_plans=None) -> OptimizationRun:
         """Create a resumable run, building the cost model via the
         factory (see :meth:`start_run_with_model`)."""
         return self.start_run_with_model(
             query, self._build_model(query),
-            precision_ladder=precision_ladder, on_event=on_event,
-            seed_plans=seed_plans)
+            precision_ladder=precision_ladder, seed_plans=seed_plans)
 
     def start_run_with_model(self, query: Query, cost_model, *,
                              precision_ladder=None,
-                             on_event=None,
                              seed_plans=None) -> OptimizationRun:
         """Create a resumable :class:`~repro.core.run.OptimizationRun`.
 
@@ -81,5 +79,4 @@ class PWLRRPA:
                              lp_stats=stats.lp_stats, stats=stats)
         return OptimizationRun(backend, query,
                                precision_ladder=precision_ladder,
-                               fold_stats=stats, on_event=on_event,
-                               seed_plans=seed_plans)
+                               fold_stats=stats, seed_plans=seed_plans)

@@ -171,7 +171,7 @@ class RRPA:
         self.backend = backend
 
     def start_run(self, query: Query, *, precision_ladder=None,
-                  on_event=None, seed_plans=None):
+                  seed_plans=None):
         """Create a resumable :class:`~repro.core.run.OptimizationRun`.
 
         ``precision_ladder=None`` runs a single rung at the backend's
@@ -185,7 +185,6 @@ class RRPA:
         from .run import OptimizationRun
         return OptimizationRun(self.backend, query,
                                precision_ladder=precision_ladder,
-                               on_event=on_event,
                                seed_plans=seed_plans)
 
     def optimize(self, query: Query) -> OptimizationResult:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from collections.abc import Callable
 from typing import Any
 
 from ..errors import OptimizationError
@@ -65,7 +64,6 @@ DEFAULT_SEED_CAP = 1
 #: ``run()`` outcomes.
 RUN_COMPLETED = "completed"
 RUN_EXHAUSTED = "exhausted"
-RUN_STOPPED = "stopped"
 
 #: Progress-event kinds, in the order they can occur within one rung.
 EVENT_KINDS = ("rung_started", "level", "rung_completed",
@@ -245,8 +243,6 @@ class OptimizationRun:
             emptiness-check counters are folded into every rung result
             (the accounting :class:`repro.core.pwl_rrpa.PWLRRPA` keeps
             for its backend).
-        on_event: Optional callback invoked with every
-            :class:`ProgressEvent` as it is emitted.
         seed_plans: Optional plan trees from a *similar* query (same
             tables and join graph, drifted statistics) — e.g. the Pareto
             set of a :class:`repro.store.PlanSetStore` nearest-neighbor
@@ -264,7 +260,6 @@ class OptimizationRun:
     def __init__(self, backend: RRPABackend, query: Query, *,
                  precision_ladder=None,
                  fold_stats: OptimizerStats | None = None,
-                 on_event: Callable[[ProgressEvent], None] | None = None,
                  seed_plans=None) -> None:
         self.backend = backend
         self.query = query
@@ -274,13 +269,11 @@ class OptimizationRun:
                 getattr(backend, "approximation_factor", 0.0),)
         self.ladder = validate_ladder(precision_ladder)
         self.fold_stats = fold_stats
-        self.on_event = on_event
         self.events: list[ProgressEvent] = []
         self.completed: list[RungOutcome] = []
         self.last_status: str | None = None
         self._rung = 0
         self._done = False
-        self._stop_requested = False
         self._units: list[tuple] | None = None
         self._unit_index = 0
         self._dp: dict[frozenset[str], list] = {}
@@ -288,8 +281,7 @@ class OptimizationRun:
         self._elapsed = 0.0
         self._rung_seconds = 0.0
         self.seed_plans = tuple(seed_plans or ())
-        #: Seed subplans inserted as incumbents so far (introspection;
-        #: pooled outcomes ship it back to the session).
+        #: Seed subplans inserted as incumbents so far (introspection).
         self.seeded_plans = 0
         #: Seed subtrees inserted per DP table set: an integer caps the
         #: breadth, ``None`` adopts the neighbor's whole frontier (see
@@ -359,12 +351,6 @@ class OptimizationRun:
         """
         return self.completed[-1].result if self.completed else None
 
-    def request_stop(self) -> None:
-        """Ask a ``run()`` in progress to return at the next step
-        boundary (cooperative cancellation, usable from another
-        thread)."""
-        self._stop_requested = True
-
     # ------------------------------------------------------------------
     # Stepping
     # ------------------------------------------------------------------
@@ -395,8 +381,6 @@ class OptimizationRun:
             units_total=len(self._units or ()),
             lps_solved=self.lps_solved, seconds=self._elapsed)
         self.events.append(event)
-        if self.on_event is not None:
-            self.on_event(event)
         return event
 
     def step(self) -> bool:
@@ -606,18 +590,19 @@ class OptimizationRun:
     # ------------------------------------------------------------------
 
     def run(self, budget: Budget | None = None) -> str:
-        """Advance until done, budget exhaustion or a stop request.
+        """Advance until done or budget exhaustion.
 
-        Drains :meth:`iter_run`: the events it yields are recorded in
-        :attr:`events` (and passed to :attr:`on_event`) either way.
+        Drains :meth:`iter_run`; every event it emits is recorded in
+        :attr:`events`.  To stop a run early, pass a budget, or advance
+        :meth:`iter_run` yourself and stop asking for events.
 
         Args:
             budget: Limits scoped to *this call* (resuming with a fresh
                 budget continues where the previous call stopped).
 
         Returns:
-            One of :data:`RUN_COMPLETED`, :data:`RUN_EXHAUSTED`,
-            :data:`RUN_STOPPED` (also kept as :attr:`last_status`).
+            :data:`RUN_COMPLETED` or :data:`RUN_EXHAUSTED` (also kept as
+            :attr:`last_status`).
         """
         for __ in self.iter_run(budget):
             pass
@@ -633,10 +618,6 @@ class OptimizationRun:
         window = _BudgetWindow(budget, self)
         self.last_status = RUN_COMPLETED
         while not self._done:
-            if self._stop_requested:
-                self._stop_requested = False
-                self.last_status = RUN_STOPPED
-                return
             if window.exhausted():
                 event = self._emit("budget_exhausted", plan_count=len(
                     self.completed[-1].result.entries)
@@ -715,7 +696,6 @@ __all__ = [
     "ProgressEvent",
     "RUN_COMPLETED",
     "RUN_EXHAUSTED",
-    "RUN_STOPPED",
     "RungOutcome",
     "SEED_JUMP_ALPHA",
     "guarantee_bound",

@@ -54,12 +54,12 @@ import threading
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import faults
 from ..core import (Budget, PWLRRPAOptions, StoredPlanSet,
                     decode_plan_set, encode_plan_set, ladder_to)
-from ..service import OptimizerSession, WarmStartCache
+from ..service import OptimizerSession, WarmStartCache, default_registry
 from ..service.signature import query_signature
 from ..store import PlanSetStore
 from .admission import AdmissionController
@@ -515,6 +515,11 @@ class ServingGateway:
             await self._simple(writer, 400, {"error": str(exc)})
             return
         tenant = self.counters.tenant(request.tenant)
+        unknown = self._unknown_scenario(request)
+        if unknown is not None:
+            tenant.malformed += 1
+            await self._simple(writer, 400, {"error": unknown})
+            return
         admission = self.admission.admit(request.tenant)
         if not admission.admitted:
             if admission.decision == "draining":
@@ -558,6 +563,24 @@ class ServingGateway:
 
     def _scenario_name(self, request: OptimizeRequest) -> str:
         return request.scenario or self.config.scenario
+
+    def _unknown_scenario(self, request: OptimizeRequest) -> str | None:
+        """The 400 message for a scenario the shards do not know.
+
+        Checked against the registry the shard sessions resolve names
+        in, at request time, so a scenario registered after start is
+        served.  A name left to a shard would raise there, which the
+        single path treats as shard-fatal.
+        """
+        if request.scenario is None:
+            return None
+        registry = (self._registry if self._registry is not None
+                    else default_registry())
+        try:
+            registry.get(request.scenario)
+        except KeyError as exc:
+            return exc.args[0]
+        return None
 
     def _request_budget(self, request: OptimizeRequest) -> Budget | None:
         """Fold the request deadline into its cooperative budget."""

@@ -5,8 +5,9 @@ Public API:
 * :class:`OptimizerSession` — the unified front door: one submit/collect
   path over an executor (in-process for serial sessions, a persistent
   worker pool otherwise), session-scoped caches, and
-  ``submit``/``as_completed``/``map``/``optimize``/``optimize_iter``
-  over named scenarios (see also :mod:`repro.api`).
+  ``submit``/``as_completed``/``map``/``optimize`` over named scenarios,
+  plus ``optimize_iter``, which steps its run in the calling thread on
+  every session (see also :mod:`repro.api`).
 * :class:`Scenario` / :class:`ScenarioRegistry` /
   :func:`register_scenario` / :func:`get_scenario` /
   :func:`available_scenarios` — the pluggable scenario registry with

@@ -82,8 +82,7 @@ class Scenario:
 
     def start_run(self, query: Query, resolution: int = 2,
                   options: PWLRRPAOptions | None = None, *,
-                  precision_ladder=None, on_event=None,
-                  seed_plans=None):
+                  precision_ladder=None, seed_plans=None):
         """Create a resumable anytime run for one query.
 
         Returns a :class:`repro.core.run.OptimizationRun` that can be
@@ -94,7 +93,7 @@ class Scenario:
         """
         return self.optimizer(resolution=resolution,
                               options=options).start_run(
-            query, precision_ladder=precision_ladder, on_event=on_event,
+            query, precision_ladder=precision_ladder,
             seed_plans=seed_plans)
 
     @property

@@ -3,8 +3,10 @@
 One session owns everything a serving process needs across many
 optimization calls:
 
-* an **executor** that decides where optimizations run, behind one
-  submit/collect path.  A serial session (``workers <= 1``) uses an
+* an **executor** that decides where ``submit``, ``as_completed``,
+  ``map`` and ``optimize`` run, behind one submit/collect path
+  (``optimize_iter`` takes none: it steps its run in the calling
+  thread on every session).  A serial session (``workers <= 1``) uses an
   in-process executor: its ``submit`` runs the task in the calling
   thread and returns an already-resolved future.  A pooled session uses
   a **persistent worker pool**, spawned lazily on the first call and
@@ -47,19 +49,18 @@ Submission surfaces:
 * :meth:`OptimizerSession.optimize_iter` — one query, streams
   :class:`~repro.core.run.ProgressEvent` objects over a precision
   ladder; each ``rung_completed`` event carries a successively tighter
-  plan set with its ``(1 + alpha)`` guarantee.
+  plan set with its ``(1 + alpha)`` guarantee.  The run is stepped in
+  the calling thread on the session memo, whatever ``workers`` is.
 
 Tasks return *serialized* plan sets (JSON documents) under both
 executors, which sidesteps pickling optimizer internals, feeds the cache
 for free, and makes a serial and a pooled session produce the same
-items.
+items; ``optimize_iter`` builds its events from the same documents.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import pickle
-import queue as queue_module
 import time
 from collections.abc import Iterator, Sequence
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
@@ -253,24 +254,6 @@ def _event_from_doc(doc: dict) -> ProgressEvent:
     return event
 
 
-def _live_event_emitter(run, events_queue):
-    """Per-event callback shipping the trail live over a result queue.
-
-    Each event's document (:func:`_event_doc`) is forwarded the moment
-    the event is emitted.  A broken queue degrades to the
-    replay-on-completion behavior — the session recovers the missing
-    tail from the outcome's trail.
-    """
-    def on_event(event) -> None:
-        doc = _event_doc(run, event)
-        try:
-            events_queue.put(doc)
-        except Exception:  # reprolint: disable=REP601
-            # Broken queue proxy: degrade to replay-on-completion.
-            run.on_event = None
-    return on_event
-
-
 def _tag_repair_cost(doc: dict, lps) -> dict:
     """Record the producing run's LP count on a plan-set document.
 
@@ -321,24 +304,10 @@ def _run_anytime(scenario, query: Query, resolution: int, options,
 
     The budget is enforced *inside* the run at step boundaries, so a
     pooled worker returns its best-so-far by itself — no cancellation,
-    no pool teardown.  When the payload carries a live-event queue
-    (``anytime["events"]``, a manager-queue proxy), every progress event
-    is also shipped through it as it happens, closing with a ``None``
-    sentinel — this is what makes pooled ``optimize_iter`` stream live
-    instead of replaying the trail on completion.
+    no pool teardown.
     """
-    events_queue = anytime.get("events")
     run = _start_run(scenario, query, resolution, options, anytime)
-    if events_queue is not None:
-        run.on_event = _live_event_emitter(run, events_queue)
-    try:
-        status = run.run(Budget.from_dict(anytime.get("budget")))
-    finally:
-        if events_queue is not None:
-            try:
-                events_queue.put(None)
-            except Exception:  # reprolint: disable=REP601
-                pass  # consumer recovers the tail from the replay trail
+    status = run.run(Budget.from_dict(anytime.get("budget")))
     trail = [_event_doc(run, event) for event in run.events]
     rungs = [doc["rung"] for doc in trail if "rung" in doc]
     result = run.result()
@@ -354,7 +323,6 @@ def _run_anytime(scenario, query: Query, resolution: int, options,
         "guarantee": run.guarantee,
         "status": item_status,
         "trail": trail,
-        "seeded_plans": run.seeded_plans,
     }
     stats = (result.stats.summary() if result is not None
              else OptimizerStats().summary())
@@ -426,6 +394,7 @@ class OptimizerSession:
         workers: Worker processes; ``0`` or ``1`` optimizes in the
             calling thread (serial, through an in-process executor),
             ``>= 2`` uses the persistent process pool.
+            :meth:`optimize_iter` runs in the calling thread either way.
         resolution: PWL grid resolution of the scenario cost models.
         options: Backend options forwarded to every optimization.
         timeout_seconds: Per-call deadline for :meth:`map` /
@@ -501,15 +470,6 @@ class OptimizerSession:
         self._pool: ProcessPoolExecutor | None = None
         self._closed = False
         self._timed_out = False
-        #: Lazily started :func:`multiprocessing.Manager` providing the
-        #: live-event queues of pooled ``optimize_iter`` calls (``None``
-        #: until first use, ``False`` when manager start-up failed and
-        #: streaming falls back to replay-on-completion).
-        self._manager = None
-        #: Executor future of the most recent pooled ``optimize_iter``
-        #: (introspection hook: lets callers/tests observe that events
-        #: arrive while the worker is still running).
-        self._live_stream_future: Future | None = None
         #: Per-name shipping decision, keyed to the scenario instance it
         #: was made for: ``(scenario, scenario-or-None)`` — ``None``
         #: selects the by-name worker fallback for unpicklable entries.
@@ -566,12 +526,6 @@ class OptimizerSession:
         if self._closed:
             return
         self._closed = True
-        manager, self._manager = self._manager, None
-        if manager:
-            try:
-                manager.shutdown()
-            except Exception:  # reprolint: disable=REP601
-                pass  # manager already gone; close stays idempotent
         pool, self._pool = self._pool, None
         if pool is None:
             return
@@ -829,24 +783,6 @@ class OptimizerSession:
                          guarantee=float(outcome.get("guarantee") or 1.0),
                          events=events)
 
-    def _stream_item(self, index: int, signature: str,
-                     scenario_name: str, outcome: dict, stats: dict,
-                     seconds: float) -> BatchItem:
-        """The status-only item of a pooled ``optimize_iter`` run.
-
-        Its events have decoded every rung, and the stream put each
-        rung into the cache as it arrived, so the item decodes and puts
-        nothing again; it only takes in the run's LP-memo delta and
-        memo hits, as :meth:`_ok_item` does.
-        """
-        self._merge_memo_delta(outcome)
-        if stats:
-            self.lp_cache_hits_total += int(
-                stats.get("lp_cache_hits", 0))
-        return BatchItem(index=index, signature=signature,
-                         status=outcome.get("status", "ok"), stats=stats,
-                         seconds=seconds, scenario=scenario_name)
-
     def _error_item(self, index: int, signature: str, scenario_name: str,
                     status: str, error: str) -> BatchItem:
         return BatchItem(index=index, signature=signature, status=status,
@@ -861,7 +797,7 @@ class OptimizerSession:
 
     def _submit(self, index: int, signature: str, scenario_name: str,
                 query: Query, options: PWLRRPAOptions | None = None,
-                anytime: dict | None = None, *, stream: bool = False
+                anytime: dict | None = None
                 ) -> tuple[Future, Future | None]:
         """Submit one optimization task to the session's executor.
 
@@ -869,9 +805,7 @@ class OptimizerSession:
         to a :class:`BatchItem` (never raises), the raw future is the
         executor handle (``None`` when submission itself failed) kept for
         deadline-driven cancellation.  In-process tasks have run, and
-        both futures are resolved, by the time this returns.  A
-        ``stream`` task's item carries only the outcome's status (see
-        :meth:`_stream_item`).
+        both futures are resolved, by the time this returns.
         """
         item_future: Future = Future()
         payload = (index, scenario_name,
@@ -919,10 +853,9 @@ class OptimizerSession:
                             f"{type(exc).__name__}: {exc}")
                     else:
                         __, outcome, stats, seconds = done.result()
-                        build = (self._stream_item if stream
-                                 else self._ok_item)
-                        item = build(index, signature, scenario_name,
-                                     outcome, stats, seconds)
+                        item = self._ok_item(index, signature,
+                                             scenario_name, outcome,
+                                             stats, seconds)
                 item_future.set_result(item)
             except Exception as exc:  # reprolint: disable=REP601
                 # Decoding/caching failure: reported as an error item.
@@ -1194,30 +1127,8 @@ class OptimizerSession:
         return anytime
 
     # ------------------------------------------------------------------
-    # Live event streaming (optimize_iter)
+    # Event streaming (optimize_iter)
     # ------------------------------------------------------------------
-
-    def _event_queue(self):
-        """A fresh manager queue for one live-streamed pooled run.
-
-        The manager process is started lazily on the first streaming
-        call and lives until :meth:`close`.  Returns ``None`` when the
-        manager cannot be started (constrained environments) — pooled
-        streaming then degrades to replaying the trail on completion,
-        which is the pre-live behavior.
-        """
-        if self._manager is None:
-            try:
-                self._manager = multiprocessing.Manager()
-            except Exception:  # reprolint: disable=REP601
-                # Constrained environment: degrade to replay streaming.
-                self._manager = False
-        if not self._manager:
-            return None
-        try:
-            return self._manager.Queue()
-        except Exception:  # reprolint: disable=REP601
-            return None  # manager died: replay-on-completion fallback
 
     def _decode_live_event(self, doc: dict, signature: str
                            ) -> ProgressEvent:
@@ -1237,63 +1148,6 @@ class OptimizerSession:
                            plan_set=event.plan_set)
         return event
 
-    def _pooled_event_docs(self, query: Query, scenario_name: str,
-                           options, signature: str,
-                           anytime: dict) -> Iterator[dict]:
-        """Event documents of a pooled run, *live* from its worker.
-
-        The worker ships every document through a per-run manager queue
-        as it is emitted (closing with a ``None`` sentinel).  Documents
-        the queue could not carry (manager unavailable, proxy broken
-        mid-run) are recovered from the outcome's trail, so the consumer
-        always sees the full trail exactly once, in order.
-        """
-        events_queue = self._event_queue()
-        if events_queue is not None:
-            anytime = dict(anytime, events=events_queue)
-        item_future, raw = self._submit(0, signature, scenario_name, query,
-                                        options=options, anytime=anytime,
-                                        stream=True)
-        self._live_stream_future = raw
-        streamed = 0
-        if events_queue is not None:
-            finished = False
-            while not finished:
-                try:
-                    doc = events_queue.get(timeout=0.05)
-                except queue_module.Empty:
-                    if item_future.done():
-                        break
-                    continue
-                except Exception:  # reprolint: disable=REP601
-                    break  # broken queue: recover from the replay trail
-                if doc is None:
-                    finished = True
-                    break
-                yield doc
-                streamed += 1
-            # The worker finished (sentinel or resolved future); drain
-            # whatever raced in after the last blocking get.
-            while not finished:
-                try:
-                    doc = events_queue.get_nowait()
-                except Exception:  # reprolint: disable=REP601
-                    break  # empty or broken: the replay trail completes
-                if doc is None:
-                    break
-                yield doc
-                streamed += 1
-        item = item_future.result()
-        if item.status == "error":
-            # An empty event stream must not masquerade as a (failed)
-            # completed ladder.
-            raise OptimizationError(f"anytime run failed: {item.error}")
-        # Tail not delivered live: the trail is deterministic and
-        # ordered, so the suffix picks up exactly where the live stream
-        # stopped.
-        __, outcome, __, __ = raw.result()
-        yield from outcome["trail"][streamed:]
-
     def optimize_iter(self, query: Query, *,
                       scenario: str | None = None,
                       precision_ladder=None,
@@ -1309,13 +1163,13 @@ class OptimizerSession:
         rung's DP work (plan-cost memo + LP memo), so the ladder costs
         far less than independent runs.
 
-        Events stream live on both paths, as the same event documents:
-        a serial session runs the ladder step by step in the calling
-        thread, and a pooled session ships each event from its worker
-        through a per-run result queue as it is emitted (same events,
-        same order — consumers see coarse rungs while tighter rungs are
-        still optimizing).  One ``budget`` window spans the whole
-        ladder.
+        Every session, serial or pooled, steps the run in the calling
+        thread, one DP level at a time as the consumer asks for events,
+        so events are live by construction and an abandoned iterator
+        stops optimizing.  The worker count plays no part: a pooled session
+        spawns no pool for a stream, and its ``timeout_seconds`` does
+        not apply (bound the stream with ``budget``).  One ``budget``
+        window spans the whole ladder.
 
         Args:
             query: The query to optimize.
@@ -1325,7 +1179,7 @@ class OptimizerSession:
             budget: Cooperative budget over the whole iteration.
 
         Raises:
-            OptimizationError: If the run fails (on either path).
+            OptimizationError: If the run fails.
         """
         self._check_open()
         scenario_name = self._scenario_name(scenario)
@@ -1350,36 +1204,31 @@ class OptimizerSession:
         anytime = self._anytime_payload(
             query, signature, scenario_name, options, ladder, budget,
             trim=precision_ladder is None)
-        # A live stream cannot run behind a synchronous submit, so the
-        # executor only chooses where the event documents come from.
-        if self.workers > 1:
-            docs = self._pooled_event_docs(query, scenario_name, options,
-                                           signature, anytime)
-        else:
-            docs = self._in_process_event_docs(query, scenario_name,
-                                               options, anytime)
-        for doc in docs:
+        for doc in self._in_process_event_docs(query, scenario_name,
+                                               options, anytime):
             yield self._decode_live_event(doc, signature)
 
     def _in_process_event_docs(self, query: Query, scenario_name: str,
                                options, anytime: dict) -> Iterator[dict]:
         """Event documents of a run stepped in the calling thread.
 
-        The session LP memo is installed before the run is built, so
-        the run's solver reads and feeds it.  A finished stream adds its
-        memo hits to :attr:`lp_cache_hits_total`, as a pooled item does.
+        The session LP memo is installed only while the run is built:
+        the run's solver takes it then and reads and feeds it from there
+        on.  Between yields the thread has its own memo back, so an
+        optimization the consumer runs there meanwhile neither reads nor
+        feeds the session's.  A finished stream adds its memo hits to
+        :attr:`lp_cache_hits_total`, as an item does.
         """
-        with _memo_installed(self.lp_memo):
-            try:
+        try:
+            with _memo_installed(self.lp_memo):
                 run = _start_run(self.registry.get(scenario_name), query,
                                  self.resolution, options, anytime)
-                for event in run.iter_run(
-                        Budget.from_dict(anytime["budget"])):
-                    yield _event_doc(run, event)
-            except Exception as exc:
-                raise OptimizationError(
-                    f"anytime run failed: {type(exc).__name__}: {exc}"
-                ) from exc
+            for event in run.iter_run(Budget.from_dict(anytime["budget"])):
+                yield _event_doc(run, event)
+        except Exception as exc:
+            raise OptimizationError(
+                f"anytime run failed: {type(exc).__name__}: {exc}"
+            ) from exc
         result = run.result()
         if result is not None:
             self.lp_cache_hits_total += result.stats.lp_stats.cache_hits

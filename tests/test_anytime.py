@@ -22,8 +22,8 @@ import pytest
 
 from repro.cloud import CloudCostModel
 from repro.core import (Budget, PWLRRPA, RUN_COMPLETED, RUN_EXHAUSTED,
-                        RUN_STOPPED, encode_result, guarantee_bound,
-                        ladder_to, validate_ladder)
+                        encode_result, guarantee_bound, ladder_to,
+                        validate_ladder)
 from repro.core.run import DEFAULT_PRECISION_LADDER
 from repro.query import QueryGenerator
 from repro.service.registry import get_scenario
@@ -140,14 +140,6 @@ class TestResumption:
         assert run.result().achieved_alpha == 0.0
         assert _doc_key(run.result()) == _doc_key(exact)
 
-    def test_request_stop_is_cooperative(self, query):
-        run = get_scenario("cloud").start_run(
-            query, precision_ladder=(0.5, 0.0))
-        run.request_stop()
-        assert run.run() == RUN_STOPPED
-        assert not run.done
-        assert run.run() == RUN_COMPLETED  # flag was consumed
-
 
 class TestGuaranteeAccounting:
     def test_interrupted_run_guarantee_is_valid(self):
@@ -188,9 +180,8 @@ class TestProgressEvents:
     def test_rungs_tighten_and_counters_monotone(self, query):
         run = get_scenario("cloud").start_run(
             query, precision_ladder=(0.5, 0.2, 0.0))
-        seen = []
-        run.on_event = seen.append
-        run.run()
+        seen = list(run.iter_run())
+        assert run.last_status == RUN_COMPLETED
         assert seen == run.events
         rungs = [e for e in run.events if e.kind == "rung_completed"]
         assert [e.alpha for e in rungs] == [0.5, 0.2, 0.0]
@@ -201,7 +192,8 @@ class TestProgressEvents:
         assert counts == sorted(counts)
         lps = [e.lps_solved for e in run.events]
         assert lps == sorted(lps)
-        # Events survive a dict round trip (the pooled shipping format).
+        # Events survive a dict round trip (the session's event
+        # documents carry them that way).
         for event in run.events:
             doc = event.as_dict()
             assert type(event).from_dict(doc).as_dict() == doc

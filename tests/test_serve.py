@@ -5,9 +5,10 @@ admission layer (tenant token buckets, capacity backpressure, drain),
 signature-affine routing, the end-to-end HTTP contract (one shared
 gateway: bit-identical plan sets vs. a direct session, deadline
 partials with guarantees, NDJSON streaming order, 4xx mapping,
-metrics counters), graceful drain, and the response bytes: each served
+metrics counters), graceful drain, the response bytes (each served
 plan set is serialized once, and every body equals the per-response
-``json.dumps`` encoding byte for byte.
+``json.dumps`` encoding byte for byte), and unknown scenarios, which
+get a 400 before admission and never reach a shard.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.serve import (AdmissionController, GatewayClient,
                          parse_optimize_request, query_from_doc,
                          query_to_doc)
 from repro.serve import gateway as gateway_module
+from repro.service.registry import ScenarioRegistry, default_registry
 from repro.service.signature import query_signature
 
 GENEROUS = dict(tenant_rate=1000.0, tenant_burst=1000.0)
@@ -554,6 +556,58 @@ class TestResponseBytes:
             with OptimizerSession("cloud") as session:
                 plan_set = session.optimize(query).plan_set
             assert body == per_response_body(doc, plan_set)
+
+
+# ----------------------------------------------------------------------
+# Unknown scenarios: a client error, not a shard failure
+# ----------------------------------------------------------------------
+
+class TestUnknownScenario:
+    def test_unknown_scenario_is_a_400_and_spares_the_shard(
+            self, no_ambient_faults):
+        query = make_query(seed=44)
+        with launch(GatewayConfig(shards=1, store_path=":memory:",
+                                  **GENEROUS)) as handle:
+            client = GatewayClient(handle.host, handle.port, timeout=120.0)
+            assert client.optimize(query, tenant="typo").doc["status"] \
+                == "ok"
+            singles = [client.optimize(query, tenant="typo",
+                                       scenario="nope")
+                       for _ in range(3)]
+            streams = [list(client.stream_optimize(query, tenant="typo",
+                                                   scenario="nope"))
+                       for _ in range(2)]
+            warm = client.optimize(query, tenant="typo")
+            metrics = client.metrics()
+        error = "unknown scenario 'nope'; available: approx, cloud"
+        assert [(r.status_code, r.doc["error"]) for r in singles] \
+            == [(400, error)] * 3
+        assert [[(line["kind"], line.get("http_status"), line["error"])
+                 for line in lines] for lines in streams] \
+            == [[("error", 400, error)]] * 2
+        assert metrics["resilience"]["shard_respawns"] == 0
+        assert metrics["resilience"]["breaker_opens"] == 0
+        assert metrics["tenants"]["typo"]["malformed"] == 5
+        assert metrics["tenants"]["typo"]["admitted"] == 2
+        assert warm.status_code == 200
+        assert warm.doc["status"] == "cached"
+
+    def test_scenario_registered_after_start_is_served(self):
+        registry = ScenarioRegistry()
+        cloud = default_registry().get("cloud")
+        registry.register("cloud", cloud.cost_model_factory, cloud.metrics)
+        query = make_query(seed=45, num_tables=2)
+        with launch(GatewayConfig(shards=1, **GENEROUS),
+                    registry=registry) as handle:
+            client = GatewayClient(handle.host, handle.port, timeout=120.0)
+            before = client.optimize(query, scenario="late")
+            registry.register("late", cloud.cost_model_factory,
+                              cloud.metrics)
+            after = client.optimize(query, scenario="late")
+        assert before.status_code == 400
+        assert after.status_code == 200
+        assert after.doc["status"] == "ok"
+        assert after.doc["scenario"] == "late"
 
 
 class TestGracefulDrain:

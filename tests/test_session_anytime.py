@@ -7,9 +7,11 @@ Covers:
   guarantee without tearing the pool down (cooperative cancellation),
   including under the ``spawn`` start method;
 * ``OptimizerSession.optimize_iter`` — successively tighter plan sets
-  streamed as progress events, with the pooled replay matching the live
-  serial trail, and the same memo use, memo-hit accounting and failure
-  error whichever executor runs the stream;
+  streamed as progress events.  Every session steps the run in the
+  calling thread, so a pooled session streams the serial trail live and
+  spawns nothing, with the same memo use, memo-hit accounting and
+  failure error whatever the worker count; the session memo is
+  installed only while the run is built, not between yields;
 * warm-start alpha tags — a partial (coarse) cache entry never serves an
   exact request, and a tighter entry is never overwritten by a coarser
   one, also across caches sharing one plan-set store;
@@ -46,14 +48,6 @@ def _hung_anytime(payload):
     if payload[6] is not None:
         import time as _time
         _time.sleep(30.0)
-    return session_module._real_optimize_payload(payload)
-
-
-def _poisoned_anytime(payload):
-    """Worker stub (module-level: picklable): anytime payloads raise."""
-    from repro.service import session as session_module
-    if payload[6] is not None:
-        raise RuntimeError("poisoned anytime run")
     return session_module._real_optimize_payload(payload)
 
 
@@ -202,45 +196,56 @@ class TestOptimizeIter:
                 == [(e.alpha, e.plan_count) for e in live_rungs])
         assert all(e.plan_set is not None for e in replay_rungs)
 
-    def test_pooled_events_arrive_before_run_finishes(self):
-        """Regression: pooled optimize_iter streams live, not replayed.
-
-        The first events must be delivered while the worker task is
-        still executing — before the live-queue fix the whole trail was
-        replayed only after the pooled run finished.
-        """
+    def test_pooled_stream_runs_in_the_calling_thread(self):
+        """A pooled session steps its stream in the calling thread: no
+        pool and no other process starts, and each event is live — the
+        coarse rung arrives before the exact rung has been optimized."""
         query = make_query(seed=3, num_tables=4)
-        ladder = (0.5, 0.2, 0.0)
+        children = {p.pid for p in multiprocessing.active_children()}
+        cache = WarmStartCache()
         with OptimizerSession("cloud", workers=2,
-                              warm_start=False) as session:
+                              cache=cache) as session:
             iterator = session.optimize_iter(query,
-                                             precision_ladder=ladder)
+                                             precision_ladder=(0.5, 0.0))
             first = next(iterator)
             assert first.kind == "rung_started"
-            raw = session._live_stream_future
-            assert raw is not None
-            # The run has three rungs of DP work ahead of it; receiving
-            # the opening event after completion (the replay behavior)
-            # would find the future already resolved here.
-            assert not raw.done()
-            events = [first]
-            in_flight_rung_done = False
+            assert session.pool_spawns == 0
+            assert {p.pid for p in multiprocessing.active_children()} \
+                <= children
+            signature = session._signature(
+                query, "cloud", options=session._anytime_options(0.0))
             for event in iterator:
-                if event.kind == "rung_completed" and not raw.done():
-                    in_flight_rung_done = True
-                events.append(event)
-            # At least one completed rung streamed out mid-run (the
-            # coarse rungs finish long before the exact one).
-            assert in_flight_rung_done
-        # Liveness must not change the trail: same events as serial.
-        with OptimizerSession("cloud", warm_start=False) as serial:
-            live = list(serial.optimize_iter(query,
-                                             precision_ladder=ladder))
-        assert [e.kind for e in events] == [e.kind for e in live]
-        assert ([(e.rung, e.alpha, e.plan_count) for e in events]
-                == [(e.rung, e.alpha, e.plan_count) for e in live])
-        pooled_rungs = [e for e in events if e.kind == "rung_completed"]
-        assert all(e.plan_set is not None for e in pooled_rungs)
+                if event.kind == "rung_completed":
+                    break
+            assert event.alpha == 0.5
+            assert len(cache) == 1
+            assert cache.get_entry(signature)[1] == 0.5
+            assert [e.kind for e in iterator][-1] == "rung_completed"
+            assert cache.get_entry(signature)[1] == 0.0
+            assert session.pool_spawns == 0
+
+    def test_memo_not_installed_between_yields(self):
+        """A suspended stream leaves the thread's memo as it found it:
+        a session-free optimization run meanwhile reports its own LP
+        counts and adds nothing to the session memo, while the stream's
+        run keeps feeding it."""
+        from repro.api import optimize_query
+        from repro.lp import shared_lp_cache
+
+        other = QueryGenerator(seed=5).generate(3, "chain", 1)
+        alone = optimize_query(other, "cloud").stats.lp_stats
+        with OptimizerSession("cloud", warm_start=False) as session:
+            stream = session.optimize_iter(make_query(seed=1, num_tables=3),
+                                           precision_ladder=(0.5, 0.0))
+            next(stream)
+            assert shared_lp_cache() is not session.lp_memo
+            size = len(session.lp_memo)
+            meanwhile = optimize_query(other, "cloud").stats.lp_stats
+            assert len(session.lp_memo) == size
+            list(stream)
+            assert len(session.lp_memo) > size
+        assert ((meanwhile.solved, meanwhile.cache_hits)
+                == (alone.solved, alone.cache_hits))
 
     def test_pooled_live_stream_feeds_warm_start_cache(self):
         """Each completed rung is cached under its alpha tag as it
@@ -327,25 +332,6 @@ class TestOptimizeIter:
                 pytest.raises(ValueError, match="decreasing"):
             list(session.optimize_iter(query,
                                        precision_ladder=(0.1, 0.5)))
-
-    def test_pooled_worker_failure_raises(self, monkeypatch):
-        """A worker-side failure must not look like an empty (successful)
-        event stream — the serial path raises, so the pooled one must
-        too."""
-        from repro.errors import OptimizationError
-        from repro.service import session as session_module
-
-        monkeypatch.setattr(session_module, "_real_optimize_payload",
-                            session_module._optimize_payload,
-                            raising=False)
-        monkeypatch.setattr(session_module, "_optimize_payload",
-                            _poisoned_anytime)
-        query = make_query(seed=13, num_tables=2)
-        with OptimizerSession("cloud", workers=2,
-                              warm_start=False) as session, \
-                pytest.raises(OptimizationError, match="poisoned"):
-            list(session.optimize_iter(query,
-                                       precision_ladder=(0.5, 0.0)))
 
 
 def _failing_cost_model(query, resolution):
