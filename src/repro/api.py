@@ -15,9 +15,10 @@ One import gives a serving process everything it needs::
 
 The session owns a persistent worker pool (spawned lazily, reused across
 calls, closed with the session), session-scoped caches (warm-start plan
-sets and the LP-result memo, shipped to workers), and resolves cost-model
-workloads through the scenario registry — ``"cloud"`` and ``"approx"``
-are built in, and :func:`register_scenario` adds new ones in one call.
+sets, and the LP-result memo its in-process runs share; a pool task
+runs on its own run's memo), and resolves cost-model workloads through
+the scenario registry — ``"cloud"`` and ``"approx"`` are built in, and
+:func:`register_scenario` adds new ones in one call.
 
 Anytime optimization rides on the same session::
 

@@ -19,7 +19,7 @@ optimization times of single-objective PQ algorithms").
 
 from __future__ import annotations
 
-from ..cost import CostMetric, MultiObjectivePWL
+from ..cost import MultiObjectivePWL
 from ..core import OptimizationResult, PWLRRPA, PWLRRPAOptions
 from ..query import Query
 
@@ -93,8 +93,3 @@ class PQOptimizer:
         model = SingleMetricModel(base_model, self.metric)
         optimizer = PWLRRPA(options=self.options)
         return optimizer.optimize_with_model(query, model)
-
-
-def metric_only(metric: CostMetric) -> tuple[CostMetric, ...]:
-    """Helper returning a one-metric tuple (readability in tests)."""
-    return (metric,)

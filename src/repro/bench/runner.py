@@ -454,13 +454,11 @@ def run_pool_comparison(num_tables: int = 3, shape: str = "chain",
     The same sequence of ``batches`` distinct-query batches is optimized
     twice: once with a fresh session per batch (every batch pays worker
     spawn and teardown, as a per-batch pool would) and once with a
-    single session kept open across all batches.  Both regimes
-    disable the session-scoped LP memo (``lp_memo_size=0``) so the
-    measured difference isolates pool spawn/teardown overhead instead of
-    conflating it with cross-batch LP-memo hits only the persistent
-    workers could accumulate.  Returns one aggregate
-    :class:`ThroughputPoint` per regime (``pool="cold"`` /
-    ``"persistent"``).
+    single session kept open across all batches.  A pool task runs on
+    its own run's LP memo, so no LP-memo hit carries from one batch to
+    the next and the regimes differ only in pool spawn and teardown.
+    Returns one aggregate :class:`ThroughputPoint` per regime
+    (``pool="cold"`` / ``"persistent"``).
     """
     from ..service import OptimizerSession
 
@@ -475,7 +473,7 @@ def run_pool_comparison(num_tables: int = 3, shape: str = "chain",
     for queries in batched:  # legacy regime: one pool per batch
         with OptimizerSession(scenario, workers=workers,
                               resolution=resolution, options=options,
-                              warm_start=False, lp_memo_size=0) as session:
+                              warm_start=False) as session:
             failures += sum(1 for item in session.map(queries)
                             if not item.ok)
     seconds = time.perf_counter() - started
@@ -490,7 +488,7 @@ def run_pool_comparison(num_tables: int = 3, shape: str = "chain",
     failures = 0
     with OptimizerSession(scenario, workers=workers,
                           resolution=resolution, options=options,
-                          warm_start=False, lp_memo_size=0) as session:
+                          warm_start=False) as session:
         for queries in batched:  # one pool across every batch
             failures += sum(1 for item in session.map(queries)
                             if not item.ok)

@@ -27,7 +27,3 @@ class Column:
                 f"column {self.name!r} needs >= 1 distinct value")
         if self.width_bytes < 1:
             raise ValueError(f"column {self.name!r} has invalid width")
-
-    def equality_selectivity(self) -> float:
-        """Selectivity of ``col = literal`` under uniformity: ``1/distinct``."""
-        return 1.0 / self.distinct_values

@@ -45,8 +45,3 @@ class Table:
     def has_column(self, name: str) -> bool:
         """Return whether the table has a column of that name."""
         return any(c.name == name for c in self.columns)
-
-    @property
-    def row_bytes(self) -> int:
-        """Total row width (sum of column widths, minimum 8)."""
-        return max(8, sum(c.width_bytes for c in self.columns))

@@ -80,30 +80,20 @@ class OptimizationResult:
                 selected.append(entry)
         return selected or list(self.entries)
 
-    def frontier_at(self, x, evaluate=None) -> list[tuple[Plan, dict]]:
-        """Non-dominated ``(plan, cost_dict)`` pairs at parameter ``x``.
+    def frontier_at(self, x) -> list[tuple[Plan, dict]]:
+        """Non-dominated ``(plan, cost_dict)`` pairs at parameter ``x``."""
+        return pareto_filter([(entry.plan, entry.cost.evaluate(x))
+                              for entry in self.plans_for(x)])
 
-        Args:
-            x: Parameter vector.
-            evaluate: Optional ``(cost_object, x) -> dict`` override for
-                backends whose cost objects lack an ``evaluate`` method.
-        """
-        costed = []
-        for entry in self.plans_for(x):
-            if evaluate is not None:
-                values = evaluate(entry.cost, x)
-            else:
-                values = entry.cost.evaluate(x)
-            costed.append((entry.plan, values))
-        frontier = []
-        for plan, values in costed:
-            dominated = any(
-                all(other[m] <= values[m] for m in values)
-                and any(other[m] < values[m] for m in values)
-                for __, other in costed if other is not values)
-            if not dominated:
-                frontier.append((plan, values))
-        return frontier
+
+def pareto_filter(costed: list[tuple[Plan, dict]]
+                  ) -> list[tuple[Plan, dict]]:
+    """The ``(plan, cost_dict)`` pairs of ``costed`` no other pair
+    dominates (no higher on every metric, lower on one), in order."""
+    return [(plan, values) for plan, values in costed
+            if not any(all(other[m] <= values[m] for m in values)
+                       and any(other[m] < values[m] for m in values)
+                       for __, other in costed if other is not values)]
 
 
 #: Incumbents per vectorized dominance batch while reducing the new

@@ -271,6 +271,9 @@ class OptimizationRun:
         self.fold_stats = fold_stats
         self.events: list[ProgressEvent] = []
         self.completed: list[RungOutcome] = []
+        #: How the last :meth:`iter_run` ended: :data:`RUN_COMPLETED`,
+        #: :data:`RUN_EXHAUSTED`, or ``None`` while one is under way or
+        #: after one was abandoned before it ended.
         self.last_status: str | None = None
         self._rung = 0
         self._done = False
@@ -612,11 +615,13 @@ class OptimizationRun:
         """Advance like :meth:`run`, yielding events as they are emitted.
 
         One budget window spans the whole iteration (repeated calls each
-        get a fresh window).  The final status is available as
-        :attr:`last_status` afterwards.
+        get a fresh window).  :attr:`last_status` is ``None`` from the
+        start of the iteration; it becomes :data:`RUN_EXHAUSTED` when the
+        budget stops it and :data:`RUN_COMPLETED` when the run is done.
+        An iteration the caller stops consuming leaves it ``None``.
         """
         window = _BudgetWindow(budget, self)
-        self.last_status = RUN_COMPLETED
+        self.last_status = None
         while not self._done:
             if window.exhausted():
                 event = self._emit("budget_exhausted", plan_count=len(
@@ -629,6 +634,7 @@ class OptimizationRun:
             self.step()
             window.steps += 1
             yield from self.events[mark:]
+        self.last_status = RUN_COMPLETED
 
 
 def validate_ladder(precision_ladder) -> tuple[float, ...]:

@@ -22,7 +22,7 @@ from ..cost.linear import LinearPiece
 from ..errors import ReproError
 from ..geometry import ConvexPolytope, LinearConstraint
 from ..plans import JoinOperator, JoinPlan, Plan, ScanOperator, ScanPlan
-from .rrpa import OptimizationResult
+from .rrpa import OptimizationResult, pareto_filter
 
 FORMAT_VERSION = 1
 
@@ -245,16 +245,8 @@ class StoredPlanSet:
 
     def frontier(self, x) -> list[tuple[Plan, dict[str, float]]]:
         """Non-dominated ``(plan, cost)`` pairs at ``x``."""
-        costed = [(e.plan, e.cost.evaluate(x)) for e in self.plans_for(x)]
-        out = []
-        for plan, cost in costed:
-            dominated = any(
-                all(other[m] <= cost[m] for m in cost)
-                and any(other[m] < cost[m] for m in cost)
-                for __, other in costed if other is not cost)
-            if not dominated:
-                out.append((plan, cost))
-        return out
+        return pareto_filter([(e.plan, e.cost.evaluate(x))
+                              for e in self.plans_for(x)])
 
     def select(self, x, weights) -> tuple[Plan, dict[str, float]]:
         """Weighted-sum selection at run time."""

@@ -23,7 +23,7 @@ the special case where all intersections are exact region matches.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -312,13 +312,6 @@ class PiecewiseLinearFunction:
             raise EmptyRegionError(
                 "function has no bounded piece on the region")
         return float(lo), float(hi)
-
-    def map_pieces(self, fn: Callable[[LinearPiece], LinearPiece]
-                   ) -> PiecewiseLinearFunction:
-        """Apply ``fn`` to every piece, keeping the partition token."""
-        return PiecewiseLinearFunction(self.dim,
-                                       [fn(p) for p in self.pieces],
-                                       self.partition_token)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"PWL(dim={self.dim}, pieces={len(self.pieces)}, "

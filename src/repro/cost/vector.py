@@ -98,15 +98,6 @@ class MultiObjectivePWL:
         """Evaluate all metrics at ``x``."""
         return {name: f.evaluate(x) for name, f in self.components.items()}
 
-    def evaluate_vector(self, x) -> np.ndarray:
-        """Evaluate as an array ordered by :attr:`metric_names`."""
-        return np.array([self.components[m].evaluate(x)
-                         for m in self.metric_names])
-
-    def total_pieces(self) -> int:
-        """Total number of linear pieces across all components."""
-        return sum(f.num_pieces for f in self.components.values())
-
     def aligned_stack(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-metric piece coefficients as stacked arrays (cached).
 

@@ -21,14 +21,6 @@ class DimensionMismatchError(ReproError):
     """
 
 
-class InfeasibleProgramError(ReproError):
-    """Raised when a linear program that is expected to be feasible is not."""
-
-
-class UnboundedProgramError(ReproError):
-    """Raised when a linear program is unbounded in the optimized direction."""
-
-
 class SolverError(ReproError):
     """Raised when the underlying LP solver fails for an unexpected reason."""
 

@@ -2,18 +2,19 @@
 
 Public API:
 
-* :class:`LinearProgramSolver` / :func:`make_solver` — LP facade with
-  pluggable backends (the default ``hybrid``: closed form for at most
-  two free variables, then the built-in simplex, then scipy HiGHS; or
-  either of the last two alone); its
+* :class:`LinearProgramSolver` — LP facade with pluggable backends
+  (the default ``hybrid``: closed form for at most two free variables,
+  then the built-in simplex, then scipy HiGHS; or either of the last
+  two alone); its
   :meth:`~LinearProgramSolver.solve_many` solves a sequence of
   independent LPs as a loop of :meth:`~LinearProgramSolver.solve` does.
 * :class:`LPResult` — solve outcome.
 * :class:`LPResultCache` — bounded LRU memo over canonicalized LP inputs.
 * :func:`install_shared_lp_cache` / :func:`shared_lp_cache` — per-thread
   session memo injection (used by :class:`repro.api.OptimizerSession` so
-  LP results are shared across runs and shipped to pool workers; serial
-  sessions on different threads never see each other's memo).
+  its in-process runs share LP results; sessions on different threads
+  never see each other's memo, and pool tasks run on their own run's
+  memo).
 * :class:`LPStats` / :func:`default_stats` — counters used to reproduce the
   "#solved linear programs" measurements of Figure 12.
 * :func:`solve_simplex` — the dependency-free simplex used as fallback and
@@ -25,7 +26,7 @@ Public API:
 from .counters import LPStats, default_stats
 from .simplex import SimplexResult, solve_simplex
 from .solver import (LinearProgramSolver, LPResult, LPResultCache,
-                     install_shared_lp_cache, make_solver, shared_lp_cache)
+                     install_shared_lp_cache, shared_lp_cache)
 
 __all__ = [
     "LPResult",
@@ -35,7 +36,6 @@ __all__ = [
     "SimplexResult",
     "default_stats",
     "install_shared_lp_cache",
-    "make_solver",
     "shared_lp_cache",
     "solve_simplex",
 ]

@@ -76,26 +76,19 @@ class LPResultCache:
     (feasibility, objective optima and minimizers do not depend on
     constraint order).
 
-    Access is lock-protected: an optimizer session merges worker memo
-    deltas from its pool's collector thread while the main thread keeps
-    solving (serial runs) or exporting (pool spawns).
+    Access is lock-protected: one memo object may be reached from more
+    than one thread (an optimizer session's memo, say, by runs on
+    whichever thread installed it), and every lookup and insert
+    reorders the LRU.
 
     Args:
         maxsize: Maximum number of cached results (LRU eviction).
-        track_delta: Record the keys of fresh inserts so
-            :meth:`drain_delta` can ship *only what this process learned*
-            back to a parent session (pool workers enable this; see
-            :mod:`repro.service.session`).
     """
 
-    def __init__(self, maxsize: int = 4096,
-                 track_delta: bool = False) -> None:
+    def __init__(self, maxsize: int = 4096) -> None:
         self.maxsize = maxsize
         self._data = BoundedLRU(maxsize)
         self._lock = threading.Lock()
-        #: Ordered set of keys inserted since the last drain (insertion
-        #: order == recency for fresh keys); ``None`` disables tracking.
-        self._delta: dict | None = {} if track_delta else None
 
     def __len__(self) -> int:
         with self._lock:
@@ -139,57 +132,7 @@ class LPResultCache:
     def put(self, key: tuple, result: LPResult) -> None:
         """Store a result, evicting the least recently used on overflow."""
         with self._lock:
-            if self._delta is not None and key not in self._data:
-                self._delta[key] = None
             self._data.put(key, result)
-
-    def export(self, limit: int | None = None) -> list[tuple]:
-        """Snapshot of ``(key, result)`` pairs for shipping across processes.
-
-        Most recently used entries are kept when ``limit`` truncates the
-        snapshot.  Keys are tuples of primitives and results hold plain
-        numpy arrays, so the export pickles cheaply (the optimizer-session
-        pool seeds its workers with one at spawn time).
-        """
-        with self._lock:
-            entries = self._data.items()
-        if limit is not None and len(entries) > limit:
-            entries = entries[-limit:]
-        return entries
-
-    def merge(self, entries) -> int:
-        """Adopt exported ``(key, result)`` pairs into this cache.
-
-        Merged entries are *not* recorded as deltas — they are somebody
-        else's learning (the spawn seed in a worker, a worker delta in
-        the parent), and re-shipping them would echo entries back and
-        forth.  Returns the number of entries that were new to this
-        cache.
-        """
-        fresh = 0
-        with self._lock:
-            for key, result in entries:
-                if key not in self._data:
-                    fresh += 1
-                self._data.put(key, result)
-        return fresh
-
-    def drain_delta(self, limit: int | None = None) -> list[tuple]:
-        """Return (and forget) the entries inserted since the last drain.
-
-        Only caches constructed with ``track_delta=True`` record deltas;
-        others return an empty list.  Entries evicted between insert and
-        drain are skipped.  ``limit`` keeps the most recent inserts.
-        """
-        if self._delta is None:
-            return []
-        with self._lock:
-            keys = list(self._delta)
-            self._delta.clear()
-            if limit is not None and len(keys) > limit:
-                keys = keys[-limit:]
-            return [(key, self._data.get(key)) for key in keys
-                    if key in self._data]
 
 
 #: Per-thread session LP memo; see :func:`install_shared_lp_cache`.
@@ -206,9 +149,10 @@ def install_shared_lp_cache(cache: LPResultCache | None
     ``cache_size`` memoizes into it instead of a private per-run cache,
     so identical LPs arising in *different* optimization runs hit.
     :class:`repro.api.OptimizerSession` installs its session memo
-    around in-process runs and inside pool workers (which run their
-    tasks on their main thread); solvers created with ``cache_size=0``
-    (the paper-faithful configuration) stay unmemoized either way.
+    around its in-process runs (serial tasks and every stream); its
+    pool workers install none, so a pool task memoizes into its own
+    run's cache.  Solvers created with ``cache_size=0`` (the
+    paper-faithful configuration) stay unmemoized either way.
 
     The installation is per thread, so sessions optimizing on different
     threads (the gateway's serial shards) never read, feed or leave
@@ -403,11 +347,3 @@ class LinearProgramSolver:
     def _solve_simplex(self, c, a_ub, b_ub, bounds) -> LPResult:
         res = solve_simplex(c, a_ub, b_ub, bounds)
         return LPResult(res.status, res.x, res.objective)
-
-
-def make_solver(stats: LPStats | None = None,
-                backend: str = "hybrid",
-                cache_size: int = 0) -> LinearProgramSolver:
-    """Convenience constructor mirroring :class:`LinearProgramSolver`."""
-    return LinearProgramSolver(stats=stats, backend=backend,
-                               cache_size=cache_size)

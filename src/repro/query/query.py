@@ -145,14 +145,6 @@ class Query:
         self._cardinality_cache[subset] = poly
         return poly
 
-    def join_selectivity_between(self, left: frozenset[str],
-                                 right: frozenset[str]) -> float:
-        """Combined selectivity of all predicates crossing a split."""
-        sel = 1.0
-        for pred in self._graph.predicates_between(left, right):
-            sel *= pred.selectivity
-        return sel
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Query(tables={len(self.tables)}, "
                 f"joins={len(self.join_predicates)}, "

@@ -19,14 +19,13 @@ optimization calls:
   warm-start cache;
 * **session-scoped shared state** — the :class:`WarmStartCache` of
   serialized Pareto plan sets and an LP-result memo
-  (:class:`repro.lp.LPResultCache`).  In-process tasks run with the
-  session memo installed for the calling thread only (the installed
-  memo is per thread, so serial sessions on different threads never
-  see each other's memo); each pool worker gets its own memo that
-  persists for the pool's lifetime (warm LP hits across batches),
-  seeded at spawn time with the parent memo's content, and ships the
-  entries it learns back with every result — pass a populated memo
-  (e.g. from a serial session) via ``lp_memo=`` to start workers warm;
+  (:class:`repro.lp.LPResultCache`).  In-process work (serial tasks
+  and every ``optimize_iter``) runs with the session memo installed for
+  the calling thread only (the installed memo is per thread, so serial
+  sessions on different threads never see each other's memo).  A pool
+  task runs on its own run's memo (``options.lp_cache_size``), exactly
+  as a session-free :func:`repro.api.optimize_query` does, so an item's
+  LP counts do not depend on which worker ran it;
 * the **scenario registry** — queries are optimized under a named
   scenario (``"cloud"``, ``"approx"``, or anything registered via
   :func:`repro.service.registry.register_scenario`), so new cost-model
@@ -77,8 +76,7 @@ from ..core import (DEFAULT_SEED_CAP, RUN_COMPLETED, Budget,
                     validate_ladder)
 from ..errors import OptimizationError
 from ..faults import failpoint
-from ..lp import (LPResultCache, install_shared_lp_cache,
-                  shared_lp_cache)
+from ..lp import LPResultCache, install_shared_lp_cache
 from ..query import Query
 from .cache import WarmStartCache
 from .registry import ScenarioRegistry, default_registry
@@ -98,15 +96,6 @@ STATUSES = ("ok", "cached", "partial", "error", "timeout")
 #: enumerations.  Stored documents carry the cost as ``repair_lps``;
 #: entries without it (older documents) stay on the conservative arm.
 SEED_ALL_IN_LPS = 10_000.0
-
-#: Most-recently-used LP memo entries shipped to each spawning worker.
-#: Bounds the pickled seed (LP results hold numpy arrays) so spawning a
-#: pool off a long-lived memo stays cheap.
-WORKER_SEED_LIMIT = 4096
-
-#: Most-recently-learned LP memo entries a pooled task ships back to the
-#: session per result (the worker -> parent direction of the memo flow).
-WORKER_DELTA_LIMIT = 1024
 
 
 @dataclass
@@ -156,20 +145,6 @@ class BatchItem:
         return self.status in ("ok", "cached", "partial")
 
 
-def _drain_memo_delta(outcome: dict) -> None:
-    """Attach the LP-memo entries this task learned to the outcome.
-
-    Only pool workers install a delta-tracking memo
-    (:func:`_worker_init`); in-process tasks run with the session memo
-    itself installed, whose drain is a no-op.
-    """
-    memo = shared_lp_cache()
-    if memo is not None:
-        delta = memo.drain_delta(limit=WORKER_DELTA_LIMIT)
-        if delta:
-            outcome["lp_memo_delta"] = delta
-
-
 def _optimize_payload(payload: tuple) -> tuple[int, dict, dict, float]:
     """Task entry point: optimize one query, return serialized output.
 
@@ -187,9 +162,7 @@ def _optimize_payload(payload: tuple) -> tuple[int, dict, dict, float]:
     dict carries the encoded plan set (``"doc"``), the achieved
     ``"alpha"``/``"guarantee"``, a ``"status"``, and — for anytime
     payloads — the progress-event trail as event documents
-    (``"trail"``, see :func:`_event_doc`) and the worker's fresh
-    LP-memo entries (``"lp_memo_delta"``), which the session merges back
-    on receipt.
+    (``"trail"``, see :func:`_event_doc`).
     """
     (index, scenario_name, scenario, query, resolution, options,
      anytime) = payload
@@ -212,7 +185,6 @@ def _optimize_payload(payload: tuple) -> tuple[int, dict, dict, float]:
         outcome, stats = _run_anytime(scenario, query, resolution,
                                       options, anytime)
     elapsed = time.perf_counter() - started
-    _drain_memo_delta(outcome)
     if failpoint("service.worker.poison") is not None:
         # Poisoned result: an undecodable document, which the receiving
         # side must classify as an error item (never crash on).
@@ -329,21 +301,6 @@ def _run_anytime(scenario, query: Query, resolution: int, options,
     return outcome, stats
 
 
-def _worker_init(memo_entries: list, memo_size: int) -> None:
-    """Pool-worker initializer: install a seeded process-local LP memo.
-
-    The memo persists for the worker's lifetime — the pool is persistent,
-    so LP results accumulate across every batch the session runs.  Delta
-    tracking is on: every task result ships the entries the worker
-    learned back to the session (:func:`_drain_memo_delta`), closing the
-    worker -> parent half of the memo loop (the parent -> worker half is
-    the spawn seed).
-    """
-    memo = LPResultCache(max(memo_size, 1), track_delta=True)
-    memo.merge(memo_entries)
-    install_shared_lp_cache(memo)
-
-
 @contextmanager
 def _memo_installed(memo: LPResultCache | None):
     """Install ``memo`` for the calling thread, restoring on exit.
@@ -421,15 +378,14 @@ class OptimizerSession:
             worker pool (e.g. ``multiprocessing.get_context("spawn")``);
             the platform default when omitted.
         lp_memo_size: Capacity of the session-scoped LP-result memo
-            (``0`` disables cross-run LP memoization entirely — serial
-            runs and pool workers then fall back to the optimizer's
+            used by in-process work: serial tasks and every
+            :meth:`optimize_iter` (``0`` disables cross-run LP
+            memoization — those runs then fall back to the optimizer's
             private per-run memo governed by ``options.lp_cache_size``).
-            Serial runs install the memo for their own thread only, so
-            sessions driven from different threads keep their memos
-            (and LP counters) apart.
-        lp_memo: Explicit LP memo to adopt instead of creating a fresh
-            one — e.g. a memo populated by an earlier serial session, so
-            a pooled session's workers spawn warm.
+            Pool tasks always run on that per-run memo.  In-process runs
+            install the memo for their own thread only, so sessions
+            driven from different threads keep their memos (and LP
+            counters) apart.
 
     The session is a context manager; :meth:`close` is idempotent and is
     also invoked on garbage collection.
@@ -443,8 +399,7 @@ class OptimizerSession:
                  cache: WarmStartCache | None = None,
                  registry: ScenarioRegistry | None = None,
                  mp_context=None,
-                 lp_memo_size: int = 65536,
-                 lp_memo: LPResultCache | None = None) -> None:
+                 lp_memo_size: int = 65536) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0")
         if timeout_seconds is not None and timeout_seconds <= 0:
@@ -461,11 +416,8 @@ class OptimizerSession:
         self.timeout_seconds = timeout_seconds
         self.warm_start = warm_start
         self.cache = cache if cache is not None else WarmStartCache()
-        if lp_memo is not None:
-            self.lp_memo = lp_memo
-        else:
-            self.lp_memo = (LPResultCache(lp_memo_size)
-                            if lp_memo_size > 0 else None)
+        self.lp_memo = (LPResultCache(lp_memo_size)
+                        if lp_memo_size > 0 else None)
         self.mp_context = mp_context
         self._pool: ProcessPoolExecutor | None = None
         self._closed = False
@@ -480,12 +432,6 @@ class OptimizerSession:
         #: Broken pools (a worker killed hard) replaced with a fresh one
         #: so a single crash does not poison the session.
         self.pool_respawns = 0
-        #: Worker LP-memo deltas merged back into the session memo, and
-        #: how many of their entries were new to it.  Together with
-        #: :attr:`lp_cache_hits_total` this shows the cross-batch
-        #: hit-rate gain of the worker -> parent memo flow.
-        self.lp_memo_merges = 0
-        self.lp_memo_merged_entries = 0
         #: LP memo hits summed over every completed item's stats.
         self.lp_cache_hits_total = 0
         #: Anytime cache misses where the persistent store produced a
@@ -546,18 +492,8 @@ class OptimizerSession:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            if self.lp_memo is not None:
-                # Each worker gets a private memo living for the pool's
-                # lifetime, seeded with whatever the session memo holds.
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=self.mp_context,
-                    initializer=_worker_init,
-                    initargs=(self.lp_memo.export(
-                        limit=WORKER_SEED_LIMIT), self.lp_memo.maxsize))
-            else:  # cross-run memoization disabled
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers, mp_context=self.mp_context)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers, mp_context=self.mp_context)
             self.pool_spawns += 1
         return self._pool
 
@@ -731,23 +667,10 @@ class OptimizerSession:
             repair = 0.0
         return None if repair >= SEED_ALL_IN_LPS else DEFAULT_SEED_CAP
 
-    def _merge_memo_delta(self, outcome: dict) -> None:
-        """Adopt a worker's freshly learned LP-memo entries.
-
-        Runs on whichever thread delivers the result (the pool's
-        collector thread for pooled items); the memo is lock-protected.
-        """
-        delta = outcome.get("lp_memo_delta")
-        if not delta or self.lp_memo is None:
-            return
-        self.lp_memo_merges += 1
-        self.lp_memo_merged_entries += self.lp_memo.merge(delta)
-
     def _ok_item(self, index: int, signature: str, scenario_name: str,
                  outcome: dict, stats: dict,
                  seconds: float) -> BatchItem:
         """Build a result item, feeding the warm-start cache."""
-        self._merge_memo_delta(outcome)
         status = outcome.get("status", "ok")
         doc = outcome.get("doc")
         trail = outcome.get("trail", ())

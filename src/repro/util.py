@@ -53,7 +53,3 @@ class BoundedLRU:
     def pop(self, key: Hashable, default: Any = None) -> Any:
         """Remove and return the stored value, or ``default``."""
         return self._data.pop(key, default)
-
-    def items(self) -> list[tuple[Hashable, Any]]:
-        """Snapshot of ``(key, value)`` pairs, least recently used first."""
-        return list(self._data.items())

@@ -140,6 +140,23 @@ class TestResumption:
         assert run.result().achieved_alpha == 0.0
         assert _doc_key(run.result()) == _doc_key(exact)
 
+    def test_abandoned_iteration_reports_no_status(self):
+        """An iteration closed after the coarse rung has not completed
+        the run: its status stays unset until a later call ends."""
+        run = get_scenario("cloud").start_run(
+            make_query(seed=0, num_tables=3), precision_ladder=(0.5, 0.0))
+        events = run.iter_run()
+        for event in events:
+            if event.kind == "rung_completed":
+                break
+        events.close()
+        assert run.last_status is None
+        assert not run.done
+        assert run.achieved_alpha == 0.5
+        assert run.run() == RUN_COMPLETED
+        assert run.last_status == RUN_COMPLETED
+        assert run.achieved_alpha == 0.0
+
 
 class TestGuaranteeAccounting:
     def test_interrupted_run_guarantee_is_valid(self):

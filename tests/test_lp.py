@@ -9,7 +9,7 @@ from repro import faults
 from repro.errors import SolverError
 from repro.faults import InjectedFault
 from repro.lp import (LinearProgramSolver, LPResultCache, LPStats,
-                      default_stats, make_solver, solve_simplex)
+                      default_stats, solve_simplex)
 
 
 class TestSimplexCore:
@@ -70,8 +70,8 @@ class TestBackendAgreement:
         b = a @ x0 + rng.uniform(0.1, 2.0, size=m)
         box = [(-5.0, 5.0)] * n
         c = rng.normal(size=n)
-        scipy_solver = make_solver(backend="scipy")
-        simplex_solver = make_solver(backend="simplex")
+        scipy_solver = LinearProgramSolver(backend="scipy")
+        simplex_solver = LinearProgramSolver(backend="simplex")
         r1 = scipy_solver.solve(c, a, b, box)
         r2 = simplex_solver.solve(c, a, b, box)
         assert r1.status == r2.status == "optimal"
@@ -86,7 +86,7 @@ class TestBackendAgreement:
         a = np.vstack([direction, -direction])
         b = np.array([-1.0, -1.0])
         for backend in ("scipy", "simplex"):
-            res = make_solver(backend=backend).solve(
+            res = LinearProgramSolver(backend=backend).solve(
                 np.zeros(n), a, b, [(-10, 10)] * n)
             assert res.is_infeasible
 
@@ -162,7 +162,7 @@ class TestLinearProgramSolver:
         assert s.stats is default_stats()
 
     def test_inconsistent_shapes_raise(self):
-        s = make_solver(backend="scipy")
+        s = LinearProgramSolver(backend="scipy")
         with pytest.raises(SolverError):
             s.solve([1.0, 1.0], [[1.0, 0.0]], [1.0, 2.0])
 
@@ -298,8 +298,8 @@ class TestKnownDefects:
     HIGHS_OBJECTIVE = 0.0027558028525045
 
     def test_scipy_reference(self):
-        res = make_solver(backend="scipy").solve([0.0, 0.0, -1.0],
-                                                 self.A, self.B)
+        res = LinearProgramSolver(backend="scipy").solve(
+            [0.0, 0.0, -1.0], self.A, self.B)
         assert res.is_optimal
         assert res.objective == pytest.approx(self.HIGHS_OBJECTIVE,
                                               abs=1e-12)
@@ -314,7 +314,8 @@ class TestKnownDefects:
     HIGHS_OBJECTIVE_1 = 0.2519431192094131  # x = -t
 
     def test_closed_form_answers_one_variable_case(self):
-        res = make_solver(backend="hybrid").solve(self.C, self.A1, self.B1)
+        res = LinearProgramSolver(backend="hybrid").solve(
+            self.C, self.A1, self.B1)
         assert res.objective == pytest.approx(self.HIGHS_OBJECTIVE_1,
                                               abs=1e-15)
 
@@ -337,8 +338,8 @@ class TestKnownDefects:
 
     def test_closed_form_answers_zero_objective_case(self):
         for backend in ("hybrid", "scipy"):
-            res = make_solver(backend=backend).solve([0.0, 0.0], self.A0,
-                                                     self.B0)
+            res = LinearProgramSolver(backend=backend).solve(
+                [0.0, 0.0], self.A0, self.B0)
             assert res.is_optimal, backend
 
     @pytest.mark.xfail(strict=True, reason="the simplex reports a false "
@@ -350,8 +351,8 @@ class TestKnownDefects:
                        "'unbounded' on a split free-variable ray")
     def test_split_ray_false_unbounded(self):
         results = [solve_simplex([0.0, 0.0, -1.0], self.A, self.B),
-                   make_solver(backend="hybrid").solve([0.0, 0.0, -1.0],
-                                                       self.A, self.B)]
+                   LinearProgramSolver(backend="hybrid").solve(
+                       [0.0, 0.0, -1.0], self.A, self.B)]
         for res in results:
             assert res.status == "optimal"
             assert res.objective == pytest.approx(self.HIGHS_OBJECTIVE,

@@ -19,7 +19,7 @@ from repro.core import encode_result
 from repro.core import pwl_backend
 from repro.errors import SolverError
 from repro.geometry import INTERIOR_EPS, ConvexPolytope
-from repro.lp import LinearProgramSolver, LPStats, make_solver, solve_simplex
+from repro.lp import LinearProgramSolver, LPStats, solve_simplex
 from repro.lp.lowdim import GUARD_BAND, solve_lowdim
 from repro.query import QueryGenerator
 
@@ -91,8 +91,8 @@ class TestOracleSweep:
     def test_matches_simplex_and_scipy(self, kind, n):
         rng = np.random.default_rng(
             [FAMILIES.index(kind), n])  # one stream per family
-        simplex = make_solver(backend="simplex")
-        scipy = make_solver(backend="scipy")
+        simplex = LinearProgramSolver(backend="simplex")
+        scipy = LinearProgramSolver(backend="scipy")
         stats = LPStats()
         hybrid = LinearProgramSolver(stats=stats, backend="hybrid")
         answered = defects = 0
@@ -141,7 +141,7 @@ class TestOracleSweep:
                 1.5 * band, 1e-3] * 4
         stats = LPStats()
         hybrid = LinearProgramSolver(stats=stats, backend="hybrid")
-        simplex = make_solver(backend="simplex")
+        simplex = LinearProgramSolver(backend="simplex")
         for gap in gaps:
             normal = _unit(rng.normal(size=(1, n)))[0]
             t = rng.uniform(-0.5, 0.5)
@@ -247,7 +247,7 @@ class TestChebyshevOneDimensional:
             LinearProgramSolver(stats=LPStats()))
         assert radius == pytest.approx((hi - lo) / 2, abs=1e-15)
         assert center[0] == pytest.approx((lo + hi) / 2, abs=1e-15)
-        reference = make_solver(backend="simplex").solve(
+        reference = LinearProgramSolver(backend="simplex").solve(
             [0.0, -1.0], np.hstack([region._a, np.ones((2, 1))]),
             region._b)
         assert reference.x == pytest.approx([center[0], radius], abs=1e-12)
@@ -290,7 +290,8 @@ class TestReplay:
             try:
                 reference = solve_simplex(c, a, b)
             except SolverError:  # the hybrid would have asked scipy
-                reference = make_solver(backend="scipy").solve(c, a, b)
+                reference = LinearProgramSolver(backend="scipy").solve(
+                    c, a, b)
             assert answer.status == reference.status, purpose
             if answer.is_optimal:
                 assert answer.objective == pytest.approx(

@@ -5,7 +5,8 @@ Covers the tentpole guarantees of the OptimizerSession redesign:
 * lifecycle — context-manager close is idempotent, submit after close
   raises cleanly;
 * persistent pool — workers are spawned once across consecutive batches
-  (the legacy engine respawned per batch);
+  (the legacy engine respawned per batch), and a pooled item reports the
+  LP counts of a session-free run of its query;
 * streaming — ``as_completed`` yields error-isolated items, ``map``
   stays deterministic;
 * scenario registry — built-in ``"cloud"``/``"approx"`` resolve and
@@ -19,7 +20,8 @@ import os
 import pytest
 
 from repro.api import (OptimizerSession, available_scenarios, get_scenario,
-                       query_signature, register_scenario)
+                       optimize_query, query_signature, register_scenario)
+from repro.bench import SweepPoint, queries_for_point
 from repro.core import encode_result
 from repro.cost import CLOUD_METRICS
 from repro.query import QueryGenerator
@@ -114,19 +116,21 @@ class TestPersistentPool:
             session.map(queries)
             assert session.lp_memo is not None and len(session.lp_memo) > 0
 
-    def test_lp_memo_handoff_seeds_pooled_session(self):
-        """A serial session's memo can spawn a pooled session's workers
-        warm."""
-        queries = make_queries(2, num_tables=2)
-        with OptimizerSession("cloud", warm_start=False) as serial:
-            serial.map(queries)
-            memo = serial.lp_memo
-        assert len(memo.export()) > 0
-        with OptimizerSession("cloud", workers=2, warm_start=False,
-                              lp_memo=memo) as pooled:
-            assert pooled.lp_memo is memo
-            items = pooled.map(queries)
-        assert all(item.ok for item in items)
+    def test_pooled_items_report_session_free_lp_counts(self):
+        """A pool task runs on its own run's LP memo: whichever worker
+        runs an item, and whatever that worker ran before, its LP counts
+        equal a session-free optimization of its query."""
+        qs = queries_for_point(SweepPoint(3, "chain", 1), 4)
+        with OptimizerSession("cloud", workers=2,
+                              warm_start=False) as session:
+            items = session.map(qs[:2]) + session.map(qs[2:])
+            assert session.pool_spawns == 1
+            assert len(session.lp_memo) == 0
+        for query, item in zip(qs, items):
+            alone = optimize_query(query).stats
+            assert item.status == "ok"
+            assert item.stats["lps_solved"] == alone.lps_solved
+            assert item.stats["lp_cache_hits"] == alone.lp_stats.cache_hits
 
     def test_broken_pool_recovers(self):
         """A hard worker crash must not poison the persistent pool."""

@@ -1,4 +1,4 @@
-"""Tests for the session-level anytime API and the LP-memo merge-back.
+"""Tests for the session-level anytime API.
 
 Covers:
 
@@ -14,9 +14,7 @@ Covers:
   installed only while the run is built, not between yields;
 * warm-start alpha tags — a partial (coarse) cache entry never serves an
   exact request, and a tighter entry is never overwritten by a coarser
-  one, also across caches sharing one plan-set store;
-* worker LP-memo deltas merged back into the session memo, with the
-  session counters showing the cross-batch gain.
+  one, also across caches sharing one plan-set store.
 """
 
 from __future__ import annotations
@@ -344,20 +342,16 @@ class TestStreamParity:
     """``optimize_iter`` behaves the same under either executor."""
 
     def test_stream_uses_session_memo(self, workers):
-        from repro.service import session as session_module
-
         query = make_query(seed=13, num_tables=4)
         ladder = (0.5, 0.0)
-        with OptimizerSession("cloud", warm_start=False) as warm:
-            warm.optimize(query, precision_ladder=ladder)
-            memo = warm.lp_memo
-        # Pool workers spawn with at most this many memo entries; the
-        # whole warmed memo must ship for the check below to hold.
-        assert 0 < len(memo) <= session_module.WORKER_SEED_LIMIT
-        with OptimizerSession("cloud", workers=workers, warm_start=False,
-                              lp_memo=memo) as session:
+        with OptimizerSession("cloud", workers=workers,
+                              warm_start=False) as session:
+            # The first stream warms the session memo the second reads.
+            list(session.optimize_iter(query, precision_ladder=ladder))
+            assert len(session.lp_memo) > 0
             events = list(session.optimize_iter(query,
                                                 precision_ladder=ladder))
+            assert session.pool_spawns == 0
         last = [e for e in events if e.kind == "rung_completed"][-1]
         assert last.alpha == 0.0
         # Every LP of the ladder is in the warmed memo.
@@ -443,51 +437,3 @@ class TestWarmStartAlphaTags:
                 decode_plan_set(doc_exact))
             assert late.load("sig", max_alpha=0.0) is exact
 
-
-class TestLpMemoMergeBack:
-    def test_pooled_deltas_merge_into_session_memo(self):
-        """Satellite: worker LP-memo deltas flow back to the session."""
-        queries = [make_query(seed=s, num_tables=3) for s in range(3)]
-        with OptimizerSession("cloud", workers=2,
-                              warm_start=False) as session:
-            session.map(queries[:2])
-            assert session.lp_memo_merges > 0
-            merged_first = session.lp_memo_merged_entries
-            assert merged_first > 0
-            assert len(session.lp_memo) > 0
-            hits_first = session.lp_cache_hits_total
-            # A later batch ships the (grown) memo nowhere new — the pool
-            # is already up — but its results keep merging deltas and the
-            # counters keep showing the cross-batch picture.
-            session.map(queries[2:])
-            assert session.lp_memo_merges > 2
-            assert session.lp_memo_merged_entries >= merged_first
-            assert session.lp_cache_hits_total >= hits_first
-
-    def test_serial_runs_do_not_echo_the_session_memo(self):
-        """In serial mode the installed memo IS the session memo; the
-        delta drain must not re-merge (or even track) its own inserts."""
-        query = make_query(seed=1, num_tables=3)
-        with OptimizerSession("cloud", warm_start=False) as session:
-            item = session.optimize(query)
-            assert item.status == "ok"
-            assert session.lp_memo_merges == 0
-            assert len(session.lp_memo) > 0
-
-    def test_delta_tracking_cache_semantics(self):
-        from repro.lp import LPResultCache
-
-        plain = LPResultCache(8)
-        plain.put(("k1",), "r1")
-        assert plain.drain_delta() == []  # tracking off by default
-
-        tracked = LPResultCache(8, track_delta=True)
-        assert tracked.merge([(("seed",), "r0")]) == 1
-        tracked.put(("k1",), "r1")
-        tracked.put(("k2",), "r2")
-        delta = tracked.drain_delta()
-        # Seeded entries are not deltas; fresh inserts are, once.
-        assert delta == [(("k1",), "r1"), (("k2",), "r2")]
-        assert tracked.drain_delta() == []
-        tracked.put(("k3",), "r3")
-        assert tracked.drain_delta(limit=1) == [(("k3",), "r3")]
