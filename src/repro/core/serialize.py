@@ -52,9 +52,8 @@ def _encode_plan(plan: Plan) -> dict:
 
 def _encode_polytope(poly: ConvexPolytope) -> dict:
     return {"dim": poly.dim,
-            "constraints": [{"a": a, "b": b}
-                            for a, b in zip(poly._a.tolist(),
-                                            poly._b.tolist())]}
+            "constraints": [{"a": list(a), "b": b}
+                            for a, b in zip(poly._lhs, poly._rhs)]}
 
 
 def _encode_pwl(f: PiecewiseLinearFunction) -> dict:

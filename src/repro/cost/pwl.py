@@ -290,10 +290,10 @@ class PiecewiseLinearFunction:
             raise EmptyRegionError("function has no piece on the region")
         results = []
         for piece, overlap in live:
-            results.append(solver.solve(piece.w, overlap._a,
-                                        overlap._b, purpose="bounds"))
+            results.append(solver.solve(piece.w, overlap._lhs,
+                                        overlap._rhs, purpose="bounds"))
             results.append(solver.solve(-np.asarray(piece.w),
-                                        overlap._a, overlap._b,
+                                        overlap._lhs, overlap._rhs,
                                         purpose="bounds"))
         lo, hi = np.inf, -np.inf
         bounded = False

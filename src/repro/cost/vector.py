@@ -22,12 +22,14 @@ Two execution paths exist, as for addition:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 
 import numpy as np
 
 from ..errors import DimensionMismatchError
 from ..geometry import GEOMETRY_EPS, ConvexPolytope, LinearConstraint
+from ..geometry.polytope import _halfspace_1d
 from ..lp import LinearProgramSolver
 from .linear import LinearPiece
 from .pwl import PiecewiseLinearFunction
@@ -43,7 +45,8 @@ class MultiObjectivePWL:
             dimensionality.
     """
 
-    __slots__ = ("components", "dim", "_stack_cache")
+    __slots__ = ("components", "dim", "_names", "_stack_cache",
+                 "_float_cache", "_cells_cache")
 
     def __init__(self, components: Mapping[str, PiecewiseLinearFunction]
                  ) -> None:
@@ -55,7 +58,10 @@ class MultiObjectivePWL:
             raise DimensionMismatchError(
                 f"components live in different dims: {dims}")
         self.dim = dims.pop()
+        self._names = tuple(sorted(self.components))
         self._stack_cache: tuple[np.ndarray, np.ndarray] | None = None
+        self._float_cache: tuple[list, list] | None = None
+        self._cells_cache: tuple | None = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -88,7 +94,7 @@ class MultiObjectivePWL:
     @property
     def metric_names(self) -> tuple[str, ...]:
         """Metric names in deterministic (sorted) order."""
-        return tuple(sorted(self.components))
+        return self._names
 
     def component(self, metric: str) -> PiecewiseLinearFunction:
         """Return the single-objective function for ``metric``."""
@@ -108,28 +114,68 @@ class MultiObjectivePWL:
         """
         if self._stack_cache is not None:
             return self._stack_cache
-        names = self.metric_names
-        counts = {self.components[m].num_pieces for m in names}
-        if len(counts) != 1:
-            raise ValueError("components have differing piece counts")
-        w = np.array([[np.asarray(p.w, dtype=float)
-                       for p in self.components[m].pieces] for m in names])
-        b = np.array([[p.b for p in self.components[m].pieces]
-                      for m in names], dtype=float)
+        pieces = self._aligned_pieces()
+        w = np.array([[np.asarray(p.w, dtype=float) for p in metric]
+                      for metric in pieces])
+        b = np.array([[p.b for p in metric] for metric in pieces],
+                     dtype=float)
         self._stack_cache = (w, b)
         return self._stack_cache
 
+    def _aligned_floats(self) -> tuple[list, list]:
+        """:meth:`aligned_stack` of a 1-parameter function as Python
+        floats (cached): ``W[metric][piece]`` and ``B[metric][piece]``,
+        the values the arrays hold."""
+        if self._float_cache is None:
+            pieces = self._aligned_pieces()
+            self._float_cache = (
+                [[float(p.w[0]) for p in metric] for metric in pieces],
+                [[float(p.b) for p in metric] for metric in pieces])
+        return self._float_cache
+
+    def _aligned_pieces(self) -> list:
+        """Every metric's pieces, in :attr:`metric_names` order.
+
+        Raises:
+            ValueError: When the piece counts differ between metrics.
+        """
+        pieces = [self.components[m].pieces for m in self._names]
+        if len({len(metric) for metric in pieces}) != 1:
+            raise ValueError("components have differing piece counts")
+        return pieces
+
+    def _cells(self) -> tuple:
+        """``(signature, regions, vertices)`` of the shared partition
+        (cached).
+
+        ``signature`` holds every metric's name, partition token and
+        piece count, or is ``None`` when a component has no token.
+        ``regions`` are the first metric's piece regions, and
+        ``vertices`` their vertex hints stacked as ``(nP, nV, dim)``,
+        or ``None`` when a region has no hint or the hints differ in
+        shape.
+        """
+        if self._cells_cache is None:
+            components = [self.components[m] for m in self._names]
+            signature = None
+            if all(f.partition_token is not None for f in components):
+                signature = tuple((m, f.partition_token, len(f.pieces))
+                                  for m, f in zip(self._names, components))
+            regions = tuple(p.region for p in components[0].pieces)
+            hints = [region.vertex_hint for region in regions]
+            vertices = None
+            if all(hint is not None and hint.shape == hints[0].shape
+                   for hint in hints):
+                vertices = np.stack(hints)
+            self._cells_cache = (signature, regions, vertices)
+        return self._cells_cache
+
     def same_partition(self, other: MultiObjectivePWL) -> bool:
-        """``True`` when every pair of matching components is aligned."""
-        if set(self.components) != set(other.components):
-            return False
-        for name, mine in self.components.items():
-            theirs = other.components[name]
-            if (mine.partition_token is None
-                    or mine.partition_token != theirs.partition_token
-                    or len(mine.pieces) != len(theirs.pieces)):
-                return False
-        return True
+        """``True`` when every pair of matching components is aligned:
+        the same metrics, each with the same (non-``None``) partition
+        token and piece count."""
+        signature = self._cells()[0]
+        return signature is not None and signature == other._cells()[0]
 
     # ------------------------------------------------------------------
     # Arithmetic
@@ -335,29 +381,23 @@ def _shared_pieces(many: Sequence[MultiObjectivePWL],
 
     Returns ``(pieces, verts)`` — the shared piece list (of the first
     metric) and the stacked vertex array of shape ``(nP, nV, dim)`` — or
-    ``None`` when any precondition for the vectorized path fails.
+    ``None`` when any precondition for the vectorized path fails.  Each
+    function's partition signature and regions are computed once
+    (:meth:`MultiObjectivePWL._cells`), so an incumbent costs one
+    comparison per call.
     """
-    names = one.metric_names
-    first = one.components[names[0]]
-    pieces = first.pieces
-    verts_list = []
-    for piece in pieces:
-        hint = piece.region.vertex_hint
-        if hint is None or (verts_list
-                            and hint.shape != verts_list[0].shape):
-            return None
-        verts_list.append(hint)
+    signature, regions, verts = one._cells()
+    if signature is None or verts is None:
+        return None
     for cost in many:
-        if not one.same_partition(cost):
+        theirs, their_regions, __ = cost._cells()
+        # The aligned path only ever reads regions of the first
+        # metric's pieces; identity (polytopes compare by identity)
+        # guarantees identical output polytopes (including vertex hints
+        # and cell tags).
+        if theirs != signature or their_regions != regions:
             return None
-        theirs = cost.components[names[0]].pieces
-        for idx, piece in enumerate(pieces):
-            # The aligned path only ever reads regions of the first
-            # metric's pieces; identity guarantees identical output
-            # polytopes (including vertex hints and cell tags).
-            if theirs[idx].region is not piece.region:
-                return None
-    return pieces, np.stack(verts_list)
+    return one.components[one.metric_names[0]].pieces, verts
 
 
 def batch_dominance_aligned(many: Sequence[MultiObjectivePWL],
@@ -378,6 +418,9 @@ def batch_dominance_aligned(many: Sequence[MultiObjectivePWL],
     :meth:`MultiObjectivePWL._dominance_aligned` decision by decision so
     the produced polytope lists are identical to the scalar path's.
 
+    With one parameter the batch runs in Python floats instead
+    (:func:`_batch_dominance_1d`), with the same results bit for bit.
+
     Returns ``None`` when the batch does not satisfy the aligned-path
     preconditions (callers then fall back to pairwise ``Dom``).
 
@@ -393,14 +436,25 @@ def batch_dominance_aligned(many: Sequence[MultiObjectivePWL],
     if not many:
         return []
     for cost in many:
-        if set(cost.components) != set(one.components):
+        if cost.metric_names != one.metric_names:
             raise ValueError("metric sets differ")
     shared = _shared_pieces(many, one)
     if shared is None:
         return None
-    pieces, verts = shared
-    factor = 1.0 + relax
+    verts = shared[1]
+    # Identity-checked: p1's region IS the shared region.
+    regions = one._cells()[1]
+    kernel = _batch_dominance_1d if one.dim == 1 else _batch_dominance_arrays
+    return kernel(many, one, regions, verts, solver, 1.0 + relax, many_first)
 
+
+def _batch_dominance_arrays(many: Sequence[MultiObjectivePWL],
+                            one: MultiObjectivePWL,
+                            regions: tuple, verts: np.ndarray,
+                            solver: LinearProgramSolver, factor: float,
+                            many_first: bool) -> list[list[ConvexPolytope]]:
+    """:func:`batch_dominance_aligned` in NumPy arrays, for two or more
+    parameters (and the 1-D kernel's test reference)."""
     w_one, b_one = one.aligned_stack()                    # (m, p, d) / (m, p)
     w_many = np.stack([c.aligned_stack()[0] for c in many])  # (k, m, p, d)
     b_many = np.stack([c.aligned_stack()[1] for c in many])  # (k, m, p)
@@ -436,8 +490,6 @@ def batch_dominance_aligned(many: Sequence[MultiObjectivePWL],
         metric_holds | metric_infeasible).all(axis=1)
     needs_work = ~cell_infeasible & ~cell_whole
 
-    # Identity-checked above: p1's region IS the shared region.
-    regions = [piece.region for piece in pieces]
     # Each mixed cell's candidate is its region plus the rows of the
     # metrics that do not hold on the whole cell, added in metric order.
     # All candidates' rows, ordered by batch member, cell and metric,
@@ -467,3 +519,93 @@ def batch_dominance_aligned(many: Sequence[MultiObjectivePWL],
                 or not candidate.is_empty(solver)):
             results[k].append(candidate)
     return results
+
+
+def _batch_dominance_1d(many: Sequence[MultiObjectivePWL],
+                        one: MultiObjectivePWL,
+                        regions: tuple, verts: np.ndarray,
+                        solver: LinearProgramSolver, factor: float,
+                        many_first: bool) -> list[list[ConvexPolytope]]:
+    """:func:`batch_dominance_aligned` for one parameter, in floats.
+
+    In one dimension no quantity of the array kernel sums products: a
+    weight difference, its norm ``sqrt(dw * dw)``, the normalized row
+    ``(dw / norm, db / norm)``, a vertex slack ``v * a - b`` and a
+    two-vertex centroid ``(v0 + v1) / 2`` are each one IEEE operation
+    (or a correctly rounded square root), which Python floats repeat
+    with the same bits.  So this kernel classifies every (member, cell,
+    metric) as the array kernel does, builds each mixed cell's candidate
+    from the same rows (:func:`~repro.geometry.polytope._halfspace_1d`
+    normalizes and keys them as ``with_halfspaces_many`` does), and
+    decides candidates with the same centroid test and emptiness LPs in
+    the same order.  The array kernel is its test reference
+    (``tests/test_vectorized_dominance.py``).
+    """
+    w_one, b_one = one._aligned_floats()
+    cell_verts = verts[:, :, 0].tolist()                  # [cell][vertex]
+    # A row's vertex slacks ``v * a - b`` are monotone in ``v`` (each
+    # step rounds monotonically), so the smallest and the largest vertex
+    # hold the extreme slacks: "all above" and "all at most" 1e-10 are
+    # decided at those two, exactly as over every vertex.
+    cells = tuple((idx, region, min(corners), max(corners))
+                  for idx, (region, corners) in enumerate(
+                      zip(regions, cell_verts)))
+    metrics = range(len(w_one))
+    centroids: dict[int, float] = {}
+    results: list[list[ConvexPolytope]] = []
+    for cost in many:
+        w_k, b_k = cost._aligned_floats()
+        polys: list[ConvexPolytope] = []
+        for idx, region, low_v, high_v in cells:
+            entering = []  # raw rows of the metrics that do not hold
+            for m in metrics:
+                if many_first:
+                    dw = w_k[m][idx] - factor * w_one[m][idx]
+                    db = factor * b_one[m][idx] - b_k[m][idx]
+                else:
+                    dw = w_one[m][idx] - factor * w_k[m][idx]
+                    db = factor * b_k[m][idx] - b_one[m][idx]
+                norm = math.sqrt(dw * dw)
+                if norm > GEOMETRY_EPS:
+                    a, b = dw / norm, db / norm
+                    low, high = low_v * a - b, high_v * a - b
+                    if low > 1e-10 and high > 1e-10:
+                        break  # violated at every vertex: no dominance
+                    if low <= 1e-10 and high <= 1e-10:
+                        continue  # holds on the whole cell
+                elif db >= -GEOMETRY_EPS:
+                    continue  # zero row, trivially satisfied
+                elif db < -GEOMETRY_EPS:
+                    break  # zero row, trivially infeasible
+                entering.append((dw, db))
+            else:
+                if not entering:  # the whole cell
+                    polys.append(region)
+                    continue
+                candidate = region._extended(_concat(
+                    [_halfspace_1d(dw, db) for dw, db in entering]))
+                if idx not in centroids:
+                    centroids[idx] = _centroid(cell_verts[idx], verts[idx])
+                # A centroid inside the candidate proves it non-empty;
+                # otherwise its emptiness LP decides.
+                if (candidate._contains_1d(centroids[idx])
+                        or not candidate.is_empty(solver)):
+                    polys.append(candidate)
+        results.append(polys)
+    return results
+
+
+def _concat(blocks: list) -> tuple:
+    """One row block holding the rows of ``blocks`` in order."""
+    return (tuple(row for block in blocks for row in block[0]),
+            tuple(value for block in blocks for value in block[1]),
+            [key for block in blocks for key in block[2]],
+            any(block[3] for block in blocks))
+
+
+def _centroid(corners: list, verts: np.ndarray) -> float:
+    """``verts.mean(axis=0)`` of one 1-D cell as a float: NumPy's mean
+    of two values is ``(v0 + v1) / 2``; other counts ask NumPy."""
+    if len(corners) == 2:
+        return (corners[0] + corners[1]) / 2
+    return float(verts.mean(axis=0)[0])

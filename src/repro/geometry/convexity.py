@@ -41,7 +41,7 @@ def constraint_valid_for(constraint: LinearConstraint,
     """
     if polytope.is_empty(solver):
         return True
-    result = solver.solve(-constraint.a, polytope._a, polytope._b,
+    result = solver.solve(-constraint.a, polytope._lhs, polytope._rhs,
                           purpose="envelope")
     if result.status == "unbounded":
         return False

@@ -12,7 +12,8 @@ statistics — reproducing the paper's "#solved linear programs" metric.
 from __future__ import annotations
 
 import functools
-from itertools import combinations
+import math
+from itertools import chain, combinations
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -26,23 +27,30 @@ from .constraints import (GEOMETRY_EPS, LinearConstraint, normalize_rows,
 #: (i.e. "empty up to measure zero") by interior-emptiness checks.
 INTERIOR_EPS = 1e-7
 
-# A *row block* is ``(A, b, keys, infeasible)``: normalized rows without
-# trivially-satisfied ones, their dedupe keys (:func:`row_keys`) and
-# whether any row is the trivially-infeasible ``0 @ x <= b < 0``.  Every
-# polytope is one block whose keys are distinct; it is built by merging
-# blocks in ``ConvexPolytope.__init__``.  When more than one block is
-# merged, the first is a polytope's own block (``_rows()``), so its keys
-# are distinct.
+# A *row block* is ``(lhs, rhs, keys, infeasible)``: normalized rows
+# without trivially-satisfied ones, as a tuple of coefficient tuples and
+# a tuple of right-hand sides (Python floats), their dedupe keys
+# (:func:`row_keys`) and whether any row is the trivially-infeasible
+# ``0 @ x <= b < 0``.  Every polytope is one block whose keys are
+# distinct; it is built by merging blocks in ``ConvexPolytope.__init__``.
+# When more than one block is merged, the first is a polytope's own
+# block (``_rows()``), so its keys are distinct.
+
+#: The block of a trivially satisfied row: it adds nothing.
+_NO_ROWS = ((), (), (), False)
 
 
 @functools.cache
-def _chebyshev_objective(dim: int) -> np.ndarray:
-    """``maximize r`` over ``(x, r)``: one read-only objective per
-    dimension, shared by every Chebyshev LP."""
-    c = np.zeros(dim + 1)
-    c[-1] = -1.0
-    c.setflags(write=False)
-    return c
+def _zero_objective(dim: int) -> tuple:
+    """The objective of every emptiness LP, shared per dimension."""
+    return (0.0,) * dim
+
+
+@functools.cache
+def _chebyshev_objective(dim: int) -> tuple:
+    """``maximize r`` over ``(x, r)``: one objective per dimension,
+    shared by every Chebyshev LP."""
+    return (0.0,) * dim + (-1.0,)
 
 
 def _zero_rows(a: np.ndarray, b: np.ndarray
@@ -52,17 +60,55 @@ def _zero_rows(a: np.ndarray, b: np.ndarray
     return zero & (b >= -GEOMETRY_EPS), zero & (b < -GEOMETRY_EPS)
 
 
-def _keyed(a: np.ndarray, b: np.ndarray) -> tuple:
-    """The row block of normalized ``(A, b)``.
+def _infeasible_row(row: tuple, value: float) -> bool:
+    """:func:`_zero_rows`' infeasible test of one stored row."""
+    return (all(abs(coef) <= GEOMETRY_EPS for coef in row)
+            and value < -GEOMETRY_EPS)
 
-    The block keeps the arrays (or a filtered copy), so they must not
-    be written to afterwards: pass fresh ones.
-    """
+
+def _keyed(a: np.ndarray, b: np.ndarray) -> tuple:
+    """The row block of normalized ``(A, b)`` arrays."""
     trivial, infeasible = _zero_rows(a, b)
     if trivial.any():
         keep = ~trivial
         a, b, infeasible = a[keep], b[keep], infeasible[keep]
-    return a, b, row_keys(a, b), bool(infeasible.any())
+    return (tuple(map(tuple, a.tolist())), tuple(b.tolist()),
+            row_keys(a, b), bool(infeasible.any()))
+
+
+def _round_key(x: float) -> float:
+    """``np.round(x, 9)`` of one float, bit for bit.
+
+    NumPy rounds as ``rint(x * 1e9) / 1e9`` (half to even, keeping the
+    sign of a zero); Python's ``round(x, 9)`` rounds the decimal value
+    instead, which can differ in the last bit.
+    """
+    if x == 1.0 or x == -1.0:
+        return x
+    y = x * 1e9
+    try:
+        whole = round(y)
+    except (OverflowError, ValueError):  # inf or nan: rint keeps it
+        return y / 1e9
+    return whole / 1e9 if whole else math.copysign(0.0, y)
+
+
+def _halfspace_1d(a: float, b: float) -> tuple:
+    """The row block of the 1-D halfspace ``a * x <= b``.
+
+    Equal to ``_keyed(*normalize_rows([[a]], [b]))`` bit for bit, in
+    floats: in one dimension the norm is ``sqrt(a * a)``, one product,
+    so every step is one IEEE operation that NumPy and Python round
+    alike.
+    """
+    norm = math.sqrt(a * a)
+    if norm > GEOMETRY_EPS:
+        a, b = a / norm, b / norm
+    zero = abs(a) <= GEOMETRY_EPS
+    if zero and b >= -GEOMETRY_EPS:
+        return _NO_ROWS
+    return (((a,),), (b,), (((_round_key(a),), round(b, 9)),),
+            zero and b < -GEOMETRY_EPS)
 
 
 def _fit_width(dim: int, rows) -> np.ndarray:
@@ -89,34 +135,43 @@ def _fit_width(dim: int, rows) -> np.ndarray:
     return out
 
 
-def _merge(dim: int, blocks) -> tuple:
-    """Concatenate row blocks, keeping the first row of every key."""
+def _merge(blocks) -> tuple:
+    """Concatenate row blocks, keeping the first row of every key.
+
+    Of two or more blocks the first is a polytope's own, whose keys are
+    distinct (see the row-block note above), so it is taken whole.
+    """
     seen: set[tuple] = set()
-    a_parts, b_parts, keys = [], [], []
+    parts, keys = [], []
     infeasible = False
-    for a, b, block_keys, block_infeasible in blocks:
+    if len(blocks) > 1:
+        (lhs, rhs, own_keys, infeasible), *blocks = blocks
+        if own_keys:
+            parts.append((lhs, rhs))
+            keys.extend(own_keys)
+            seen.update(own_keys)
+    for lhs, rhs, block_keys, block_infeasible in blocks:
         keep = [i for i, key in enumerate(block_keys)
                 if key not in seen and not seen.add(key)]
         if not keep:
             continue
         if len(keep) < len(block_keys):
-            a, b = a[keep], b[keep]
+            lhs = tuple(lhs[i] for i in keep)
+            rhs = tuple(rhs[i] for i in keep)
             block_keys = [block_keys[i] for i in keep]
-            block_infeasible = block_infeasible and bool(
-                _zero_rows(a, b)[1].any())
-        a_parts.append(a)
-        b_parts.append(b)
+            block_infeasible = block_infeasible and any(
+                map(_infeasible_row, lhs, rhs))
+        parts.append((lhs, rhs))
         keys.extend(block_keys)
         infeasible = infeasible or block_infeasible
-    if not a_parts:
-        a, b = np.zeros((0, dim)), np.zeros(0)
-    elif len(a_parts) == 1:
-        a, b = a_parts[0], b_parts[0]
+    if not parts:
+        return _NO_ROWS
+    if len(parts) == 1:
+        lhs, rhs = parts[0]
     else:
-        a, b = np.concatenate(a_parts), np.concatenate(b_parts)
-    a.setflags(write=False)
-    b.setflags(write=False)
-    return a, b, tuple(keys), infeasible
+        lhs = tuple(chain.from_iterable(lhs for lhs, __ in parts))
+        rhs = tuple(chain.from_iterable(rhs for __, rhs in parts))
+    return lhs, rhs, tuple(keys), infeasible
 
 
 def _add_row(own: tuple, block: tuple) -> tuple:
@@ -124,19 +179,14 @@ def _add_row(own: tuple, block: tuple) -> tuple:
     row.
 
     The own block's keys are distinct, so only the new row's key needs
-    looking up; the result equals ``_merge``'s, arrays included.
+    looking up; the result equals ``_merge``'s.
     """
-    a, b, keys, infeasible = own
+    lhs, rhs, keys, infeasible = own
     if not block[2] or block[2][0] in keys:
         return own
-    row_a, row_b, (key,), row_infeasible = block
-    if keys:
-        a, b = np.concatenate((a, row_a)), np.concatenate((b, row_b))
-    else:
-        a, b = row_a, row_b
-    a.setflags(write=False)
-    b.setflags(write=False)
-    return a, b, (*keys, key), infeasible or row_infeasible
+    row_lhs, row_rhs, (key,), row_infeasible = block
+    return (lhs + row_lhs, rhs + row_rhs, (*keys, key),
+            infeasible or row_infeasible)
 
 
 class ConvexPolytope:
@@ -144,18 +194,22 @@ class ConvexPolytope:
 
     Instances are immutable; all operations return new polytopes.
 
-    The representation is the row arrays ``(A, b)``: normalized rows
-    (see :func:`~repro.geometry.constraints.normalize_rows`) with
-    trivially-satisfied rows dropped and duplicates removed in
-    first-occurrence order, where two rows are duplicates when their
-    9-decimal :func:`~repro.geometry.constraints.row_keys` agree.  Each
-    row's key and whether any row is trivially infeasible are computed
-    once, when the row enters; ``intersect``, ``with_constraint`` and
-    ``with_halfspace`` merge their operands' rows by those keys without
-    re-keying them.
-    The arrays are read-only and shared between polytopes.
-    :attr:`constraints` derives :class:`LinearConstraint` objects from
-    the rows when asked.
+    The representation is one row block: the normalized rows (see
+    :func:`~repro.geometry.constraints.normalize_rows`) as tuples of
+    Python floats, with trivially-satisfied rows dropped and duplicates
+    removed in first-occurrence order, where two rows are duplicates
+    when their 9-decimal :func:`~repro.geometry.constraints.row_keys`
+    agree.  Each row's key and whether any row is trivially infeasible
+    are computed once, when the row enters; ``intersect``,
+    ``with_constraint`` and ``with_halfspace`` merge their operands'
+    rows by those keys without re-keying them, and unchanged rows are
+    shared between polytopes.  LP requests take the tuples as they are
+    (:meth:`repro.lp.LinearProgramSolver.solve`).  Read-only ``(A, b)``
+    arrays are built on first use, for the products a polytope of two
+    or more dimensions needs (NumPy's dot products may round otherwise
+    than a Python sum; in one dimension a row times a point is one
+    product, and floats suffice).  :attr:`constraints` derives
+    :class:`LinearConstraint` objects from the rows when asked.
 
     Args:
         dim: Dimensionality of the ambient (parameter) space.
@@ -165,8 +219,9 @@ class ConvexPolytope:
             as a zero row of width ``dim``.
     """
 
-    __slots__ = ("dim", "_a", "_b", "_keys", "_infeasible", "_empty_cache",
-                 "_cheb_cache", "vertex_hint", "cell_tag")
+    __slots__ = ("dim", "_lhs", "_rhs", "_keys", "_infeasible",
+                 "_array_cache", "_empty_cache", "_cheb_cache",
+                 "vertex_hint", "cell_tag")
 
     def __init__(self, dim: int,
                  constraints: Iterable[LinearConstraint] = (), *,
@@ -191,8 +246,9 @@ class ConvexPolytope:
         if len(_blocks) == 2 and len(_blocks[1][2]) <= 1:
             rows = _add_row(*_blocks)
         else:
-            rows = _merge(self.dim, _blocks)
-        self._a, self._b, self._keys, self._infeasible = rows
+            rows = _merge(_blocks)
+        self._lhs, self._rhs, self._keys, self._infeasible = rows
+        self._array_cache: tuple[np.ndarray, np.ndarray] | None = None
         self._empty_cache: bool | None = None
         self._cheb_cache: tuple[np.ndarray | None, float] | None = None
 
@@ -258,6 +314,27 @@ class ConvexPolytope:
         """Number of stored (de-duplicated) constraints."""
         return len(self._keys)
 
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows as read-only ``(A, b)`` float arrays (built once)."""
+        if self._array_cache is None:
+            a = np.array(self._lhs, dtype=float).reshape(len(self._lhs),
+                                                         self.dim)
+            b = np.array(self._rhs, dtype=float)
+            a.setflags(write=False)
+            b.setflags(write=False)
+            self._array_cache = (a, b)
+        return self._array_cache
+
+    @property
+    def _a(self) -> np.ndarray:
+        """The coefficient rows as a read-only ``(m, dim)`` array."""
+        return self._arrays()[0]
+
+    @property
+    def _b(self) -> np.ndarray:
+        """The right-hand sides as a read-only length-``m`` array."""
+        return self._arrays()[1]
+
     @property
     def constraints(self) -> tuple[LinearConstraint, ...]:
         """The stored rows as :class:`LinearConstraint` objects.
@@ -266,7 +343,7 @@ class ConvexPolytope:
         objects; the polytope itself never needs them.
         """
         return tuple(LinearConstraint(a=row, b=value)
-                     for row, value in zip(self._a, self._b.tolist()))
+                     for row, value in zip(self._a, self._rhs))
 
     def contains_point(self, x, tol: float = GEOMETRY_EPS) -> bool:
         """Return whether point ``x`` lies in the polytope (within ``tol``)."""
@@ -274,9 +351,21 @@ class ConvexPolytope:
         if x.shape[0] != self.dim:
             raise DimensionMismatchError(
                 f"point dim {x.shape[0]} != polytope dim {self.dim}")
+        if self.dim == 1:
+            return self._contains_1d(float(x[0]), tol)
         if not self._keys:
             return True
         return bool((self._a @ x <= self._b + tol).all())
+
+    def _contains_1d(self, x: float, tol: float = GEOMETRY_EPS) -> bool:
+        """:meth:`contains_point` of a 1-D polytope at the float ``x``.
+
+        ``A @ x`` is one product per row in one dimension, so comparing
+        ``a * x`` with ``b + tol`` row by row decides as the array
+        product does.
+        """
+        return all(row[0] * x <= value + tol
+                   for row, value in zip(self._lhs, self._rhs))
 
     def has_trivially_infeasible(self) -> bool:
         """``True`` if any stored constraint is syntactically infeasible."""
@@ -292,8 +381,8 @@ class ConvexPolytope:
         if not self._keys:
             self._empty_cache = False
             return False
-        result = solver.solve(np.zeros(self.dim), self._a, self._b,
-                              purpose="emptiness")
+        result = solver.solve(_zero_objective(self.dim), self._lhs,
+                              self._rhs, purpose="emptiness")
         self._empty_cache = result.is_infeasible
         return self._empty_cache
 
@@ -318,10 +407,9 @@ class ConvexPolytope:
         # Variables (x, r): maximize r subject to a_i @ x + r <= b_i
         # (constraint normals are unit vectors, so ||a_i|| = 1), i.e.
         # the rows [A | 1].
-        a_ext = np.ones((self._a.shape[0], self.dim + 1))
-        a_ext[:, :-1] = self._a
-        result = solver.solve(_chebyshev_objective(self.dim), a_ext,
-                              self._b, purpose="chebyshev")
+        result = solver.solve(_chebyshev_objective(self.dim),
+                              tuple([row + (1.0,) for row in self._lhs]),
+                              self._rhs, purpose="chebyshev")
         if result.is_infeasible:
             self._cheb_cache = (None, -np.inf)
         elif result.status == "unbounded":
@@ -356,7 +444,7 @@ class ConvexPolytope:
 
     def _rows(self) -> tuple:
         """This polytope's row block."""
-        return self._a, self._b, self._keys, self._infeasible
+        return self._lhs, self._rhs, self._keys, self._infeasible
 
     def intersect(self, other: ConvexPolytope) -> ConvexPolytope:
         """Intersection with another polytope (constraint union)."""
@@ -421,6 +509,8 @@ class ConvexPolytope:
             counts = np.bincount(owner, minlength=len(counts)).tolist()
         keys = row_keys(a, b)
         flags = infeasible.tolist()
+        lhs = tuple(map(tuple, a.tolist()))
+        rhs = tuple(b.tolist())
         results = []
         start = 0
         for base, count in zip(bases, counts):
@@ -430,7 +520,7 @@ class ConvexPolytope:
                     f"{base.dim}")
             stop = start + count
             results.append(base._extended(
-                (a[start:stop], b[start:stop], keys[start:stop],
+                (lhs[start:stop], rhs[start:stop], keys[start:stop],
                  any(flags[start:stop]))))
             start = stop
         return results
@@ -441,22 +531,25 @@ class ConvexPolytope:
         The negated row is the closed complement ``-a @ x <= -b``
         normalized afresh, as :meth:`LinearConstraint.negation` does
         (a stored row's norm need not be exactly 1); a negated row that
-        is trivially satisfied is an empty block.
+        is trivially satisfied is an empty block.  In one dimension the
+        normalization is :func:`_halfspace_1d`'s, in floats.
         """
-        infeasible = _zero_rows(self._a, self._b)[1]
+        rows = zip(self._lhs, self._rhs, self._keys)
+        if self.dim == 1:
+            return [(((row,), (value,), (key,), _infeasible_row(row, value)),
+                     _halfspace_1d(-row[0], -value))
+                    for row, value, key in rows]
+        infeasible = _zero_rows(self._a, self._b)[1].tolist()
         neg_a, neg_b = normalize_rows(-self._a, -self._b)
         neg_trivial, neg_infeasible = _zero_rows(neg_a, neg_b)
-        neg_keys = row_keys(neg_a, neg_b)
-        empty = (neg_a[:0], neg_b[:0], (), False)
-        pairs = []
-        for i, key in enumerate(self._keys):
-            row = (self._a[i:i + 1], self._b[i:i + 1], (key,),
-                   bool(infeasible[i]))
-            negated = empty if neg_trivial[i] else (
-                neg_a[i:i + 1], neg_b[i:i + 1], (neg_keys[i],),
-                bool(neg_infeasible[i]))
-            pairs.append((row, negated))
-        return pairs
+        negated = [
+            _NO_ROWS if trivial else ((tuple(a),), (b,), (key,), flag)
+            for a, b, key, trivial, flag in zip(
+                neg_a.tolist(), neg_b.tolist(), row_keys(neg_a, neg_b),
+                neg_trivial.tolist(), neg_infeasible.tolist())]
+        return [(((row,), (value,), (key,), flag), neg)
+                for (row, value, key), flag, neg in zip(rows, infeasible,
+                                                        negated)]
 
     def contains_polytope(self, other: ConvexPolytope,
                           solver: LinearProgramSolver,
@@ -471,9 +564,9 @@ class ConvexPolytope:
             raise DimensionMismatchError("containment across dimensions")
         if other.is_empty(solver):
             return True
-        for a, b in zip(self._a, self._b.tolist()):
-            result = solver.solve(-a, other._a, other._b,
-                                  purpose="containment")
+        for row, b in zip(self._lhs, self._rhs):
+            result = solver.solve(tuple(-coef for coef in row), other._lhs,
+                                  other._rhs, purpose="containment")
             if result.status == "unbounded":
                 return False
             if result.is_infeasible:  # pragma: no cover - guarded above
@@ -494,6 +587,7 @@ class ConvexPolytope:
         *other* kept constraints; if the maximum stays below the right-hand
         side the constraint is redundant.
         """
+        lhs, rhs = self._lhs, self._rhs
         kept = list(range(len(self._keys)))
         i = 0
         while i < len(kept):
@@ -501,15 +595,20 @@ class ConvexPolytope:
             others = kept[:i] + kept[i + 1:]
             if not others:
                 break
-            result = solver.solve(-self._a[candidate], self._a[others],
-                                  self._b[others], purpose="redundancy")
+            result = solver.solve(tuple(-coef for coef in lhs[candidate]),
+                                  tuple(lhs[j] for j in others),
+                                  tuple(rhs[j] for j in others),
+                                  purpose="redundancy")
             if (result.is_optimal and -result.objective
-                    <= float(self._b[candidate]) + tol):
+                    <= rhs[candidate] + tol):
                 kept.pop(i)
             else:
                 i += 1
-        return ConvexPolytope(self.dim, _blocks=(
-            _keyed(self._a[kept], self._b[kept]),))
+        kept_lhs = tuple(lhs[j] for j in kept)
+        kept_rhs = tuple(rhs[j] for j in kept)
+        return ConvexPolytope(self.dim, _blocks=((
+            kept_lhs, kept_rhs, tuple(self._keys[j] for j in kept),
+            any(map(_infeasible_row, kept_lhs, kept_rhs))),))
 
     # ------------------------------------------------------------------
     # Geometry helpers
@@ -529,8 +628,8 @@ class ConvexPolytope:
         for i in range(self.dim):
             e = np.zeros(self.dim)
             e[i] = 1.0
-            lo = solver.solve(e, self._a, self._b, purpose="bbox")
-            hi = solver.solve(-e, self._a, self._b, purpose="bbox")
+            lo = solver.solve(e, self._lhs, self._rhs, purpose="bbox")
+            hi = solver.solve(-e, self._lhs, self._rhs, purpose="bbox")
             lows[i] = -np.inf if lo.status == "unbounded" else lo.objective
             highs[i] = np.inf if hi.status == "unbounded" else -hi.objective
         return lows, highs
@@ -561,15 +660,6 @@ class ConvexPolytope:
                     np.allclose(x, v, atol=1e-6) for v in verts):
                 verts.append(x)
         return verts
-
-    def sample_grid_points(self, solver: LinearProgramSolver,
-                           per_axis: int = 4) -> list[np.ndarray]:
-        """Return grid points of the bounding box that lie inside the polytope."""
-        lows, highs = self.bounding_box(solver)
-        axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(lows, highs)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-        return [p for p in pts if self.contains_point(p)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ConvexPolytope(dim={self.dim}, "

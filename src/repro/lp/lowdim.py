@@ -3,7 +3,7 @@
 Every LP of a 1-parameter PWL-RRPA run, and the emptiness and
 bounding-box LPs of a 2-parameter run, have at most two variables and a
 handful of rows.
-:func:`solve_lowdim` answers them without a tableau:
+:func:`solve_lowdim_lists` answers them without a tableau:
 
 * **one variable:** the rows are interval bounds on ``x``; feasibility
   is ``max(lower) <= min(upper)`` and the optimum is an interval end;
@@ -13,7 +13,13 @@ handful of rows.
   projects the polygon onto an interval of ``u``.  Every pair of a
   lower and an upper bound on ``v`` yields one bound on ``u``; the
   minimum of ``u`` is the largest lower bound, and the optimal ``v``
-  is the midpoint of the ``v`` interval there.
+  is the midpoint of the ``v`` interval there;
+* **the Chebyshev LP of an interval** (rows ``[+-1, 1]``, objective
+  ``(0, -1)``: the largest ball inside a 1-D polytope) is the two-variable
+  case in one pass: the optimum lies where the smallest upper and the
+  smallest lower right-hand side meet, and :func:`_solve_interval`
+  repeats the two-variable case's floating-point operations there, so
+  its ``(status, x, objective)`` equals :func:`_solve_2d`'s bit for bit.
 
 The solver answers only what it can certify the simplex
 (:mod:`repro.lp.simplex`) would also conclude, and returns ``None``
@@ -60,14 +66,13 @@ _INF = math.inf
 _INFEASIBLE = ("infeasible", None, None)
 
 
-def solve_lowdim(c: np.ndarray, a_ub: np.ndarray | None,
-                 b_ub: np.ndarray | None) -> tuple | None:
-    """Solve ``min c @ x  s.t.  a_ub @ x <= b_ub`` for 1 or 2 free variables.
+def solve_lowdim_lists(costs, rows, rhs) -> tuple | None:
+    """Solve ``min c @ x  s.t.  A @ x <= b`` for 1 or 2 free variables.
 
-    Args:
-        c: Objective of length 1 or 2.
-        a_ub: Row matrix of shape ``(m, len(c))`` or ``None``.
-        b_ub: Right-hand sides of length ``m`` or ``None``.
+    ``costs``, ``rows`` and ``rhs`` are ``c``, the rows of ``A`` and
+    ``b`` as Python sequences of floats (empty without rows), the form
+    in which :class:`repro.lp.LinearProgramSolver` keys and solves every
+    LP.
 
     Returns:
         ``(status, x, objective)`` with status ``"optimal"`` or
@@ -75,28 +80,18 @@ def solve_lowdim(c: np.ndarray, a_ub: np.ndarray | None,
         optimal), or ``None`` when the verdict is deferred to the
         simplex.
     """
-    if a_ub is None:
-        return solve_lowdim_lists(c.tolist(), [], [])
-    return solve_lowdim_lists(c.tolist(), a_ub.tolist(), b_ub.tolist())
-
-
-def solve_lowdim_lists(costs: list, rows: list, rhs: list) -> tuple | None:
-    """:func:`solve_lowdim` on the LP's Python lists.
-
-    ``costs``, ``rows`` and ``rhs`` are ``c.tolist()``,
-    ``a_ub.tolist()`` and ``b_ub.tolist()`` (empty lists without rows):
-    :class:`repro.lp.LinearProgramSolver` converts each LP once and
-    shares the lists between its memo key and this solver.
-    """
     total = sum(rhs) + sum(costs) + sum(map(sum, rows))
     if not math.isfinite(total):
         return None
     if len(costs) == 1:
         return _solve_1d(costs[0], [row[0] for row in rows], rhs)
-    return _solve_2d(costs[0], costs[1], rows, rhs)
+    c0, c1 = costs
+    if c0 == 0.0 and c1 == -1.0:
+        return _solve_interval(c0, c1, rows, rhs)
+    return _solve_2d(c0, c1, rows, rhs)
 
 
-def _solve_1d(cost: float, col: list, rhs: list) -> tuple | None:
+def _solve_1d(cost: float, col: list, rhs) -> tuple | None:
     lo, hi = -_INF, _INF
     lo_norm = hi_norm = 1.0
     zero_violation = 0.0
@@ -128,7 +123,52 @@ def _solve_1d(cost: float, col: list, rhs: list) -> tuple | None:
     return "optimal", np.array([x]), cost * x
 
 
-def _solve_2d(c0: float, c1: float, rows: list, rhs: list) -> tuple | None:
+def _solve_interval(c0: float, c1: float, rows, rhs) -> tuple | None:
+    """:func:`_solve_2d` of ``max r  s.t.  +-x + r <= b_i`` in one pass.
+
+    The objective is ``(0, -1)`` (either zero sign) and every row must
+    be ``(1.0, 1.0)`` or ``(-1.0, 1.0)`` with rows of both signs;
+    anything else goes to :func:`_solve_2d`.
+
+    For such rows :func:`_solve_2d` rotates to ``u = -r``, ``v = x``
+    (``p = -1``, ``q = +-1`` exactly) and takes ``u`` as the largest
+    ``(b_lo + b_up) / -2`` over pairs of a lower (``q = -1``) and an
+    upper (``q = 1``) row.  Rounding is monotone, so that maximum is
+    the one of the two smallest right-hand sides, ``lo`` and ``up``
+    below.  The ``v`` interval at ``u`` is bounded by the same two rows,
+    and ``x`` and the objective repeat :func:`_solve_2d`'s expressions
+    (a zero's sign inside ``u`` or ``v`` never reaches them: ``+ 0.0``
+    clears it).  When the feasibility check fails, :func:`_solve_2d`
+    decides, as it would.
+    """
+    lo = up = _INF
+    for row, b in zip(rows, rhs):
+        r0, r1 = row
+        if r1 != 1.0:
+            return _solve_2d(c0, c1, rows, rhs)
+        if r0 == 1.0:
+            if b < up:
+                up = b
+        elif r0 == -1.0:
+            if b < lo:
+                lo = b
+        else:
+            return _solve_2d(c0, c1, rows, rhs)
+    if lo == _INF or up == _INF:
+        return _solve_2d(c0, c1, rows, rhs)  # one-sided: deferred there
+    u = (lo + up) / -2.0
+    if not math.isfinite(u):
+        return _solve_2d(c0, c1, rows, rhs)
+    v = ((lo + u) / -1.0 + (up + u)) / 2
+    x0 = v + 0.0
+    x1 = -u + 0.0
+    tol = PHASE1_TOL / (10 * max(len(rows), 1))
+    if all(r0 * x0 + r1 * x1 - b <= tol for (r0, r1), b in zip(rows, rhs)):
+        return "optimal", np.array([x0, x1]), c0 * x0 + c1 * x1
+    return _solve_2d(c0, c1, rows, rhs)
+
+
+def _solve_2d(c0: float, c1: float, rows, rhs) -> tuple | None:
     # Rotate: u = d @ x carries the objective and v = e @ x, for the
     # unit vector d along c (x[0] for a zero objective) and e = (-d1, d0).
     # Then x = u * d + v * e, and each row reads p * u + q * v <= b.

@@ -21,6 +21,7 @@ Three backends are available:
 
 from __future__ import annotations
 
+import functools
 import struct
 import threading
 import time
@@ -95,7 +96,7 @@ class LPResultCache:
             return len(self._data)
 
     @staticmethod
-    def make_key(c: np.ndarray, rows: list, rhs: list, bounds) -> tuple:
+    def make_key(costs, rows, rhs, bounds) -> tuple:
         """Canonical hashable key for one LP instance.
 
         The rows ``[a_i..., b_i]`` are sorted lexicographically (a
@@ -103,22 +104,25 @@ class LPResultCache:
         and packed as native float64 bytes.  For finite rows these are
         the bytes of ``np.hstack([A, b[:, None]])`` sorted by
         ``np.lexsort`` and dumped with ``tobytes()``, built without a
-        NumPy call per key.  With a NaN the sort order is arbitrary but
+        NumPy call per key; the objective's bytes are those of
+        ``c.tobytes()``.  With a NaN the sort order is arbitrary but
         deterministic, and the key still holds every row's exact bytes,
         so two different row sets never share a key.
 
         Args:
-            c: Objective vector (float array).
-            rows: The rows of ``A_ub`` as Python lists of floats (empty
+            costs: The objective ``c`` as a sequence of floats.
+            rows: The rows of ``A_ub`` as sequences of floats (empty
                 without rows).
-            rhs: ``b_ub`` as a Python list.
+            rhs: ``b_ub`` as a sequence of floats.
             bounds: Per-variable ``(lo, hi)`` pairs.
         """
-        lines = [row + [value] for row, value in zip(rows, rhs)]
-        lines.sort()
-        rows_key = struct.pack(f"{len(lines) * (len(c) + 1)}d",
+        n = len(costs)
+        lines = sorted([[*row, value] for row, value in zip(rows, rhs)])
+        rows_key = struct.pack(f"{len(lines) * (n + 1)}d",
                                *chain.from_iterable(lines))
-        return (c.shape[0], c.tobytes(), rows_key, tuple(map(tuple, bounds)))
+        if bounds is not _free_bounds(n):
+            bounds = tuple(map(tuple, bounds))
+        return (n, struct.pack(f"{n}d", *costs), rows_key, bounds)
 
     def get(self, key: tuple) -> LPResult | None:
         """Look up a cached result, refreshing its LRU position.
@@ -210,6 +214,14 @@ class LinearProgramSolver:
               purpose: str = "generic") -> LPResult:
         """Solve ``min c@x  s.t.  a_ub@x <= b_ub`` with optional variable bounds.
 
+        The geometry layer hands in its rows as they are stored: ``c``
+        as a tuple of floats, ``a_ub`` as a tuple of row tuples and
+        ``b_ub`` as a tuple of floats.  Those are keyed and solved
+        without a NumPy round trip; arrays are built only when the
+        simplex or scipy answers.  Any other input is converted with
+        ``np.asarray`` first.  Both forms of one LP give the same memo
+        key, result and accounting.
+
         Args:
             c: Objective coefficient vector.
             a_ub: Inequality constraint matrix (may be ``None`` / empty).
@@ -273,56 +285,67 @@ class LinearProgramSolver:
     def _prepare(self, c, a_ub, b_ub, bounds) -> tuple:
         """Normalize one LP request's inputs.
 
-        Returns ``(c, a_ub, b_ub, bounds, costs, rows, rhs)``: canonical
-        arrays (``a_ub`` and ``b_ub`` are ``None`` without rows), then
-        ``c``, ``a_ub`` and ``b_ub`` as Python lists.  The memo key and
-        the closed-form path both read the lists, so each LP converts
-        its arrays once.
+        Returns ``(costs, rows, rhs, bounds)``: ``c``, the rows of
+        ``a_ub`` and ``b_ub`` as Python sequences of floats (empty
+        without rows) and the per-variable bounds.  Tuples of floats
+        (the geometry layer's rows) are kept as they are; anything else
+        goes through ``np.asarray(..., dtype=float)`` and ``tolist``
+        once.  The memo key, the closed form and the arrays of the
+        simplex and scipy are all built from these.
         """
-        c = np.asarray(c, dtype=float)
-        n = c.shape[0]
+        costs = c if type(c) is tuple else np.asarray(
+            c, dtype=float).reshape(-1).tolist()
+        n = len(costs)
         if bounds is None:
-            bounds = [(None, None)] * n
-        if a_ub is not None and len(a_ub) > 0:
+            bounds = _free_bounds(n)
+        if a_ub is None or len(a_ub) == 0:
+            rows, rhs = (), ()
+        elif (type(a_ub) is tuple and type(a_ub[0]) is tuple
+              and type(b_ub) is tuple):
+            # A row block has one width: its first row's.
+            rows, rhs = a_ub, b_ub
+            if len(rows) != len(rhs):
+                raise SolverError("A_ub and b_ub row counts differ")
+            if len(rows[0]) != n:
+                raise SolverError("A_ub rows and c differ in length")
+        else:
             a_ub = np.asarray(a_ub, dtype=float).reshape(-1, n)
             b_ub = np.asarray(b_ub, dtype=float).reshape(-1)
             if a_ub.shape[0] != b_ub.shape[0]:
                 raise SolverError("A_ub and b_ub row counts differ")
             rows, rhs = a_ub.tolist(), b_ub.tolist()
-        else:
-            a_ub, b_ub = None, None
-            rows, rhs = [], []
-        return c, a_ub, b_ub, bounds, c.tolist(), rows, rhs
+        return costs, rows, rhs, bounds
 
     @staticmethod
     def _key(prepared: tuple) -> tuple:
         """The memo key of a :meth:`_prepare` tuple."""
-        c, __, __, bounds, __, rows, rhs = prepared
-        return LPResultCache.make_key(c, rows, rhs, bounds)
+        return LPResultCache.make_key(*prepared)
 
-    def _solve_prepared(self, c, a_ub, b_ub, bounds, costs, rows, rhs, *,
+    def _solve_prepared(self, costs, rows, rhs, bounds, *,
                         purpose: str) -> LPResult:
         """Run the backend on a :meth:`_prepare` tuple and record the
         solve."""
         started = time.perf_counter()
         if self.backend == "scipy":
-            result = self._solve_scipy(c, a_ub, b_ub, bounds)
+            result = self._solve_scipy(*_arrays(costs, rows, rhs), bounds)
         elif self.backend == "simplex":
-            result = self._solve_simplex(c, a_ub, b_ub, bounds)
+            result = self._solve_simplex(*_arrays(costs, rows, rhs), bounds)
         else:  # hybrid: closed form, then simplex, then scipy
             result = None
-            if len(costs) <= 2 and all(lo is None and hi is None
-                                       for lo, hi in bounds):
+            if len(costs) <= 2 and (bounds is _free_bounds(len(costs))
+                                    or all(lo is None and hi is None
+                                           for lo, hi in bounds)):
                 answer = solve_lowdim_lists(costs, rows, rhs)
                 if answer is None:
                     self.stats.lowdim_deferred += 1
                 else:
                     result = LPResult(*answer)
             if result is None:
+                arrays = _arrays(costs, rows, rhs)
                 try:
-                    result = self._solve_simplex(c, a_ub, b_ub, bounds)
+                    result = self._solve_simplex(*arrays, bounds)
                 except SolverError:
-                    result = self._solve_scipy(c, a_ub, b_ub, bounds)
+                    result = self._solve_scipy(*arrays, bounds)
         # ``any`` of the floats is ``np.any(c != 0.0)``: -0.0 counts as
         # zero, NaN as non-zero.
         self.stats.record(purpose=purpose,
@@ -347,3 +370,19 @@ class LinearProgramSolver:
     def _solve_simplex(self, c, a_ub, b_ub, bounds) -> LPResult:
         res = solve_simplex(c, a_ub, b_ub, bounds)
         return LPResult(res.status, res.x, res.objective)
+
+
+@functools.cache
+def _free_bounds(n: int) -> tuple:
+    """``n`` free variables: the bounds of every geometry LP."""
+    return ((None, None),) * n
+
+
+def _arrays(costs, rows, rhs) -> tuple:
+    """``(c, A_ub, b_ub)`` float arrays of a :meth:`_prepare` tuple, as
+    the simplex and scipy take them (``None`` without rows)."""
+    c = np.array(costs, dtype=float)
+    if not rows:
+        return c, None, None
+    return (c, np.array(rows, dtype=float).reshape(len(rows), c.shape[0]),
+            np.array(rhs, dtype=float))

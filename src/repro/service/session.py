@@ -492,8 +492,13 @@ class OptimizerSession:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
+            # Workers start with no LP memo installed: a forked worker
+            # would otherwise inherit the memo of the thread that forks
+            # it (the installation is thread-local), and its tasks
+            # would not run on their own run's memo.
             self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=self.mp_context)
+                max_workers=self.workers, mp_context=self.mp_context,
+                initializer=install_shared_lp_cache, initargs=(None,))
             self.pool_spawns += 1
         return self._pool
 

@@ -20,7 +20,7 @@ from repro.core import pwl_backend
 from repro.errors import SolverError
 from repro.geometry import INTERIOR_EPS, ConvexPolytope
 from repro.lp import LinearProgramSolver, LPStats, solve_simplex
-from repro.lp.lowdim import GUARD_BAND, solve_lowdim
+from repro.lp.lowdim import GUARD_BAND, solve_lowdim_lists
 from repro.query import QueryGenerator
 
 
@@ -99,7 +99,7 @@ class TestOracleSweep:
         count = 60
         for __ in range(count):
             c, a, b = _family(rng, kind, n)
-            direct = solve_lowdim(c, a, b)
+            direct = solve_lowdim_lists(c.tolist(), a.tolist(), b.tolist())
             result = hybrid.solve(c, a, b)
             reference = simplex.solve(c, a, b)
             if direct is None:  # deferred: the simplex answers
@@ -149,7 +149,7 @@ class TestOracleSweep:
             b = np.concatenate([[t, -(t + gap)], np.ones(2 * n)])
             expected = ("optimal" if gap <= 0.0
                         else None if gap <= band else "infeasible")
-            direct = solve_lowdim(np.zeros(n), a, b)
+            direct = solve_lowdim_lists([0.0] * n, a.tolist(), b.tolist())
             assert (None if direct is None else direct[0]) == expected, gap
             result = hybrid.solve(np.zeros(n), a, b)
             if expected is None:
@@ -180,7 +180,7 @@ class TestGuardBand:
     def test_one_dimensional_gap(self, gap, verdict):
         a = np.array([[1.0], [-1.0]])
         b = np.array([0.3, -(0.3 + gap)])  # x <= 0.3, x >= 0.3 + gap
-        direct = solve_lowdim(np.zeros(1), a, b)
+        direct = solve_lowdim_lists([0.0], a.tolist(), b.tolist())
         assert (None if direct is None else direct[0]) == verdict
         solver, stats = self._hybrid()
         result = solver.solve(np.zeros(1), a, b)
@@ -197,7 +197,7 @@ class TestGuardBand:
         a = _unit([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [-1.0, -1.0]])
         b = np.array([0.0, 0.0, 1.0 / np.sqrt(2.0),
                       -(1.0 + gap) / np.sqrt(2.0)])
-        direct = solve_lowdim(np.zeros(2), a, b)
+        direct = solve_lowdim_lists([0.0, 0.0], a.tolist(), b.tolist())
         assert (None if direct is None else direct[0]) == verdict
         solver, stats = self._hybrid()
         result = solver.solve(np.zeros(2), a, b)
@@ -210,21 +210,21 @@ class TestGuardBand:
         for n in (1, 2):
             a = np.vstack([np.eye(n), np.zeros((1, n))])
             b = np.array([1.0] * n + [rhs])
-            direct = solve_lowdim(np.zeros(n), a, b)
+            direct = solve_lowdim_lists([0.0] * n, a.tolist(), b.tolist())
             assert (None if direct is None else direct[0]) == verdict
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_unbounded_objective_deferred(self, n):
         a = -np.eye(n)  # x >= 0, minimize -sum(x)
         c = -np.ones(n)
-        assert solve_lowdim(c, a, np.zeros(n)) is None
+        assert solve_lowdim_lists(c.tolist(), a.tolist(), [0.0] * n) is None
         solver, stats = self._hybrid()
         assert solver.solve(c, a, np.zeros(n)).status == "unbounded"
         assert stats.lowdim_deferred == 1
 
     def test_non_finite_input_deferred(self):
         a = np.array([[1.0, 0.0], [0.0, np.nan]])
-        assert solve_lowdim(np.zeros(2), a, np.ones(2)) is None
+        assert solve_lowdim_lists([0.0, 0.0], a.tolist(), [1.0, 1.0]) is None
 
     def test_finite_bounds_go_to_the_simplex(self):
         solver, stats = self._hybrid()
@@ -254,13 +254,17 @@ class TestChebyshevOneDimensional:
 
 
 def _record_small_lps(monkeypatch) -> list[tuple]:
-    """Record every solved LP with at most two variables."""
+    """Record every solved LP with at most two variables, as arrays."""
     records = []
     original = LinearProgramSolver._solve_prepared
 
-    def recording(self, c, a_ub, b_ub, *rest, purpose):
-        result = original(self, c, a_ub, b_ub, *rest, purpose=purpose)
-        if c.shape[0] <= 2:
+    def recording(self, costs, rows, rhs, *rest, purpose):
+        result = original(self, costs, rows, rhs, *rest, purpose=purpose)
+        if len(costs) <= 2:
+            c = np.array(costs, dtype=float)
+            a_ub = (np.array(rows, dtype=float).reshape(len(rows), len(c))
+                    if rows else None)
+            b_ub = np.array(rhs, dtype=float) if rows else None
             records.append((c, a_ub, b_ub, purpose, result))
         return result
 

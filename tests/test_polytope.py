@@ -144,11 +144,16 @@ class TestRowArrays:
         extended = box.with_halfspace([1.0, 1.0], 1.5)
         with pytest.raises(ValueError):
             extended._a[0, 0] = 7.0
+        # The rows the arrays are built from are tuples.
+        for poly in (merged, box, extended):
+            assert type(poly._lhs) is tuple and type(poly._rhs) is tuple
+            assert all(type(row) is tuple for row in poly._lhs)
 
     def test_polytopes_share_unchanged_rows(self):
         box = ConvexPolytope.unit_box(2)
         same = box.with_constraint(box.constraints[0])
-        assert same._a is box._a
+        assert same._lhs is box._lhs
+        assert same._rhs is box._rhs
         assert same.num_constraints == box.num_constraints
 
     def test_with_halfspace_matches_with_constraint(self):
@@ -269,8 +274,3 @@ class TestGeometryHelpers:
             [[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, 1.0])
         assert len(p.vertices(solver)) == 3
 
-    def test_sample_grid_points(self, solver):
-        p = ConvexPolytope.unit_box(2)
-        pts = p.sample_grid_points(solver, per_axis=3)
-        assert len(pts) == 9
-        assert all(p.contains_point(x) for x in pts)

@@ -15,6 +15,7 @@ Covers the tentpole guarantees of the OptimizerSession redesign:
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 
 import pytest
@@ -24,6 +25,7 @@ from repro.api import (OptimizerSession, available_scenarios, get_scenario,
 from repro.bench import SweepPoint, queries_for_point
 from repro.core import encode_result
 from repro.cost import CLOUD_METRICS
+from repro.lp import LPResultCache, install_shared_lp_cache
 from repro.query import QueryGenerator
 from repro.service import session as session_module
 from repro.service.registry import ScenarioRegistry, default_registry
@@ -131,6 +133,32 @@ class TestPersistentPool:
             assert item.status == "ok"
             assert item.stats["lps_solved"] == alone.lps_solved
             assert item.stats["lp_cache_hits"] == alone.lp_stats.cache_hits
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_forked_workers_start_without_the_forking_threads_memo(self):
+        """Forked workers inherit the memory of the thread that forks
+        them, including the LP memo it has installed; they must still
+        run every task on its own run's memo."""
+        qs = queries_for_point(SweepPoint(3, "chain", 1), 4)
+        alone = [optimize_query(query).stats for query in qs]
+        memo = LPResultCache()
+        previous = install_shared_lp_cache(memo)
+        try:
+            for query in qs:
+                optimize_query(query)
+            assert len(memo) > 0
+            with OptimizerSession(
+                    "cloud", workers=2, warm_start=False,
+                    mp_context=multiprocessing.get_context("fork")
+                    ) as session:
+                items = session.map(qs)
+        finally:
+            install_shared_lp_cache(previous)
+        for item, stats in zip(items, alone):
+            assert item.status == "ok"
+            assert item.stats["lps_solved"] == stats.lps_solved
+            assert item.stats["lp_cache_hits"] == stats.lp_stats.cache_hits
 
     def test_broken_pool_recovers(self):
         """A hard worker crash must not poison the persistent pool."""

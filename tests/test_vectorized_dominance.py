@@ -19,7 +19,7 @@ from repro.api import optimize_query
 from repro.core.serialize import _encode_polytope
 from repro.cost import MultiObjectivePWL, batch_dominance_aligned
 from repro.cost.vector import _shared_pieces
-from repro.geometry import GEOMETRY_EPS
+from repro.geometry import GEOMETRY_EPS, ConvexPolytope
 from repro.lp import LinearProgramSolver, LPStats
 from repro.query import QueryGenerator
 
@@ -230,3 +230,100 @@ class TestBulkCandidateRows:
         assert built > 0  # the batch has mixed cells
         assert stats.solved == reference_stats.solved
         assert stats.by_purpose() == reference_stats.by_purpose()
+
+
+# ----------------------------------------------------------------------
+# The 1-parameter float kernel against the array kernel
+# ----------------------------------------------------------------------
+
+def _run_kernel(kernel, many, one, relax, many_first):
+    """One kernel on a fresh solver: its polytope lists, LP stats and
+    the number of polytopes it built."""
+    __, regions, verts = one._cells()
+    stats = LPStats()
+    builds = []
+    init = ConvexPolytope.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    ConvexPolytope.__init__ = counted
+    try:
+        polys = kernel(many, one, regions, verts,
+                       LinearProgramSolver(stats=stats), 1.0 + relax,
+                       many_first)
+    finally:
+        ConvexPolytope.__init__ = init
+    return polys, stats, len(builds)
+
+
+class TestOneParameterKernel:
+    """``_batch_dominance_1d`` repeats the array kernel's operations in
+    floats; on 1-parameter batches the two must agree bit for bit:
+    polytope rows, keys, flags and tags, whole cells by identity, and
+    the emptiness LPs they solve."""
+
+    @pytest.mark.parametrize("source", [s for s in BATCH_SOURCES
+                                        if s[3] == 1],
+                             ids=lambda s: f"{s[2]}{s[1]}-seed{s[0]}")
+    @pytest.mark.parametrize("many_first", [True, False])
+    @pytest.mark.parametrize("relax", [0.0, 0.25])
+    @pytest.mark.parametrize("size", [1, 9, None])
+    def test_equals_array_kernel(self, source, many_first, relax, size):
+        from repro.cost.vector import (_batch_dominance_1d,
+                                       _batch_dominance_arrays)
+        one, many = _batch(source)
+        assert one.dim == 1
+        # The batch ends with its zero-row costs; sized batches lead
+        # with them.
+        many = many[-3:] + many[:-3]
+        if size == 1:
+            batches = [[cost] for cost in many[:8]]
+        else:
+            batches = [many[:size]]
+        for batch in batches:
+            floats, float_stats, float_builds = _run_kernel(
+                _batch_dominance_1d, batch, one, relax, many_first)
+            arrays, array_stats, array_builds = _run_kernel(
+                _batch_dominance_arrays, batch, one, relax, many_first)
+            assert len(floats) == len(arrays) == len(batch)
+            for polys, expected in zip(floats, arrays):
+                assert len(polys) == len(expected)
+                for poly, want in zip(polys, expected):
+                    if want.vertex_hint is not None:  # a whole cell
+                        assert poly is want
+                        continue
+                    assert poly._lhs == want._lhs
+                    assert poly._a.tobytes() == want._a.tobytes()
+                    assert poly._b.tobytes() == want._b.tobytes()
+                    assert poly._keys == want._keys
+                    assert (poly.has_trivially_infeasible()
+                            == want.has_trivially_infeasible())
+                    assert poly.cell_tag == want.cell_tag
+            assert float_stats.solved == array_stats.solved
+            assert float_stats.by_purpose() == array_stats.by_purpose()
+            assert float_builds == array_builds
+
+    def test_batches_cover_every_decision(self):
+        """The seeded batches reach each outcome of the classification:
+        whole cells, cells without dominance, candidates, and emptiness
+        LPs for candidates their centroid leaves undecided."""
+        from repro.cost.vector import _batch_dominance_arrays
+        outcomes = set()
+        for source in [s for s in BATCH_SOURCES if s[3] == 1]:
+            one, many = _batch(source)
+            for many_first in (True, False):
+                polys, stats, __ = _run_kernel(_batch_dominance_arrays,
+                                               many, one, 0.0, many_first)
+                cells = len(one._cells()[1])
+                for found in polys:
+                    outcomes.add("whole" if any(
+                        p.vertex_hint is not None for p in found)
+                        else "none" if not found else "candidate")
+                    outcomes.add("some empty" if len(found) < cells
+                                 else "all live")
+                if stats.solved:
+                    outcomes.add("emptiness LP")
+        assert outcomes >= {"whole", "none", "candidate", "some empty",
+                            "emptiness LP"}
