@@ -8,7 +8,13 @@ This tool distills them into a flat set of *tracked metrics* and either
   gating defaults) to a baseline file committed under
   ``benchmarks/baselines/``, or
 * ``compare`` — reads the committed baseline and **fails (exit 1) when a
-  gated metric regresses beyond its tolerance** (default 20%).
+  gated metric regresses beyond its tolerance** (default 20%), or
+* ``trajectory`` — reads the committed ``BENCH_*.json`` files of the
+  end-to-end benchmark (``perfbench/``) in numeric order and prints, for
+  each workload and end-to-end metric, one row per file: its claim,
+  its parent and change medians, and the change median's delta from
+  the previous file's, "within noise" when the delta is inside the
+  file's parent IQR.
 
 Gated metrics are deterministic optimizer counters (#solved LPs, #created
 plans — the paper's own cost measures), all of which are
@@ -61,7 +67,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from pathlib import Path
 
 #: Default allowed relative regression before a gated metric fails.
 DEFAULT_TOLERANCE = 0.2
@@ -457,10 +465,75 @@ def run_refresh(args) -> int:
     return 0
 
 
+def bench_files() -> list[Path]:
+    """The committed ``BENCH_<n>.json`` files, in order of ``n``."""
+    root = Path(__file__).resolve().parents[1]
+    numbered = [(int(match.group(1)), path)
+                for path in root.glob("BENCH_*.json")
+                if (match := re.fullmatch(r"BENCH_(\d+)\.json", path.name))]
+    return [path for _, path in sorted(numbered)]
+
+
+def trajectory_rows(paths: list[Path]) -> list[dict]:
+    """One row per file, workload and end-to-end metric, in file order.
+
+    ``delta`` is the change median minus the previous file's change
+    median of the same workload and metric (``None`` for the first);
+    ``noise`` says whether it is within the file's parent IQR.
+    """
+    previous: dict[tuple[str, str], float] = {}
+    rows = []
+    for path in paths:
+        doc = _load(path)
+        claim = doc.get("claim") or {}
+        for workload, metrics in doc["summary"].items():
+            for metric, spec in metrics.items():
+                change = spec["change"]["median"]
+                iqr = spec["parent"]["q3"] - spec["parent"]["q1"]
+                delta = (change - previous[workload, metric]
+                         if (workload, metric) in previous else None)
+                previous[workload, metric] = change
+                claimed = (claim.get("workload") == workload
+                           and claim.get("metric") == metric)
+                rows.append({
+                    "file": path.name, "workload": workload,
+                    "metric": metric, "better": spec["better"],
+                    "claim": ("-" if not claimed
+                              else "met" if claim["met"] else "not met"),
+                    "parent": spec["parent"]["median"], "change": change,
+                    "delta": delta,
+                    "noise": (None if delta is None
+                              else "within noise" if abs(delta) <= iqr
+                              else "beyond noise")})
+    return rows
+
+
+def run_trajectory() -> int:
+    rows = trajectory_rows(bench_files())
+    if not rows:
+        raise SystemExit("no BENCH_*.json files at the repository root")
+    series: dict[tuple[str, str], list[dict]] = {}
+    for row in rows:
+        series.setdefault((row["workload"], row["metric"]), []).append(row)
+    width = max(len(row["file"]) for row in rows)
+    for (workload, metric), group in series.items():
+        print(f"{workload} {metric} ({group[0]['better']} is better)")
+        print(f"  {'file':{width}}  {'claim':7}  {'parent':>10}  "
+              f"{'change':>10}  delta from previous file")
+        for row in group:
+            delta = ("-" if row["delta"] is None
+                     else f"{row['delta']:+.4g} ({row['noise']})")
+            print(f"  {row['file']:{width}}  {row['claim']:7}  "
+                  f"{row['parent']:10.4g}  {row['change']:10.4g}  {delta}")
+        print()
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("command", choices=("compare", "refresh"))
-    parser.add_argument("--baseline", required=True,
+    parser.add_argument("command",
+                        choices=("compare", "refresh", "trajectory"))
+    parser.add_argument("--baseline", default=None,
                         help="baseline JSON path (read by compare, "
                              "written by refresh)")
     parser.add_argument("--fig12", default=None,
@@ -487,6 +560,10 @@ def main() -> int:
                         help="report regressions but exit 0 (local "
                              "experimentation)")
     args = parser.parse_args()
+    if args.command == "trajectory":
+        return run_trajectory()
+    if args.baseline is None:
+        parser.error(f"{args.command} needs --baseline")
     if args.command == "refresh":
         return run_refresh(args)
     return run_compare(args)

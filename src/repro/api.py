@@ -37,7 +37,9 @@ See :mod:`repro.core.run` for the underlying resumable
 
 To serve sessions over the network, the :mod:`repro.serve` gateway
 shards them behind an HTTP front end with tenant budgets, signature
-routing and live NDJSON progress streams::
+routing and live NDJSON progress streams.  Its names load
+:mod:`repro.serve` on first access, so a process that never serves
+loads no asyncio or HTTP code::
 
     from repro.api import GatewayClient, GatewayConfig, launch_gateway
 
@@ -64,15 +66,14 @@ under a named scenario without session ceremony.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .core import (DEFAULT_PRECISION_LADDER, Budget, OptimizationResult,
                    OptimizationRun, ProgressEvent, PWLRRPAOptions,
                    StoredPlanSet, decode_plan_set, encode_plan_set,
                    guarantee_bound, ladder_to)
 from .faults import InjectedFault
 from .query import Query
-from .serve import (GatewayClient, GatewayConfig, GatewayHandle,
-                    ServingGateway, StreamInterrupted)
-from .serve import launch as launch_gateway
 from .service.cache import WarmStartCache
 from .service.registry import (Scenario, ScenarioRegistry,
                                available_scenarios, default_registry,
@@ -82,6 +83,23 @@ from .service.signature import (family_digest, query_signature,
                                 signature_document, signature_features,
                                 statistics_digest)
 from .store import PlanSetStore, StoreCounters
+
+if TYPE_CHECKING:
+    from .serve import (GatewayClient, GatewayConfig, GatewayHandle,
+                        ServingGateway, StreamInterrupted)
+    from .serve import launch as launch_gateway
+
+#: The gateway names, resolved from :mod:`repro.serve` on first access
+#: (:func:`__getattr__`): importing this module loads no asyncio or
+#: HTTP stack.  Each maps to its name in :mod:`repro.serve`.
+_GATEWAY_NAMES = {
+    "GatewayClient": "GatewayClient",
+    "GatewayConfig": "GatewayConfig",
+    "GatewayHandle": "GatewayHandle",
+    "ServingGateway": "ServingGateway",
+    "StreamInterrupted": "StreamInterrupted",
+    "launch_gateway": "launch",
+}
 
 __all__ = [
     "Budget",
@@ -137,3 +155,16 @@ def optimize_query(query: Query, scenario: str = "cloud", *,
     """
     return get_scenario(scenario).optimize(query, resolution=resolution,
                                            options=options)
+
+
+def __getattr__(name: str):
+    """Import :mod:`repro.serve` on first access to a gateway name."""
+    try:
+        target = _GATEWAY_NAMES[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    from . import serve
+    value = getattr(serve, target)
+    globals()[name] = value
+    return value

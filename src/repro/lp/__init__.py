@@ -4,8 +4,8 @@ Public API:
 
 * :class:`LinearProgramSolver` — LP facade with pluggable backends
   (the default ``hybrid``: closed form for at most two free variables,
-  then the built-in simplex, then scipy HiGHS; or either of the last
-  two alone); its
+  then the built-in simplex, then scipy HiGHS, imported on first use;
+  or either of the last two alone); its
   :meth:`~LinearProgramSolver.solve_many` solves a sequence of
   independent LPs as a loop of :meth:`~LinearProgramSolver.solve` does.
 * :class:`LPResult` — solve outcome.
@@ -17,8 +17,8 @@ Public API:
   memo).
 * :class:`LPStats` / :func:`default_stats` — counters used to reproduce the
   "#solved linear programs" measurements of Figure 12.
-* :func:`solve_simplex` — the dependency-free simplex used as fallback and
-  as a testing oracle.
+* :func:`solve_simplex` — the dense NumPy simplex (no SciPy) used as
+  fallback and as a testing oracle.
 * :mod:`repro.lp.lowdim` — the exact closed-form solve of LPs with one
   or two free variables that the ``hybrid`` backend tries first.
 """

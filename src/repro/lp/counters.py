@@ -100,22 +100,6 @@ class LPStats:
         self._by_purpose.clear()
         self._seconds_by_purpose.clear()
 
-    def merge(self, other: LPStats) -> None:
-        """Add the counts of ``other`` into this instance."""
-        self.solved += other.solved
-        self.infeasible += other.infeasible
-        self.unbounded += other.unbounded
-        self.feasibility_checks += other.feasibility_checks
-        self.optimizations += other.optimizations
-        self.cache_hits += other.cache_hits
-        self.seconds += other.seconds
-        self.lowdim_deferred += other.lowdim_deferred
-        for key, value in other._by_purpose.items():
-            self._by_purpose[key] = self._by_purpose.get(key, 0) + value
-        for key, value in other._seconds_by_purpose.items():
-            self._seconds_by_purpose[key] = (
-                self._seconds_by_purpose.get(key, 0.0) + value)
-
 
 _DEFAULT = LPStats()
 

@@ -1,7 +1,10 @@
-"""A small, dependency-free dense simplex solver.
+"""A small dense simplex solver on NumPy, without SciPy.
 
 The paper's implementation used Gurobi.  This module provides a
-pure-Python two-phase simplex implementation that serves two purposes:
+two-phase simplex written in Python over NumPy arrays; its basis
+systems are solved by LAPACK through NumPy's private ``solve1``
+gufunc (the kernel behind ``np.linalg.solve``, see ``_basis_solve``).
+It serves two purposes:
 
 * the default ``"hybrid"`` backend of :mod:`repro.lp.solver` solves
   every LP the closed form in :mod:`repro.lp.lowdim` does not take with

@@ -13,10 +13,13 @@ Three backends are available:
   defers (``LPStats.lowdim_deferred``) and every other LP go to the
   simplex below, and scipy answers when the simplex raises
   :class:`~repro.errors.SolverError`.
-* ``"simplex"`` — the pure-Python two-phase simplex from
+* ``"simplex"`` — the dense two-phase simplex from
   :mod:`repro.lp.simplex`, a testing oracle.
 * ``"scipy"`` — :func:`scipy.optimize.linprog` with the HiGHS method,
   the second oracle.
+
+SciPy is imported by the first solve that reaches HiGHS, so a process
+whose LPs all stay on the closed form and the simplex never loads it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from collections.abc import Sequence
 from itertools import chain
 
 import numpy as np
-from scipy.optimize import linprog as _scipy_linprog
 
 from ..errors import SolverError
 from ..faults import failpoint
@@ -356,8 +358,13 @@ class LinearProgramSolver:
         return result
 
     def _solve_scipy(self, c, a_ub, b_ub, bounds) -> LPResult:
-        res = _scipy_linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds,
-                             method="highs")
+        # Imported on first use: loading scipy.optimize costs about
+        # 0.5 s and 45 MB, and the hybrid backend reaches HiGHS only
+        # when the simplex raises.
+        from scipy.optimize import linprog
+
+        res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds,
+                      method="highs")
         if res.status == 0:
             return LPResult("optimal", np.asarray(res.x, dtype=float),
                             float(res.fun))

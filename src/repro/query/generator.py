@@ -156,10 +156,3 @@ class QueryGenerator:
         return Query(catalog=catalog, tables=tuple(names),
                      join_predicates=tuple(join_predicates),
                      parametric_predicates=tuple(parametric))
-
-    def generate_batch(self, count: int, num_tables: int,
-                       shape: str = "chain",
-                       num_params: int = 1) -> list[Query]:
-        """Generate ``count`` independent random queries."""
-        return [self.generate(num_tables, shape, num_params)
-                for _ in range(count)]

@@ -89,11 +89,3 @@ class JoinGraph:
                 if self.is_connected(subset):
                     out.append(subset)
         return out
-
-    def degree_histogram(self) -> dict[int, int]:
-        """Map node degree -> count; star graphs show one high-degree hub."""
-        hist: dict[int, int] = {}
-        for table in self.tables:
-            d = len(self._adjacent[table])
-            hist[d] = hist.get(d, 0) + 1
-        return hist

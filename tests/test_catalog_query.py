@@ -161,9 +161,9 @@ class TestJoinGraph:
     def test_degree_histogram_star(self):
         gen = QueryGenerator(seed=2)
         q = gen.generate(num_tables=5, shape="star", num_params=1)
-        hist = q.join_graph.degree_histogram()
-        assert hist[4] == 1  # the hub
-        assert hist[1] == 4  # the spokes
+        g = q.join_graph
+        degrees = sorted(len(g.neighbors(t)) for t in q.tables)
+        assert degrees == [1, 1, 1, 1, 4]  # four spokes, one hub
 
     def test_predicate_outside_graph_rejected(self):
         with pytest.raises(ValueError):
@@ -213,10 +213,3 @@ class TestQueryGenerator:
         q = QueryGenerator(seed=5).generate(1, "chain", 1)
         assert q.num_tables == 1
         assert q.join_predicates == ()
-
-    def test_batch(self):
-        batch = QueryGenerator(seed=6).generate_batch(3, 4, "chain", 1)
-        assert len(batch) == 3
-        cards = [tuple(q.catalog.table(t).cardinality for t in q.tables)
-                 for q in batch]
-        assert len(set(cards)) > 1  # independent random draws

@@ -249,23 +249,20 @@ class TestOneRequestPath:
 
 
 class TestLPStats:
-    def test_merge(self):
-        a, b = LPStats(), LPStats()
-        a.record(purpose="p1")
-        b.record(purpose="p1", feasible=False)
-        b.record(purpose="p2", objective=False)
-        a.merge(b)
-        assert a.solved == 3
-        assert a.infeasible == 1
-        assert a.feasibility_checks == 1
-        assert a.by_purpose() == {"p1": 2, "p2": 1}
-
-    def test_lowdim_deferred_merged_and_reset(self):
-        a, b = LPStats(lowdim_deferred=2), LPStats(lowdim_deferred=3)
-        a.merge(b)
-        assert a.lowdim_deferred == 5
+    def test_lowdim_deferred_reset(self):
+        a = LPStats(lowdim_deferred=5)
         a.reset()
         assert a.lowdim_deferred == 0
+
+    def test_record_counts(self):
+        s = LPStats()
+        s.record(purpose="p1")
+        s.record(purpose="p1", feasible=False)
+        s.record(purpose="p2", objective=False)
+        assert s.solved == 3
+        assert s.infeasible == 1
+        assert s.feasibility_checks == 1
+        assert s.by_purpose() == {"p1": 2, "p2": 1}
 
     def test_reset(self):
         s = LPStats()

@@ -79,14 +79,12 @@ class TestLPResultCache:
             solver.solve(np.zeros(2), a, b)
         assert len(cache) == 2
 
-    def test_cache_hits_merge_and_reset(self):
-        first = LPStats()
-        first.record_cache_hit()
-        second = LPStats()
-        second.merge(first)
-        assert second.cache_hits == 1
-        second.reset()
-        assert second.cache_hits == 0
+    def test_cache_hits_reset(self):
+        stats = LPStats()
+        stats.record_cache_hit()
+        assert stats.cache_hits == 1
+        stats.reset()
+        assert stats.cache_hits == 0
 
 
 class TestInstalledMemo:
