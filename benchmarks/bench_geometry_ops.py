@@ -101,4 +101,4 @@ def test_pwl_accumulation_aligned(benchmark):
         return f.add(g)
 
     h = benchmark(run)
-    assert h.num_pieces == f.num_pieces
+    assert len(h.pieces) == len(f.pieces)

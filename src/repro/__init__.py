@@ -32,7 +32,7 @@ from .cost import (APPROX_METRICS, CLOUD_METRICS, CostMetric, LinearPiece,
                    MultiObjectivePWL, ParamPolynomial,
                    PiecewiseLinearFunction, SharedPartition)
 from .errors import ReproError
-from .geometry import ConvexPolytope, LinearConstraint, RelevanceRegion
+from .geometry import ConvexPolytope, RelevanceRegion
 from .lp import LinearProgramSolver, LPStats
 from .plans import (JoinOperator, JoinPlan, Plan, ScanOperator, ScanPlan,
                     combine, one_line, render_plan)
@@ -40,7 +40,7 @@ from .query import (JoinGraph, JoinPredicate, ParametricPredicate, Query,
                     QueryGenerator)
 from .service import (BatchItem, OptimizerSession, Scenario,
                       ScenarioRegistry, WarmStartCache, available_scenarios,
-                      get_scenario, query_signature, register_scenario)
+                      get_scenario, query_signature)
 
 __version__ = "2.0.0"
 
@@ -61,7 +61,6 @@ __all__ = [
     "JoinPlan",
     "JoinPredicate",
     "LPStats",
-    "LinearConstraint",
     "LinearPiece",
     "LinearProgramSolver",
     "MultiObjectivePWL",
@@ -99,6 +98,5 @@ __all__ = [
     "one_line",
     "optimize_query",
     "query_signature",
-    "register_scenario",
     "render_plan",
 ]

@@ -7,6 +7,9 @@ the counter-examples of Figures 4, 5 and 6; this module constructs those
 exact instances as cost functions so the statements can be *checked by
 code* rather than by inspection (see ``tests/test_analysis.py`` and
 ``benchmarks/bench_analysis.py``).
+
+Paper: Section 4, Table 1 and the counter-examples of Figures 4-6;
+reached by tests and benchmarks/bench_analysis.py (nightly).
 """
 
 from __future__ import annotations

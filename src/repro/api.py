@@ -18,7 +18,7 @@ calls, closed with the session), session-scoped caches (warm-start plan
 sets, and the LP-result memo its in-process runs share; a pool task
 runs on its own run's memo), and resolves cost-model workloads through
 the scenario registry — ``"cloud"`` and ``"approx"`` are built in, and
-:func:`register_scenario` adds new ones in one call.
+``default_registry().register(...)`` adds new ones in one call.
 
 Anytime optimization rides on the same session::
 
@@ -77,7 +77,7 @@ from .query import Query
 from .service.cache import WarmStartCache
 from .service.registry import (Scenario, ScenarioRegistry,
                                available_scenarios, default_registry,
-                               get_scenario, register_scenario)
+                               get_scenario)
 from .service.session import STATUSES, BatchItem, OptimizerSession
 from .service.signature import (family_digest, query_signature,
                                 signature_document, signature_features,
@@ -133,7 +133,6 @@ __all__ = [
     "launch_gateway",
     "optimize_query",
     "query_signature",
-    "register_scenario",
     "signature_document",
     "signature_features",
     "statistics_digest",

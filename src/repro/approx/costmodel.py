@@ -100,6 +100,9 @@ class ApproxCostModel:
 
         Because each leaf's loss is a *constant* polynomial, the max over
         sub-plans is well-defined without region splitting here.
+
+        Reference: the exact cost of a plan, which the tests hold the
+        optimizer's accumulated PWL costs against (tests/helpers.py).
         """
         if isinstance(plan, ScanPlan):
             return self.scan_cost_polynomials(plan)

@@ -12,6 +12,9 @@ The heuristic builds left-deep plans by repeatedly joining in the table
 that minimizes a weighted cost at a reference parameter point, repeated
 over several weight profiles and reference points to obtain a plan
 portfolio.
+
+Paper: Section 3's heuristic optimizers, whose gap to the exhaustive
+algorithm it measures; reached by tests and the nightly benchmarks.
 """
 
 from __future__ import annotations

@@ -11,6 +11,9 @@ baseline is also what the paper's Section 1.1 argument is about: running
 MQ at *sampled* parameter points cannot guarantee covering the whole
 parameter space (statement M3b) — the baseline-comparison benchmark
 quantifies the coverage gap.
+
+Paper: Section 1's MQ problem, MPQ at a single parameter point; reached
+by tests, examples/baseline_comparison.py and the nightly benchmarks.
 """
 
 from __future__ import annotations
@@ -64,11 +67,6 @@ class MQResult:
     frontier: list[tuple[dict[str, float], Plan]]
     plans_created: int
     optimization_seconds: float
-
-    @property
-    def plans(self) -> list[Plan]:
-        """The Pareto-optimal plans."""
-        return [plan for __, plan in self.frontier]
 
 
 class MQOptimizer:

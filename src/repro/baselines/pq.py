@@ -15,6 +15,10 @@ test suite checks the relevance regions it produces) and (b) providing the
 optimization-time reference point the paper compares against in its
 Discussion ("our optimization times are higher but still comparable to
 optimization times of single-objective PQ algorithms").
+
+Paper: Section 1's PQ problem, the one-metric special case of MPQ;
+reached by tests, examples/baseline_comparison.py and the nightly
+benchmarks.
 """
 
 from __future__ import annotations
@@ -64,11 +68,6 @@ class SingleMetricModel:
 
     def scan_cost_polynomials(self, plan):
         polys = self.base_model.scan_cost_polynomials(plan)
-        return {self.metric: polys[self.metric]}
-
-    def join_cost_polynomials(self, left_tables, right_tables, operator):
-        polys = self.base_model.join_cost_polynomials(
-            left_tables, right_tables, operator)
         return {self.metric: polys[self.metric]}
 
 

@@ -16,7 +16,10 @@ from .runner import (AggregatedPoint, AnytimeLadderReport, StreamingPoint,
 
 
 def format_table(points: Sequence[AggregatedPoint]) -> str:
-    """Render aggregated sweep points as an aligned text table."""
+    """Render aggregated sweep points as an aligned text table.
+
+    Paper: Section 7, Figure 12; examples/figure12.py prints it.
+    """
     header = (f"{'tables':>6} {'shape':>6} {'params':>6} "
               f"{'time[s]':>10} {'#plans':>8} {'#LPs':>10} {'runs':>5}")
     lines = [header, "-" * len(header)]
@@ -114,6 +117,8 @@ def ascii_log_chart(series: dict[str, list[tuple[int, float]]],
 
     Each series becomes one row block: x values as columns, bar length
     proportional to ``log10(y)``.
+
+    Paper: Section 7, Figure 12; examples/figure12.py prints it.
     """
     lines = [title]
     all_values = [y for pts in series.values() for __, y in pts if y > 0]
@@ -133,7 +138,10 @@ def ascii_log_chart(series: dict[str, list[tuple[int, float]]],
 
 def figure12_report(chain: Sequence[AggregatedPoint],
                     star: Sequence[AggregatedPoint]) -> str:
-    """Full Figure 12 report: both columns, all three panels."""
+    """Full Figure 12 report: both columns, all three panels.
+
+    Paper: Section 7, Figure 12; examples/figure12.py prints it.
+    """
     sections = ["=== Figure 12 reproduction (medians per sweep point) ===",
                 "", "--- Chain queries ---", format_table(chain),
                 "", "--- Star queries ---", format_table(star), ""]

@@ -111,7 +111,11 @@ def run_query_measurement(query, point: SweepPoint,
 def run_point(point: SweepPoint, queries_per_point: int,
               options: PWLRRPAOptions | None = None,
               base_seed: int = 0) -> AggregatedPoint:
-    """Run all random queries of one sweep point and aggregate medians."""
+    """Run all random queries of one sweep point and aggregate medians.
+
+    Paper: Section 7, one point of the Figure 12 sweep;
+    examples/figure12.py and the nightly benchmarks run it.
+    """
     measurements = [
         run_query_measurement(query, point, options=options)
         for query in queries_for_point(point, queries_per_point,
@@ -128,7 +132,11 @@ def run_point(point: SweepPoint, queries_per_point: int,
 def run_sweep(profile: SweepProfile, shape: str,
               options: PWLRRPAOptions | None = None,
               base_seed: int = 0) -> list[AggregatedPoint]:
-    """Run the full sweep of one Figure 12 column (chain or star)."""
+    """Run the full sweep of one Figure 12 column (chain or star).
+
+    Paper: Section 7, the Figure 12 sweep; examples/figure12.py and the
+    nightly benchmarks run it.
+    """
     return [run_point(point, profile.queries_per_point, options=options,
                       base_seed=base_seed)
             for point in sweep_points(profile, shape)]

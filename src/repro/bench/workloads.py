@@ -78,7 +78,11 @@ FULL = SweepProfile(
 
 def sweep_points(profile: SweepProfile, shape: str
                  ) -> list[SweepPoint]:
-    """Expand a profile into the sweep points for one join-graph shape."""
+    """Expand a profile into the sweep points for one join-graph shape.
+
+    Paper: Section 7, the points of the Figure 12 sweep;
+    examples/figure12.py and the nightly benchmarks run them.
+    """
     points = [SweepPoint(num_tables=n, shape=shape, num_params=1,
                          resolution=profile.resolution_1p)
               for n in profile.table_counts_1p]

@@ -1,9 +1,8 @@
-"""Synthetic database catalog: tables, columns, indexes, statistics."""
+"""Synthetic database catalog: tables, columns, indexes."""
 
 from .catalog import Catalog
 from .column import Column
 from .index import Index
-from .statistics import base_cardinality_polynomial, join_selectivity
 from .table import Table
 
 __all__ = [
@@ -11,6 +10,4 @@ __all__ = [
     "Column",
     "Index",
     "Table",
-    "base_cardinality_polynomial",
-    "join_selectivity",
 ]

@@ -24,9 +24,3 @@ class Index:
     table_name: str
     column_name: str
     clustered: bool = False
-
-    @property
-    def name(self) -> str:
-        """Canonical index name."""
-        kind = "cidx" if self.clustered else "idx"
-        return f"{kind}_{self.table_name}_{self.column_name}"

@@ -31,17 +31,6 @@ class Table:
                 f"table {self.name!r} has duplicate column names")
         object.__setattr__(self, "columns", tuple(self.columns))
 
-    def column(self, name: str) -> Column:
-        """Look up a column by name.
-
-        Raises:
-            CatalogError: For unknown column names.
-        """
-        for col in self.columns:
-            if col.name == name:
-                return col
-        raise CatalogError(f"table {self.name!r} has no column {name!r}")
-
     def has_column(self, name: str) -> bool:
         """Return whether the table has a column of that name."""
         return any(c.name == name for c in self.columns)

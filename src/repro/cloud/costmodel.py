@@ -231,6 +231,10 @@ class CloudCostModel:
         Because interpolation onto a fixed partition is linear in the
         interpolated values, this equals the accumulation of per-node PWL
         costs exactly (asserted by the test suite).
+
+        Reference: the tests hold the DP's accumulated per-node costs
+        against this whole-plan interpolation; the baselines and
+        benchmarks/bench_fig7_pruning.py (nightly) read it too.
         """
         key = ("plan", plan.signature())
         return self._vector(key, self.plan_cost_polynomials(plan))

@@ -14,6 +14,9 @@ component of the parameter vector).  Hash joins pay a spill penalty
 onto the shared partition together with the smooth terms; with enough
 resolution the kink shows up as adjacent linear pieces with different
 gradients, exactly the shape PWL-RRPA is designed for.
+
+Paper: Sections 1 and 2, buffer space as a run-time parameter; reached
+by tests.
 """
 
 from __future__ import annotations

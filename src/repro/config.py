@@ -88,8 +88,3 @@ def value(name: str) -> str | None:
     declared = knob(name)
     raw = os.environ.get(declared.name)
     return declared.default if raw is None else raw
-
-
-def declared() -> tuple[Knob, ...]:
-    """All declared knobs, in registry (docs table) order."""
-    return KNOBS

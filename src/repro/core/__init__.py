@@ -28,8 +28,7 @@ from .run import (DEFAULT_PRECISION_LADDER, DEFAULT_SEED_CAP, RUN_COMPLETED,
                   trim_ladder_for_seed, validate_ladder)
 from .selection import PlanSelector, SelectedPlan
 from .serialize import (StoredPlanSet, decode_plan, decode_plan_set,
-                        encode_plan, encode_plan_set, encode_result,
-                        load_plan_set, save_result)
+                        encode_plan_set, encode_result)
 from .stats import OptimizerStats
 
 __all__ = [
@@ -59,14 +58,11 @@ __all__ = [
     "count_considered_splits",
     "decode_plan",
     "decode_plan_set",
-    "encode_plan",
     "encode_plan_set",
     "encode_result",
     "guarantee_bound",
     "ladder_to",
-    "load_plan_set",
     "make_grid",
-    "save_result",
     "splits",
     "subsets_in_size_order",
     "trim_ladder_for_seed",

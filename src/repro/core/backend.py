@@ -58,12 +58,19 @@ class RRPABackend(ABC):
         The default delegates to pairwise :meth:`dominance`; backends with
         a vectorized batch path (see :class:`repro.core.pwl_backend.
         PWLBackend`) override this.  Results must equal the pairwise ones.
+
+        Paper: Algorithm 1's default, which the generic RRPA backend
+        (GridBackend) runs.
         """
         return [self.dominance(cost_a, cost_b) for cost_a in costs_a]
 
     def dominance_many_rev(self, cost_a: Any, costs_b: Sequence[Any]
                            ) -> list[Any]:
-        """``Dom(a, b_k)`` for one cost against a batch of costs."""
+        """``Dom(a, b_k)`` for one cost against a batch of costs.
+
+        Paper: Algorithm 1's default, which the generic RRPA backend
+        (GridBackend) runs.
+        """
         return [self.dominance(cost_a, cost_b) for cost_b in costs_b]
 
     @property
@@ -72,6 +79,9 @@ class RRPABackend(ABC):
 
         Backends without alpha-dominance support report 0 (their pruning
         is exact by construction).
+
+        Paper: Algorithm 1's exact pruning, the default of backends
+        without alpha-dominance (GridBackend).
         """
         return 0.0
 
@@ -100,6 +110,9 @@ class RRPABackend(ABC):
         The default delegates to the per-region check, in order.
         Overrides must return — and record in any stats — exactly what
         the sequential loop does.
+
+        Benchmark hook: perfbench/spans.py wraps it on PWLBackend, which
+        inherits this default.
         """
         return [self.region_is_empty(region) for region in regions]
 

@@ -30,8 +30,3 @@ class PlanEntry:
     plan: Plan
     cost: Any
     region: Any
-
-    @property
-    def tables(self) -> frozenset[str]:
-        """Tables joined by the entry's plan."""
-        return self.plan.tables

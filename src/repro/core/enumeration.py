@@ -77,6 +77,11 @@ def splits(query: Query, subset: frozenset[str]
 
 
 def count_considered_splits(query: Query) -> int:
-    """Total number of splits the DP will enumerate (for sanity checks)."""
+    """Total number of splits the DP will enumerate (for sanity checks).
+
+    Paper: Section 7's chain-versus-star comparison: the join pairs a DP
+    that avoids Cartesian products considers (Ono and Lohman's counts,
+    tests/test_enumeration_counts.py).
+    """
     return sum(1 for subset in subsets_in_size_order(query)
                for __ in splits(query, subset))

@@ -18,6 +18,10 @@ The grid backend serves three purposes:
 * it handles cost functions that are not PWL at all — the exact polynomial
   cost formulas of the Cloud model are evaluated without PWL-approximation
   error here.
+
+Paper: Section 5's generic RRPA (Algorithm 1) over arbitrary cost
+functions; reached by tests and benchmarks/bench_generic_vs_pwl.py
+(nightly).
 """
 
 from __future__ import annotations
@@ -68,19 +72,6 @@ class GridCost:
         """Cost vector at the grid point with the given index."""
         return {m: float(v[index]) for m, v in self.values.items()}
 
-    def evaluate(self, x=None, *, index: int | None = None,
-                 points: np.ndarray | None = None) -> dict[str, float]:
-        """Cost vector at a grid point given by index or coordinates."""
-        if index is None:
-            if points is None or x is None:
-                raise ValueError("need either index or (x, points)")
-            matches = np.where(
-                np.all(np.isclose(points, np.asarray(x)), axis=1))[0]
-            if len(matches) == 0:
-                raise ValueError(f"{x} is not a grid point")
-            index = int(matches[0])
-        return self.evaluate_index(index)
-
 
 class GridRegion:
     """Relevance region of the grid backend: a boolean membership mask."""
@@ -90,11 +81,6 @@ class GridRegion:
     def __init__(self, mask: np.ndarray, points: np.ndarray) -> None:
         self.mask = mask
         self.points = points
-
-    def contains_point(self, x) -> bool:
-        """Membership test for (the nearest) grid point."""
-        distances = np.linalg.norm(self.points - np.asarray(x), axis=1)
-        return bool(self.mask[int(np.argmin(distances))])
 
 
 class GridBackend(RRPABackend):

@@ -75,7 +75,7 @@ class PWLRRPAOptions:
     approximation_factor: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.approximation_factor < 0:
+        if not self.approximation_factor >= 0:  # NaN included
             raise ValueError("approximation factor must be >= 0")
         if self.lp_cache_size < 0:
             raise ValueError("LP cache size must be >= 0")
@@ -156,6 +156,13 @@ class PWLBackend(RRPABackend):
 
     def dominance(self, cost_a: MultiObjectivePWL,
                   cost_b: MultiObjectivePWL) -> list[ConvexPolytope]:
+        """Pairwise ``Dom``.
+
+        Reference: dominance_many and dominance_many_rev fall back to it
+        for batches the aligned kernel cannot take, and
+        tests/test_vectorized_dominance.py holds them against it;
+        perfbench/spans.py names it too.
+        """
         polys = cost_a.dominance_polytopes(
             cost_b, self.solver, relax=self.options.approximation_factor)
         return self._simplified(polys)

@@ -59,11 +59,6 @@ class OptimizationResult:
     achieved_alpha: float = 0.0
     guarantee: float = 1.0
 
-    @property
-    def pareto_plans(self) -> list[Plan]:
-        """The plans of the final Pareto plan set."""
-        return [e.plan for e in self.entries]
-
     def plans_for(self, x) -> list[PlanEntry]:
         """Entries whose relevance region contains parameter vector ``x``.
 
@@ -171,6 +166,9 @@ class RRPA:
         ``seed_plans`` warm-starts the first (coarse) rung from a
         similar query's plan set; see
         :class:`~repro.core.run.OptimizationRun`.
+
+        Paper: Algorithm 1, the generic RRPA driver; reached with
+        GridBackend by tests and the nightly benchmarks.
         """
         from .run import OptimizationRun
         return OptimizationRun(self.backend, query,
@@ -183,6 +181,9 @@ class RRPA:
         Raises:
             OptimizationError: If some table set ends up with no plans
                 (indicates an inconsistent cost model or backend).
+
+        Paper: Algorithm 1, the generic RRPA driver; reached with
+        GridBackend by tests and the nightly benchmarks.
         """
         run = self.start_run(query)
         run.run()

@@ -91,18 +91,13 @@ class Budget:
     steps: int | None = None
 
     def __post_init__(self) -> None:
-        if self.seconds is not None and self.seconds < 0:
+        # ``not x >= 0`` also refuses NaN, which compares false.
+        if self.seconds is not None and not self.seconds >= 0:
             raise ValueError("budget seconds must be >= 0")
-        if self.lps is not None and self.lps < 0:
+        if self.lps is not None and not self.lps >= 0:
             raise ValueError("budget lps must be >= 0")
-        if self.steps is not None and self.steps < 0:
+        if self.steps is not None and not self.steps >= 0:
             raise ValueError("budget steps must be >= 0")
-
-    @property
-    def unlimited(self) -> bool:
-        """``True`` when no limit is set."""
-        return self.seconds is None and self.lps is None and (
-            self.steps is None)
 
     def as_dict(self) -> dict:
         """JSON/pickle-friendly form (shipped inside pooled payloads)."""
@@ -305,21 +300,6 @@ class OptimizationRun:
     # ------------------------------------------------------------------
 
     @property
-    def done(self) -> bool:
-        """``True`` once every ladder rung has completed."""
-        return self._done
-
-    @property
-    def rung(self) -> int:
-        """Index of the rung currently being (or next to be) advanced."""
-        return min(self._rung, len(self.ladder) - 1)
-
-    @property
-    def alpha(self) -> float:
-        """Approximation factor of the current rung."""
-        return self.ladder[self.rung]
-
-    @property
     def lps_solved(self) -> int:
         """LPs solved by this run so far (all rungs)."""
         lp_stats = getattr(self.backend, "lp_stats", None)
@@ -329,11 +309,6 @@ class OptimizationRun:
     def elapsed_seconds(self) -> float:
         """Wall-clock seconds spent inside :meth:`step` so far."""
         return self._elapsed
-
-    @property
-    def has_result(self) -> bool:
-        """``True`` once at least one rung has completed."""
-        return bool(self.completed)
 
     @property
     def achieved_alpha(self) -> float | None:
@@ -648,7 +623,7 @@ def validate_ladder(precision_ladder) -> tuple[float, ...]:
     if not ladder:
         raise ValueError("precision ladder must not be empty")
     for alpha in ladder:
-        if alpha < 0:
+        if not alpha >= 0:  # NaN included
             raise ValueError("precision ladder alphas must be >= 0")
     for coarse, fine in zip(ladder, ladder[1:]):
         if fine >= coarse:
@@ -661,7 +636,7 @@ def validate_ladder(precision_ladder) -> tuple[float, ...]:
 def ladder_to(target: float,
               ladder=DEFAULT_PRECISION_LADDER) -> tuple[float, ...]:
     """The default precision ladder truncated to end at ``target``."""
-    if target < 0:
+    if not target >= 0:  # NaN included
         raise ValueError("target precision must be >= 0")
     return tuple(a for a in ladder if a > target) + (float(target),)
 

@@ -12,15 +12,14 @@ dependencies: reloading needs no LP solver).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..cost import MultiObjectivePWL, PiecewiseLinearFunction
 from ..cost.linear import LinearPiece
-from ..errors import ReproError
-from ..geometry import ConvexPolytope, LinearConstraint
+from ..errors import DimensionMismatchError, ReproError
+from ..geometry import GEOMETRY_EPS, ConvexPolytope
 from ..plans import JoinOperator, JoinPlan, Plan, ScanOperator, ScanPlan
 from .rrpa import OptimizationResult, pareto_filter
 
@@ -75,19 +74,8 @@ def _encode_region(region) -> dict:
             "cutouts": [_encode_polytope(c) for c in region.cutouts]}
 
 
-def encode_plan(plan: Plan) -> dict:
-    """Encode one plan tree as a JSON-ready dict.
-
-    The per-entry ``"plan"`` format of :func:`encode_result`; used on
-    its own by the cross-query seeding path, which ships bare plan trees
-    (no cost functions — seeds are re-costed under the target query's
-    model).
-    """
-    return _encode_plan(plan)
-
-
 def decode_plan(doc: dict) -> Plan:
-    """Inverse of :func:`encode_plan`.
+    """A plan from its document: the ``plan`` of an encoded entry.
 
     Raises:
         SerializationError: For unknown plan node kinds.
@@ -146,12 +134,6 @@ def encode_plan_set(plan_set: StoredPlanSet) -> dict:
             "entries": entries}
 
 
-def save_result(result: OptimizationResult, path) -> None:
-    """Write a result's Pareto plan set to a JSON file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(encode_result(result), handle)
-
-
 # ----------------------------------------------------------------------
 # Decoding
 # ----------------------------------------------------------------------
@@ -177,14 +159,35 @@ def _decode_plan(doc: dict) -> Plan:
 
 def _decode_polytope(doc: dict) -> ConvexPolytope:
     dim, rows = doc["dim"], doc["constraints"]
-    if any(len(row["a"]) != dim for row in rows):
-        # A zero-coefficient row of another width (older encoders wrote
-        # these): the constructor stores it as a zero row of width dim.
-        return ConvexPolytope(dim, [LinearConstraint.make(row["a"], row["b"])
-                                    for row in rows])
+    coefficients = [row["a"] for row in rows]
+    if any(len(a) != dim for a in coefficients):
+        # Stored input from outside: older encoders wrote these rows.
+        coefficients = [_fit_row(a, dim) for a in coefficients]
     return ConvexPolytope.from_arrays(
-        np.reshape([row["a"] for row in rows], (len(rows), dim)),
+        np.reshape(coefficients, (len(rows), dim)),
         [row["b"] for row in rows])
+
+
+def _fit_row(a: list, dim: int) -> list:
+    """A stored row's coefficients at width ``dim``.
+
+    A zero-coefficient row of another width (trivially satisfied or
+    trivially infeasible whatever the dimension) becomes the zero row
+    of width ``dim``.
+
+    Raises:
+        DimensionMismatchError: For any other row whose width is not
+            ``dim``.
+
+    Fault path: a stored document from an older encoder (an upgrade)
+    reaches it.
+    """
+    if len(a) == dim:
+        return a
+    if all(abs(coef) <= GEOMETRY_EPS for coef in a):
+        return [0.0] * dim
+    raise DimensionMismatchError(
+        f"constraint dim {len(a)} != polytope dim {dim}")
 
 
 def _decode_pwl(doc: dict) -> PiecewiseLinearFunction:
@@ -243,7 +246,11 @@ class StoredPlanSet:
         return relevant or list(self.entries)
 
     def frontier(self, x) -> list[tuple[Plan, dict[str, float]]]:
-        """Non-dominated ``(plan, cost)`` pairs at ``x``."""
+        """Non-dominated ``(plan, cost)`` pairs at ``x``.
+
+        Paper: Figure 2's run-time phase: the Pareto frontier a stored
+        plan set offers at x; reached by tests.
+        """
         return pareto_filter([(e.plan, e.cost.evaluate(x))
                               for e in self.plans_for(x)])
 
@@ -284,9 +291,3 @@ def decode_plan_set(doc: dict) -> StoredPlanSet:
                          entries=entries,
                          alpha=float(doc.get("alpha", 0.0)),
                          guarantee=float(doc.get("guarantee", 1.0)))
-
-
-def load_plan_set(path) -> StoredPlanSet:
-    """Load a stored plan set from a JSON file."""
-    with open(path, encoding="utf-8") as handle:
-        return decode_plan_set(json.load(handle))

@@ -12,18 +12,20 @@ Public API:
 * :class:`ParamPolynomial` — exact symbolic cardinality/cost expressions.
 * :class:`SharedPartition` — simplicial grid for PWL approximation with
   aligned-partition fast paths.
-* :func:`accumulate_cost` — ``AccumulateCost`` of Algorithm 3.
+* :func:`accumulator_map` — each metric's accumulator (``sum`` or
+  ``max``) for ``AccumulateCost`` of Algorithm 3, which
+  :meth:`repro.core.PWLBackend.accumulate` runs.
 * :func:`batch_dominance_aligned` — vectorized ``Dom`` of one cost against
   a whole batch of aligned costs (RRPA pruning hot path).
 """
 
-from .accumulate import accumulate_cost, accumulator_map
-from .approximate import SharedPartition, pwl_approximation_error
+from .accumulate import accumulator_map
+from .approximate import SharedPartition
 from .linear import LinearPiece
 from .metrics import (APPROX_METRICS, CLOUD_METRICS, FEES, PRECISION_LOSS,
-                      TIME, CostMetric, metric_names)
-from .multilinear import ParamPolynomial, poly_sum
-from .pwl import PiecewiseLinearFunction, pwl_sum
+                      TIME, CostMetric)
+from .multilinear import ParamPolynomial
+from .pwl import PiecewiseLinearFunction
 from .vector import MultiObjectivePWL, batch_dominance_aligned
 
 __all__ = [
@@ -38,11 +40,6 @@ __all__ = [
     "ParamPolynomial",
     "PiecewiseLinearFunction",
     "SharedPartition",
-    "accumulate_cost",
     "accumulator_map",
     "batch_dominance_aligned",
-    "metric_names",
-    "poly_sum",
-    "pwl_approximation_error",
-    "pwl_sum",
 ]

@@ -9,41 +9,19 @@ first accumulate the sub-plan costs, then add the join cost.
 Accumulation honours each metric's accumulator (``sum`` for sequential
 work/fees, ``max`` for metrics like precision loss where the worst branch
 dominates), per Section 6.2's remark that minimum, maximum and weighted sum
-all preserve piecewise linearity.
+all preserve piecewise linearity.  :meth:`repro.core.PWLBackend.accumulate`
+runs it: the operator's cost, then each sub-plan's cost added with
+:meth:`MultiObjectivePWL.add <repro.cost.MultiObjectivePWL.add>` under the
+accumulators this module maps.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
-from ..lp import LinearProgramSolver
 from .metrics import CostMetric
-from .vector import MultiObjectivePWL
 
 
 def accumulator_map(metrics: Sequence[CostMetric]) -> dict[str, str]:
     """Return the per-metric accumulator mapping for a metric sequence."""
     return {m.name: m.accumulator for m in metrics}
-
-
-def accumulate_cost(operator_cost: MultiObjectivePWL,
-                    sub_costs: Sequence[MultiObjectivePWL],
-                    solver: LinearProgramSolver,
-                    accumulators: Mapping[str, str] | None = None
-                    ) -> MultiObjectivePWL:
-    """Accumulate sub-plan costs and the join/scan operator's own cost.
-
-    Args:
-        operator_cost: Cost of executing the combining operator itself
-            (``o.w`` / ``o.b`` in the pseudo-code, generalized to PWL).
-        sub_costs: Costs of the sub-plans (0, 1 or 2 of them).
-        solver: LP solver for unaligned-partition paths.
-        accumulators: Per-metric ``"sum"`` / ``"max"``; defaults to sum.
-
-    Returns:
-        The combined multi-objective PWL cost function.
-    """
-    total = operator_cost
-    for sub in sub_costs:
-        total = total.add(sub, solver, accumulators=accumulators)
-    return total

@@ -91,32 +91,7 @@ class SharedPartition:
         return MultiObjectivePWL({name: self.from_polynomial(p)
                                   for name, p in polys.items()})
 
-    def zero(self) -> PiecewiseLinearFunction:
-        """The zero function on the partition."""
-        return self.from_polynomial(
-            ParamPolynomial.constant(self.dim, 0.0))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SharedPartition(dim={self.dim}, "
                 f"resolution={self.resolution}, "
                 f"regions={len(self.regions)})")
-
-
-def pwl_approximation_error(poly: ParamPolynomial,
-                            approx: PiecewiseLinearFunction,
-                            samples_per_axis: int = 7) -> float:
-    """Max absolute error of a PWL approximation on a sampling grid.
-
-    Useful for choosing partition resolutions and asserted on in tests:
-    the interpolation error of a multilinear function shrinks quadratically
-    with the grid resolution.
-    """
-    dim = poly.num_params
-    axes = [np.linspace(lo, hi, samples_per_axis)
-            for lo, hi in zip([0.0] * dim, [1.0] * dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    worst = 0.0
-    for x in points:
-        worst = max(worst, abs(poly.evaluate(x) - approx.evaluate(x)))
-    return worst

@@ -59,11 +59,11 @@ class LinearPiece:
                            w=np.asarray(self.w) + np.asarray(delta_w),
                            b=self.b + float(delta_b))
 
-    def scaled(self, factor: float) -> LinearPiece:
-        """Return a piece on the same region with cost multiplied by ``factor``."""
-        return LinearPiece(region=self.region, w=np.asarray(self.w) * factor,
-                           b=self.b * factor)
-
     def restricted(self, region: ConvexPolytope) -> LinearPiece:
-        """Return the same linear function on a (smaller) region."""
+        """Return the same linear function on a (smaller) region.
+
+        Paper: Section 6.1's maximum and minimum accumulation split a
+        region at the crossing plane; only functions on different
+        partitions reach it.
+        """
         return LinearPiece(region=region, w=self.w, b=self.b)

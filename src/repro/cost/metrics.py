@@ -57,11 +57,3 @@ CLOUD_METRICS = (TIME, FEES)
 
 #: The metric set of Scenario 2 (embedded approximate processing).
 APPROX_METRICS = (TIME, PRECISION_LOSS)
-
-
-def metric_names(metrics) -> tuple[str, ...]:
-    """Return the names of a metric sequence, validating uniqueness."""
-    names = tuple(m.name for m in metrics)
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate metric names in {names}")
-    return names

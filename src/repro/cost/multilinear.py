@@ -21,7 +21,7 @@ where ``exponents`` is an integer tuple of length ``num_params``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -88,10 +88,6 @@ class ParamPolynomial:
     def is_affine(self) -> bool:
         """``True`` when total degree is at most one."""
         return self.degree() <= 1
-
-    def is_multilinear(self) -> bool:
-        """``True`` when every parameter has degree at most one."""
-        return all(max(exps, default=0) <= 1 for exps in self.monomials)
 
     def affine_parts(self) -> tuple[np.ndarray, float]:
         """Return ``(w, b)`` with ``self(x) = w @ x + b``.
@@ -215,12 +211,3 @@ class ParamPolynomial:
                            for i, e in enumerate(exps) if e)
             terms.append("*".join(factors))
         return "Poly(" + " + ".join(terms) + ")"
-
-
-def poly_sum(polys: Iterable[ParamPolynomial],
-             num_params: int) -> ParamPolynomial:
-    """Sum an iterable of polynomials (zero polynomial for empty input)."""
-    total = ParamPolynomial.constant(num_params, 0.0)
-    for p in polys:
-        total = total + p
-    return total

@@ -23,7 +23,7 @@ the special case where all intersections are exact region matches.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -80,28 +80,9 @@ class PiecewiseLinearFunction:
         piece = LinearPiece(region=space, w=np.asarray(w, dtype=float), b=b)
         return PiecewiseLinearFunction(space.dim, [piece], partition_token)
 
-    @staticmethod
-    def from_values_on_partition(regions: Sequence[ConvexPolytope],
-                                 weights: Sequence[np.ndarray],
-                                 bases: Sequence[float],
-                                 partition_token=None
-                                 ) -> PiecewiseLinearFunction:
-        """Assemble a PWL function from parallel region/weight/base lists."""
-        if not (len(regions) == len(weights) == len(bases)):
-            raise ValueError("regions, weights and bases lengths differ")
-        pieces = [LinearPiece(region=r, w=w, b=b)
-                  for r, w, b in zip(regions, weights, bases)]
-        return PiecewiseLinearFunction(regions[0].dim, pieces,
-                                       partition_token)
-
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-
-    @property
-    def num_pieces(self) -> int:
-        """Number of linear pieces."""
-        return len(self.pieces)
 
     def piece_at(self, x) -> LinearPiece:
         """Return the first piece whose region contains ``x``.
@@ -168,26 +149,6 @@ class PiecewiseLinearFunction:
         if not pieces:
             raise EmptyRegionError("sum has no non-empty piece region")
         return PiecewiseLinearFunction(self.dim, pieces)
-
-    def add_constant(self, value: float) -> PiecewiseLinearFunction:
-        """Return this function shifted by a constant."""
-        zero = np.zeros(self.dim)
-        pieces = [p.shifted(zero, value) for p in self.pieces]
-        return PiecewiseLinearFunction(self.dim, pieces,
-                                       self.partition_token)
-
-    def scale(self, factor: float) -> PiecewiseLinearFunction:
-        """Return this function multiplied by a non-negative constant.
-
-        Raises:
-            ValueError: For negative factors (would flip the dominance
-                direction and break cost-metric semantics).
-        """
-        if factor < 0:
-            raise ValueError("cost functions cannot be scaled negatively")
-        pieces = [p.scaled(factor) for p in self.pieces]
-        return PiecewiseLinearFunction(self.dim, pieces,
-                                       self.partition_token)
 
     def _aligned_extremum(self, other: PiecewiseLinearFunction,
                           take_max: bool
@@ -261,71 +222,13 @@ class PiecewiseLinearFunction:
 
     def minimum(self, other: PiecewiseLinearFunction,
                 solver: LinearProgramSolver) -> PiecewiseLinearFunction:
-        """Pointwise minimum."""
-        return self._combine_extremum(other, solver, take_max=False)
+        """Pointwise minimum.
 
-    # ------------------------------------------------------------------
-    # Analysis helpers
-    # ------------------------------------------------------------------
-
-    def bounds_on(self, region: ConvexPolytope,
-                  solver: LinearProgramSolver) -> tuple[float, float]:
-        """Return ``(min, max)`` of the function over ``region``.
-
-        Only pieces whose region intersects ``region`` contribute: one
-        emptiness LP per piece overlap, then a minimizing and a
-        maximizing LP per non-empty overlap.
-
-        Raises:
-            EmptyRegionError: When no piece region intersects ``region``.
+        Paper: Section 6.1's minimum accumulation; no built-in metric
+        accumulates by minimum.
         """
-        overlaps = [piece.region.intersect(region)
-                    for piece in self.pieces]
-        empty = [overlap.is_empty(solver) for overlap in overlaps]
-        live = [(piece, overlap)
-                for piece, overlap, is_empty in zip(self.pieces, overlaps,
-                                                    empty)
-                if not is_empty]
-        if not live:
-            raise EmptyRegionError("function has no piece on the region")
-        results = []
-        for piece, overlap in live:
-            results.append(solver.solve(piece.w, overlap._lhs,
-                                        overlap._rhs, purpose="bounds"))
-            results.append(solver.solve(-np.asarray(piece.w),
-                                        overlap._lhs, overlap._rhs,
-                                        purpose="bounds"))
-        lo, hi = np.inf, -np.inf
-        bounded = False
-        for index, (piece, __) in enumerate(live):
-            res_min, res_max = results[2 * index:2 * index + 2]
-            if res_min.is_optimal:
-                lo = min(lo, res_min.objective + piece.b)
-                bounded = True
-            if res_max.is_optimal:
-                hi = max(hi, -res_max.objective + piece.b)
-                bounded = True
-        if not bounded:
-            # Overlaps exist but no LP was optimal (e.g. an unbounded
-            # region in both objective directions): (inf, -inf) is not a
-            # usable interval.
-            raise EmptyRegionError(
-                "function has no bounded piece on the region")
-        return float(lo), float(hi)
+        return self._combine_extremum(other, solver, take_max=False)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"PWL(dim={self.dim}, pieces={len(self.pieces)}, "
                 f"partition={self.partition_token!r})")
-
-
-def pwl_sum(functions: Iterable[PiecewiseLinearFunction],
-            solver: LinearProgramSolver | None = None
-            ) -> PiecewiseLinearFunction:
-    """Sum several PWL functions left to right."""
-    functions = list(functions)
-    if not functions:
-        raise ValueError("pwl_sum of no functions")
-    total = functions[0]
-    for f in functions[1:]:
-        total = total.add(f, solver)
-    return total

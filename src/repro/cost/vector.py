@@ -28,8 +28,9 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from ..errors import DimensionMismatchError
-from ..geometry import GEOMETRY_EPS, ConvexPolytope, LinearConstraint
-from ..geometry.polytope import _halfspace_1d
+from ..geometry import GEOMETRY_EPS, ConvexPolytope
+from ..geometry.constraints import normalize_rows
+from ..geometry.polytope import _halfspace_1d, _keyed, _zero_rows
 from ..lp import LinearProgramSolver
 from .linear import LinearPiece
 from .pwl import PiecewiseLinearFunction
@@ -68,18 +69,14 @@ class MultiObjectivePWL:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def constant(space: ConvexPolytope,
-                 values: Mapping[str, float]) -> MultiObjectivePWL:
-        """Constant cost vector on ``space``."""
-        return MultiObjectivePWL({
-            name: PiecewiseLinearFunction.constant(space, value)
-            for name, value in values.items()})
-
-    @staticmethod
     def affine(space: ConvexPolytope,
                weights: Mapping[str, Sequence[float]],
                bases: Mapping[str, float]) -> MultiObjectivePWL:
-        """Affine cost vector ``w_m @ x + b_m`` per metric on ``space``."""
+        """Affine cost vector ``w_m @ x + b_m`` per metric on ``space``.
+
+        Paper: Theorem 2's random affine cost pairs
+        (repro.analysis.properties) are built with it.
+        """
         if set(weights) != set(bases):
             raise ValueError("weights and bases must cover the same metrics")
         return MultiObjectivePWL({
@@ -173,7 +170,11 @@ class MultiObjectivePWL:
     def same_partition(self, other: MultiObjectivePWL) -> bool:
         """``True`` when every pair of matching components is aligned:
         the same metrics, each with the same (non-``None``) partition
-        token and piece count."""
+        token and piece count.
+
+        Reference: decides which pairwise Dom path dominance_polytopes
+        takes.
+        """
         signature = self._cells()[0]
         return signature is not None and signature == other._cells()[0]
 
@@ -242,6 +243,11 @@ class MultiObjectivePWL:
                 work (citation [31], Trummer & Koch SIGMOD 2014).
                 Requires non-negative cost functions (true for all cost
                 metrics in this library).
+
+        Reference: pairwise Dom, which
+        tests/test_vectorized_dominance.py holds batch_dominance_aligned
+        against; tests/test_vectorized_kernels.py holds it against
+        pointwise dominance.
         """
         if set(self.components) != set(other.components):
             raise ValueError("metric sets differ")
@@ -261,6 +267,8 @@ class MultiObjectivePWL:
         that holds at every vertex holds on the whole cell, and one that
         fails at every vertex fails on the whole cell.  Only genuinely
         mixed cells fall back to an emptiness LP.
+
+        Reference: the per-pair aligned path of dominance_polytopes.
         """
         names = self.metric_names
         factor = 1.0 + relax
@@ -275,16 +283,14 @@ class MultiObjectivePWL:
             for name in names:
                 p1: LinearPiece = self.components[name].pieces[idx]
                 p2: LinearPiece = other.components[name].pieces[idx]
-                diff_w = np.asarray(p1.w) - factor * np.asarray(p2.w)
-                diff_b = factor * p2.b - p1.b
-                constraint = LinearConstraint.make(diff_w, diff_b)
-                if constraint.is_infeasible_trivial():
+                a, b, trivial, infeasible = _dominance_row(p1, p2, factor)
+                if infeasible:
                     feasible = False
                     break
-                if constraint.is_trivial():
+                if trivial:
                     continue
                 if verts is not None:
-                    slack = verts @ constraint.a - constraint.b
+                    slack = verts @ a[0] - b[0]
                     if np.all(slack > 1e-10):
                         # Violated at every vertex => empty on the cell.
                         feasible = False
@@ -293,7 +299,7 @@ class MultiObjectivePWL:
                         # Satisfied at every vertex => holds everywhere.
                         continue
                 whole_cell = False
-                candidate = candidate.with_constraint(constraint)
+                candidate = candidate._extended(_keyed(a, b))
             if not feasible:
                 continue
             if whole_cell:
@@ -311,7 +317,11 @@ class MultiObjectivePWL:
     def _dominance_general(self, other: MultiObjectivePWL,
                            solver: LinearProgramSolver,
                            relax: float = 0.0) -> list[ConvexPolytope]:
-        """The paper's general ``Dom``: per-metric polytopes, then products."""
+        """The paper's general ``Dom``: per-metric polytopes, then products.
+
+        Reference: the paper's general Dom loop (Algorithm 3), held
+        against pointwise dominance by tests/test_vectorized_kernels.py.
+        """
         factor = 1.0 + relax
         per_metric: list[list[ConvexPolytope]] = []
         for name in self.metric_names:
@@ -323,13 +333,12 @@ class MultiObjectivePWL:
                     region = p1.region.intersect(p2.region)
                     if region.is_empty(solver):
                         continue
-                    diff_w = np.asarray(p1.w) - factor * np.asarray(p2.w)
-                    diff_b = factor * p2.b - p1.b
-                    constraint = LinearConstraint.make(diff_w, diff_b)
-                    if constraint.is_infeasible_trivial():
+                    a, b, trivial, infeasible = _dominance_row(p1, p2,
+                                                               factor)
+                    if infeasible:
                         continue
-                    dom = (region if constraint.is_trivial()
-                           else region.with_constraint(constraint))
+                    dom = region if trivial else region._extended(
+                        _keyed(a, b))
                     if not dom.is_empty(solver):
                         polys_m.append(dom)
             if not polys_m:
@@ -351,7 +360,11 @@ class MultiObjectivePWL:
 
     def dominates_at(self, other: MultiObjectivePWL, x,
                      tol: float = 1e-9) -> bool:
-        """Pointwise dominance test at parameter vector ``x``."""
+        """Pointwise dominance test at parameter vector ``x``.
+
+        Reference: pointwise dominance, which the tests hold Dom
+        polytopes against.
+        """
         mine = self.evaluate(x)
         theirs = other.evaluate(x)
         return all(mine[m] <= theirs[m] + tol for m in self.components)
@@ -366,9 +379,23 @@ class MultiObjectivePWL:
         return any(mine[m] < theirs[m] - tol for m in self.components)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        parts = ", ".join(f"{name}:{f.num_pieces}p"
+        parts = ", ".join(f"{name}:{len(f.pieces)}p"
                           for name, f in sorted(self.components.items()))
         return f"MultiObjectivePWL({parts})"
+
+
+def _dominance_row(p1: LinearPiece, p2: LinearPiece, factor: float
+                   ) -> tuple[np.ndarray, np.ndarray, bool, bool]:
+    """The row where ``p1 <= factor * p2``, normalized as
+    ``with_halfspace`` normalizes it: ``(A, b)`` of one row, and whether
+    the row is trivially satisfied or trivially infeasible.
+
+    Reference: the rows of the pairwise Dom loops above.
+    """
+    diff_w = np.asarray(p1.w) - factor * np.asarray(p2.w)
+    a, b = normalize_rows(diff_w[None, :], [factor * p2.b - p1.b])
+    trivial, infeasible = _zero_rows(a, b)
+    return a, b, bool(trivial[0]), bool(infeasible[0])
 
 
 # ----------------------------------------------------------------------
@@ -465,8 +492,8 @@ def _batch_dominance_arrays(many: Sequence[MultiObjectivePWL],
         diff_w = w_one[None] - factor * w_many
         diff_b = factor * b_many - b_one[None]
 
-    # Normalize as LinearConstraint.make does, up to the last bit of
-    # the norm (norm(axis=-1) sums the squares in another order than
+    # Normalize as normalize_rows does, up to the last bit of the norm
+    # (norm(axis=-1) sums the squares in another order than
     # normalize_rows).  These rows only classify cells; the rows that
     # enter polytopes below go through normalize_rows.
     norms = np.linalg.norm(diff_w, axis=-1)               # (k, m, p)

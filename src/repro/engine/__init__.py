@@ -7,7 +7,7 @@ the real intermediate-result sizes instead of estimates.
 """
 
 from .data import (Database, MaterializedTable, generate_database,
-                   literal_for_selectivity, threshold_for_selectivity)
+                   threshold_for_selectivity)
 from .executor import ExecutionResult, Executor, Relation
 
 __all__ = [
@@ -17,6 +17,5 @@ __all__ = [
     "MaterializedTable",
     "Relation",
     "generate_database",
-    "literal_for_selectivity",
     "threshold_for_selectivity",
 ]

@@ -100,29 +100,6 @@ def generate_database(catalog: Catalog, seed: int = 0) -> Database:
     return db
 
 
-def literal_for_selectivity(db: Database, table: str, column: str,
-                            selectivity: float) -> int:
-    """Pick the literal whose equality selectivity best matches a target.
-
-    Args:
-        db: The materialized database.
-        table: Table holding the predicate column.
-        column: Predicate column.
-        selectivity: Desired fraction of matching rows in ``[0, 1]``.
-
-    Returns:
-        The column value whose match fraction is closest to the target.
-        (With uniform data each single value matches ~1/distinct of the
-        rows, so very high targets are unattainable with one literal —
-        callers wanting a *range* of selectivities should use
-        :func:`threshold_for_selectivity` instead.)
-    """
-    values = db.table(table).column(column)
-    counts = np.bincount(values)
-    fractions = counts / max(1, values.shape[0])
-    return int(np.argmin(np.abs(fractions - selectivity)))
-
-
 def threshold_for_selectivity(db: Database, table: str, column: str,
                               selectivity: float) -> int:
     """Pick a threshold so that ``column < threshold`` matches a target

@@ -72,10 +72,6 @@ class ExecutionResult:
         """Rows in the final result."""
         return self.relation.num_rows
 
-    def cost(self) -> dict[str, float]:
-        """Cost vector in the Cloud metric space."""
-        return {"time": self.time_hours, "fees": self.fees_usd}
-
 
 class Executor:
     """Executes plan trees over a materialized database.

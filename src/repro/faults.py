@@ -268,7 +268,11 @@ def failpoint(site: str):
 
 
 def active() -> bool:
-    """Whether a fault schedule is currently installed."""
+    """Whether a fault schedule is currently installed.
+
+    Fault path: chaos runs and tests ask whether a fault schedule is
+    installed.
+    """
     schedule = _schedule
     if schedule is _UNLOADED:
         schedule = _load()

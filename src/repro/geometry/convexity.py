@@ -24,28 +24,28 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ..lp import LinearProgramSolver
-from .constraints import LinearConstraint
 from .difference import subtract_polytopes
-from .polytope import ConvexPolytope
+from .polytope import ConvexPolytope, _infeasible_row
 
 
-def constraint_valid_for(constraint: LinearConstraint,
+def constraint_valid_for(row: Sequence[float], value: float,
                          polytope: ConvexPolytope,
                          solver: LinearProgramSolver,
                          tol: float = 1e-7) -> bool:
-    """Return whether every point of ``polytope`` satisfies ``constraint``.
+    """Return whether every point of ``polytope`` satisfies
+    ``row @ x <= value``.
 
-    Decided by maximizing ``constraint.a @ x`` over the polytope.  An empty
+    Decided by maximizing ``row @ x`` over the polytope.  An empty
     polytope satisfies everything; an unbounded maximum violates any
     constraint with a non-trivial normal.
     """
     if polytope.is_empty(solver):
         return True
-    result = solver.solve(-constraint.a, polytope._lhs, polytope._rhs,
-                          purpose="envelope")
+    result = solver.solve(tuple(-coef for coef in row), polytope._lhs,
+                          polytope._rhs, purpose="envelope")
     if result.status == "unbounded":
         return False
-    return -result.objective <= constraint.b + tol
+    return -result.objective <= value + tol
 
 
 def envelope(polytopes: Sequence[ConvexPolytope],
@@ -54,7 +54,9 @@ def envelope(polytopes: Sequence[ConvexPolytope],
 
     The envelope keeps exactly those facet constraints that are valid for
     *all* the polytopes; it is the tightest polyhedron describable by the
-    input constraints that contains the union.
+    input constraints that contains the union.  It is built from the
+    polytopes' stored rows and keys as they are: they are normalized
+    already.
 
     Raises:
         ValueError: If ``polytopes`` is empty or dimensions disagree.
@@ -64,18 +66,21 @@ def envelope(polytopes: Sequence[ConvexPolytope],
     dim = polytopes[0].dim
     if any(p.dim != dim for p in polytopes):
         raise ValueError("mixed dimensions in envelope computation")
-    kept: list[LinearConstraint] = []
+    lhs, rhs, keys = [], [], []
     seen: set[tuple] = set()
     for i, poly in enumerate(polytopes):
-        for constraint in poly.constraints:
-            key = constraint.key()
+        for row, value, key in zip(poly._lhs, poly._rhs, poly._keys):
             if key in seen:
                 continue
             seen.add(key)
-            if all(constraint_valid_for(constraint, other, solver)
+            if all(constraint_valid_for(row, value, other, solver)
                    for j, other in enumerate(polytopes) if j != i):
-                kept.append(constraint)
-    return ConvexPolytope(dim, kept)
+                lhs.append(row)
+                rhs.append(value)
+                keys.append(key)
+    return ConvexPolytope(dim, _blocks=((
+        tuple(lhs), tuple(rhs), tuple(keys),
+        any(map(_infeasible_row, lhs, rhs))),))
 
 
 def union_as_polytope(polytopes: Sequence[ConvexPolytope],

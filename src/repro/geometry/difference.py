@@ -38,6 +38,10 @@ def subtract_polytope(base: ConvexPolytope, cut: ConvexPolytope,
         A list of disjoint-interior convex polytopes whose union equals
         ``base \\ cut`` up to measure zero.  Empty list when ``cut``
         covers ``base``.
+
+    Reference: the single-base difference, which
+    tests/test_vectorized_kernels.py holds subtract_polytope_many
+    against.
     """
     if cut.dim != base.dim:
         raise ValueError("dimension mismatch in polytope subtraction")
@@ -159,5 +163,8 @@ def union_covers(base: ConvexPolytope,
     This implements the emptiness test of Algorithm 2 directly: the
     relevance region (``base`` minus the cutouts) is empty iff the cutouts
     cover the parameter space.
+
+    Paper: Algorithm 2's IsEmpty test stated directly; relevance regions
+    decide it incrementally.
     """
     return not subtract_polytopes(base, cover, solver)

@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import chain, combinations
-from collections.abc import Iterable, Sequence
+from itertools import chain
+from collections.abc import Sequence
 
 import numpy as np
 
 from ..errors import DimensionMismatchError, EmptyRegionError
 from ..lp import LinearProgramSolver
-from .constraints import (GEOMETRY_EPS, LinearConstraint, normalize_rows,
-                          row_keys)
+from .constraints import GEOMETRY_EPS, normalize_rows, row_keys
 
 #: Chebyshev radius below which a polytope is treated as lower-dimensional
 #: (i.e. "empty up to measure zero") by interior-emptiness checks.
@@ -111,30 +110,6 @@ def _halfspace_1d(a: float, b: float) -> tuple:
             zero and b < -GEOMETRY_EPS)
 
 
-def _fit_width(dim: int, rows) -> np.ndarray:
-    """Stack normalized rows into an ``(m, dim)`` array.
-
-    A zero-coefficient row of another width (trivially satisfied or
-    trivially infeasible whatever the dimension) becomes a zero row of
-    width ``dim``.
-
-    Raises:
-        DimensionMismatchError: For any other row whose width is not
-            ``dim``.
-    """
-    if all(len(row) == dim for row in rows):
-        return np.array(rows, dtype=float).reshape(len(rows), dim)
-    out = np.zeros((len(rows), dim))
-    for i, row in enumerate(rows):
-        row = np.asarray(row, dtype=float)
-        if row.shape[0] == dim:
-            out[i] = row
-        elif not np.all(np.abs(row) <= GEOMETRY_EPS):
-            raise DimensionMismatchError(
-                f"constraint dim {row.shape[0]} != polytope dim {dim}")
-    return out
-
-
 def _merge(blocks) -> tuple:
     """Concatenate row blocks, keeping the first row of every key.
 
@@ -200,32 +175,28 @@ class ConvexPolytope:
     removed in first-occurrence order, where two rows are duplicates
     when their 9-decimal :func:`~repro.geometry.constraints.row_keys`
     agree.  Each row's key and whether any row is trivially infeasible
-    are computed once, when the row enters; ``intersect``,
-    ``with_constraint`` and ``with_halfspace`` merge their operands'
-    rows by those keys without re-keying them, and unchanged rows are
-    shared between polytopes.  LP requests take the tuples as they are
+    are computed once, when the row enters; ``intersect`` and
+    ``with_halfspace`` merge their operands' rows by those keys without
+    re-keying them, and unchanged rows are shared between polytopes.
+    LP requests take the tuples as they are
     (:meth:`repro.lp.LinearProgramSolver.solve`).  Read-only ``(A, b)``
     arrays are built on first use, for the products a polytope of two
     or more dimensions needs (NumPy's dot products may round otherwise
     than a Python sum; in one dimension a row times a point is one
-    product, and floats suffice).  :attr:`constraints` derives
-    :class:`LinearConstraint` objects from the rows when asked.
+    product, and floats suffice).
+
+    ``ConvexPolytope(dim)`` is the whole space ``R^dim``; the
+    constructors below add rows.
 
     Args:
         dim: Dimensionality of the ambient (parameter) space.
-        constraints: Iterable of :class:`LinearConstraint` of dimension
-            ``dim``.  Duplicates and trivial constraints are dropped; a
-            trivially infeasible constraint of another dimension is kept
-            as a zero row of width ``dim``.
     """
 
     __slots__ = ("dim", "_lhs", "_rhs", "_keys", "_infeasible",
                  "_array_cache", "_empty_cache", "_cheb_cache",
                  "vertex_hint", "cell_tag")
 
-    def __init__(self, dim: int,
-                 constraints: Iterable[LinearConstraint] = (), *,
-                 _blocks: Sequence[tuple] | None = None) -> None:
+    def __init__(self, dim: int, *, _blocks: Sequence[tuple] = ()) -> None:
         #: Optional exact vertex list attached by constructors that know
         #: the polytope's V-representation (e.g. simplicial grid cells).
         #: Purely an acceleration hint — never required for correctness.
@@ -235,14 +206,7 @@ class ConvexPolytope:
         #: tags have disjoint interiors; used to skip subtraction work.
         self.cell_tag = None
         self.dim = int(dim)
-        # Set operations hand in row blocks (``_blocks``) instead of
-        # constraint objects.
-        if _blocks is None:
-            constraints = list(constraints)
-            _blocks = (_keyed(_fit_width(self.dim,
-                                         [c.a for c in constraints]),
-                              np.array([c.b for c in constraints],
-                                       dtype=float)),)
+        # Constructors and set operations hand in row blocks.
         if len(_blocks) == 2 and len(_blocks[1][2]) <= 1:
             rows = _add_row(*_blocks)
         else:
@@ -257,16 +221,11 @@ class ConvexPolytope:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def universe(dim: int) -> ConvexPolytope:
-        """The whole space ``R^dim`` (no constraints)."""
-        return ConvexPolytope(dim, ())
-
-    @staticmethod
     def from_arrays(a, b) -> ConvexPolytope:
         """Build a polytope from stacked arrays ``A @ x <= b``.
 
-        Rows are normalized as :meth:`LinearConstraint.make` normalizes
-        them.
+        Rows are normalized by
+        :func:`~repro.geometry.constraints.normalize_rows`.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float).reshape(-1)
@@ -302,7 +261,11 @@ class ConvexPolytope:
 
     @staticmethod
     def unit_box(dim: int) -> ConvexPolytope:
-        """The unit hypercube ``[0, 1]^dim`` — the default parameter space."""
+        """The unit hypercube ``[0, 1]^dim`` — the default parameter space.
+
+        Paper: the unit parameter space [0, 1]^dim of Section 2; the
+        analysis checks and the tests build on it.
+        """
         return ConvexPolytope.box([0.0] * dim, [1.0] * dim)
 
     # ------------------------------------------------------------------
@@ -334,16 +297,6 @@ class ConvexPolytope:
     def _b(self) -> np.ndarray:
         """The right-hand sides as a read-only length-``m`` array."""
         return self._arrays()[1]
-
-    @property
-    def constraints(self) -> tuple[LinearConstraint, ...]:
-        """The stored rows as :class:`LinearConstraint` objects.
-
-        Derived from the rows on each access, for callers that want
-        objects; the polytope itself never needs them.
-        """
-        return tuple(LinearConstraint(a=row, b=value)
-                     for row, value in zip(self._a, self._rhs))
 
     def contains_point(self, x, tol: float = GEOMETRY_EPS) -> bool:
         """Return whether point ``x`` lies in the polytope (within ``tol``)."""
@@ -426,18 +379,6 @@ class ConvexPolytope:
         __, radius = self.chebyshev(solver)
         return radius > INTERIOR_EPS
 
-    def interior_point(self, solver: LinearProgramSolver) -> np.ndarray:
-        """Return a point in the (relative) interior.
-
-        Raises:
-            EmptyRegionError: If the polytope is empty or lower-dimensional
-                and no Chebyshev center exists.
-        """
-        center, radius = self.chebyshev(solver)
-        if center is None or radius < 0:
-            raise EmptyRegionError("polytope has no interior point")
-        return center
-
     # ------------------------------------------------------------------
     # Set operations
     # ------------------------------------------------------------------
@@ -465,19 +406,25 @@ class ConvexPolytope:
         result.cell_tag = self.cell_tag
         return result
 
-    def with_constraint(self, constraint: LinearConstraint) -> ConvexPolytope:
-        """Return this polytope with one extra constraint added."""
-        return self._extended(_keyed(_fit_width(self.dim, [constraint.a]),
-                                     np.array([constraint.b])))
-
     def with_halfspace(self, a, b: float) -> ConvexPolytope:
         """Return this polytope with the halfspace ``a @ x <= b`` added.
 
-        The row is normalized as :meth:`LinearConstraint.make` would
-        normalize it, without creating the constraint object.
+        The row is normalized by
+        :func:`~repro.geometry.constraints.normalize_rows`.
+
+        Raises:
+            DimensionMismatchError: When ``a`` is not of length ``dim``.
+
+        Reference:
+        tests/property/test_geometry_props.py::TestBulkHalfspaces holds
+        with_halfspaces_many against chained calls of it; the
+        maximum/minimum crossing split (Section 6.1) uses it.
         """
         rows, rhs = normalize_rows(np.reshape(a, (1, -1)), [b])
-        return self._extended(_keyed(_fit_width(self.dim, rows), rhs))
+        if rows.shape[1] != self.dim:
+            raise DimensionMismatchError(
+                f"constraint dim {rows.shape[1]} != polytope dim {self.dim}")
+        return self._extended(_keyed(rows, rhs))
 
     @staticmethod
     def with_halfspaces_many(bases: Sequence[ConvexPolytope], a, b,
@@ -529,8 +476,9 @@ class ConvexPolytope:
         """``(row, negated row)`` blocks of every stored row, in order.
 
         The negated row is the closed complement ``-a @ x <= -b``
-        normalized afresh, as :meth:`LinearConstraint.negation` does
-        (a stored row's norm need not be exactly 1); a negated row that
+        normalized afresh (a stored row's norm need not be exactly 1),
+        which overlaps the row on its boundary hyperplane (see
+        docs/tolerances.md, "Closed dominance regions"); a negated row that
         is trivially satisfied is an empty block.  In one dimension the
         normalization is :func:`_halfspace_1d`'s, in floats.
         """
@@ -633,33 +581,6 @@ class ConvexPolytope:
             lows[i] = -np.inf if lo.status == "unbounded" else lo.objective
             highs[i] = np.inf if hi.status == "unbounded" else -hi.objective
         return lows, highs
-
-    def vertices(self, solver: LinearProgramSolver,
-                 tol: float = 1e-7) -> list[np.ndarray]:
-        """Enumerate the vertices of a (bounded, low-dimensional) polytope.
-
-        Every vertex of a polytope in ``R^d`` is the intersection of ``d``
-        linearly independent active constraints; this brute-force
-        enumeration over constraint subsets is exponential in ``d`` and
-        intended for the small parameter-space dimensions (1–3) used in the
-        paper's experiments and in plotting/analysis code.
-
-        Returns:
-            De-duplicated list of vertex coordinate arrays.
-        """
-        if self.dim == 0 or not self._keys:
-            return []
-        verts: list[np.ndarray] = []
-        for subset in combinations(range(len(self._keys)), self.dim):
-            a = self._a[list(subset)]
-            b = self._b[list(subset)]
-            if abs(np.linalg.det(a)) < 1e-10:
-                continue
-            x = np.linalg.solve(a, b)
-            if self.contains_point(x, tol=tol) and not any(
-                    np.allclose(x, v, atol=1e-6) for v in verts):
-                verts.append(x)
-        return verts
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ConvexPolytope(dim={self.dim}, "

@@ -113,19 +113,6 @@ class RelevanceRegion:
         """Surviving witness points, or ``None`` when the refinement is off."""
         return self._points
 
-    def copy(self) -> RelevanceRegion:
-        """Return an independent copy (cutouts list and points are copied)."""
-        clone = RelevanceRegion(self.space)
-        clone.cutouts = list(self.cutouts)
-        clone._points = None if self._points is None else [
-            p.copy() for p in self._points]
-        clone._known_empty = self._known_empty
-        clone._residual = (None if self._residual is None
-                           else list(self._residual))
-        clone._pending = list(self._pending)
-        clone._cutout_keys = set(self._cutout_keys)
-        return clone
-
     # ------------------------------------------------------------------
     # Algorithm 2 operations
     # ------------------------------------------------------------------
@@ -258,15 +245,6 @@ class RelevanceRegion:
         if not self._residual:
             self._pending = []
 
-    def witness(self, solver: LinearProgramSolver) -> np.ndarray | None:
-        """Return an interior point of the region, or ``None`` when empty."""
-        if self._points:
-            return self._points[0]
-        self._refresh_residual(solver)
-        if not self._residual:
-            return None
-        return self._residual[0].interior_point(solver)
-
     def remove_redundant_cutouts(self, solver: LinearProgramSolver) -> int:
         """Drop cutouts covered by the union of the remaining cutouts.
 
@@ -292,13 +270,7 @@ class RelevanceRegion:
             self._pending = []
         return removed
 
-    def to_polytopes(self, solver: LinearProgramSolver
-                     ) -> list[ConvexPolytope]:
-        """Materialize the region as a list of convex pieces."""
-        return subtract_polytopes(self.space, self.cutouts, solver)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         pts = "off" if self._points is None else len(self._points)
         return (f"RelevanceRegion(dim={self.dim}, "
                 f"cutouts={len(self.cutouts)}, points={pts})")
-

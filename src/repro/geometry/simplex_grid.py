@@ -89,18 +89,6 @@ class Simplex:
         sol = np.linalg.solve(lhs, np.asarray(values, dtype=float))
         return sol[:d], float(sol[d])
 
-    def contains_point(self, x, tol: float = 1e-9) -> bool:
-        """Return whether ``x`` lies in the simplex (barycentric test)."""
-        verts = self.vertices
-        d = self.dim
-        lhs = np.vstack([verts.T, np.ones(d + 1)])
-        rhs = np.concatenate([np.asarray(x, dtype=float), [1.0]])
-        try:
-            lam = np.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError:  # pragma: no cover - degenerate
-            return False
-        return bool(np.all(lam >= -tol))
-
 
 def kuhn_triangulation_unit_cell(dim: int) -> list[np.ndarray]:
     """Kuhn triangulation of the unit cube ``[0,1]^dim`` into ``dim!`` simplices.
@@ -147,8 +135,3 @@ def box_simplices(lows, highs, resolution: int) -> list[Simplex]:
             verts = origin + template * widths
             simplices.append(Simplex(vertices=verts))
     return simplices
-
-
-def interval_pieces(lo: float, hi: float, resolution: int) -> list[Simplex]:
-    """One-dimensional convenience wrapper around :func:`box_simplices`."""
-    return box_simplices([lo], [hi], resolution)

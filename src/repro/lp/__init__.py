@@ -15,7 +15,7 @@ Public API:
   its in-process runs share LP results; sessions on different threads
   never see each other's memo, and pool tasks run on their own run's
   memo).
-* :class:`LPStats` / :func:`default_stats` — counters used to reproduce the
+* :class:`LPStats` — counters used to reproduce the
   "#solved linear programs" measurements of Figure 12.
 * :func:`solve_simplex` — the dense NumPy simplex (no SciPy) used as
   fallback and as a testing oracle.
@@ -23,7 +23,7 @@ Public API:
   or two free variables that the ``hybrid`` backend tries first.
 """
 
-from .counters import LPStats, default_stats
+from .counters import LPStats
 from .simplex import SimplexResult, solve_simplex
 from .solver import (LinearProgramSolver, LPResult, LPResultCache,
                      install_shared_lp_cache, shared_lp_cache)
@@ -34,7 +34,6 @@ __all__ = [
     "LPStats",
     "LinearProgramSolver",
     "SimplexResult",
-    "default_stats",
     "install_shared_lp_cache",
     "shared_lp_cache",
     "solve_simplex",

@@ -4,8 +4,7 @@ The third panel of Figure 12 in the paper reports the *number of solved
 linear programs*.  To reproduce that measurement faithfully, every LP that
 is solved anywhere inside the geometry layer is recorded against an
 :class:`LPStats` instance.  Optimizers create one instance per optimization
-run and pass it down; code that does not care uses the module-level default
-obtained via :func:`default_stats`.
+run and pass it down; a solver built without one counts into its own.
 """
 
 from __future__ import annotations
@@ -86,24 +85,3 @@ class LPStats:
     def seconds_by_purpose(self) -> dict[str, float]:
         """Return a copy of the per-purpose backend wall-time totals."""
         return dict(self._seconds_by_purpose)
-
-    def reset(self) -> None:
-        """Reset all counters to zero."""
-        self.solved = 0
-        self.infeasible = 0
-        self.unbounded = 0
-        self.feasibility_checks = 0
-        self.optimizations = 0
-        self.cache_hits = 0
-        self.seconds = 0.0
-        self.lowdim_deferred = 0
-        self._by_purpose.clear()
-        self._seconds_by_purpose.clear()
-
-
-_DEFAULT = LPStats()
-
-
-def default_stats() -> LPStats:
-    """Return the process-wide default :class:`LPStats` instance."""
-    return _DEFAULT

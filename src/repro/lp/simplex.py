@@ -80,7 +80,11 @@ try:  # pragma: no cover - numpy-version dependent import
 except (ImportError, AttributeError, TypeError):  # pragma: no cover
     # Exercised on numpy relayouts (module, gufunc or kwargs gone).
     def _basis_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Fallback via the public wrapper (identical bits, more overhead)."""
+        """Fallback via the public wrapper (identical bits, more overhead).
+
+        Fault path: a NumPy release without the private ``solve1``
+        gufunc (an upgrade) reaches it.
+        """
         return np.linalg.solve(a, b)
 
 
@@ -98,11 +102,6 @@ class SimplexResult:
     x: np.ndarray | None
     objective: float | None
 
-    @property
-    def is_optimal(self) -> bool:
-        """``True`` when an optimal solution was found."""
-        return self.status == "optimal"
-
 
 def _to_standard_form(c, a_ub, b_ub, bounds):
     """Convert a bounded-variable LP into equality standard form.
@@ -110,6 +109,9 @@ def _to_standard_form(c, a_ub, b_ub, bounds):
     Each free variable ``x`` is split into ``x+ - x-``; finite bounds become
     extra inequality rows.  Returns ``(c', A', b', recover)`` where
     ``recover`` maps a standard-form solution back to the original space.
+
+    Reference: the generic loop below is the reference of the all-free
+    fast path above (tests/test_lp.py::TestStandardForm).
     """
     n = len(c)
     if all(lo is None and hi is None for lo, hi in bounds):

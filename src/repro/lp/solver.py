@@ -37,7 +37,7 @@ import numpy as np
 from ..errors import SolverError
 from ..faults import failpoint
 from ..util import BoundedLRU
-from .counters import LPStats, default_stats
+from .counters import LPStats
 from .lowdim import solve_lowdim_lists
 from .simplex import solve_simplex
 
@@ -183,8 +183,8 @@ class LinearProgramSolver:
     """Facade over LP backends that records every solve in an :class:`LPStats`.
 
     Args:
-        stats: Counter object to charge solves against.  Defaults to the
-            process-wide counter from :func:`repro.lp.counters.default_stats`.
+        stats: Counter object to charge solves against.  Defaults to a
+            fresh :class:`LPStats` of this solver's own.
         backend: ``"hybrid"`` (closed form, then simplex, then scipy),
             or one of the oracles ``"simplex"`` and ``"scipy"``.
         cache_size: Size of the LP-result memo cache; ``0`` (the default)
@@ -200,7 +200,7 @@ class LinearProgramSolver:
         if backend not in ("scipy", "simplex", "hybrid"):
             raise ValueError(f"unknown LP backend: {backend!r}")
         self.backend = backend
-        self.stats = stats if stats is not None else default_stats()
+        self.stats = stats if stats is not None else LPStats()
         if cache is not None:
             self.cache = cache
         elif cache_size > 0:
@@ -271,6 +271,9 @@ class LinearProgramSolver:
 
         Returns:
             One :class:`LPResult` per problem, in input order.
+
+        Benchmark hook: perfbench/spans.py wraps it; ROADMAP item 1
+        deletes it once the tracer stops naming it.
         """
         count = len(problems)
         if isinstance(purpose, str):

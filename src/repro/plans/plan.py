@@ -28,25 +28,9 @@ class Plan:
         """Yield all nodes of the plan tree (pre-order)."""
         raise NotImplementedError
 
-    @property
-    def num_joins(self) -> int:
-        """Number of join nodes in the tree."""
-        return sum(1 for node in self.nodes() if isinstance(node, JoinPlan))
-
-    @property
-    def depth(self) -> int:
-        """Height of the plan tree (1 for a bare scan)."""
-        raise NotImplementedError
-
     def signature(self) -> tuple:
         """Hashable structural identity (used for de-duplication in tests)."""
         raise NotImplementedError
-
-    def is_left_deep(self) -> bool:
-        """``True`` when every right join input is a base-table scan."""
-        return all(not isinstance(node, JoinPlan)
-                   or isinstance(node.right, ScanPlan)
-                   for node in self.nodes())
 
 
 @dataclass(frozen=True)
@@ -67,10 +51,6 @@ class ScanPlan(Plan):
 
     def nodes(self) -> Iterator[Plan]:
         yield self
-
-    @property
-    def depth(self) -> int:
-        return 1
 
     def signature(self) -> tuple:
         return ("scan", self.table, self.operator.name)
@@ -107,10 +87,6 @@ class JoinPlan(Plan):
         yield self
         yield from self.left.nodes()
         yield from self.right.nodes()
-
-    @property
-    def depth(self) -> int:
-        return 1 + max(self.left.depth, self.right.depth)
 
     def signature(self) -> tuple:
         return ("join", self.operator.name, self.left.signature(),

@@ -42,10 +42,6 @@ class JoinGraph:
             self._adjacent[pred.left_table].add(pred.right_table)
             self._adjacent[pred.right_table].add(pred.left_table)
 
-    def neighbors(self, table: str) -> frozenset[str]:
-        """Tables directly joined with ``table``."""
-        return frozenset(self._adjacent[table])
-
     def is_connected(self, subset: frozenset[str] | None = None) -> bool:
         """Return whether ``subset`` (default: all tables) is connected."""
         nodes = set(subset) if subset is not None else set(self.tables)
@@ -76,16 +72,3 @@ class JoinGraph:
                           ) -> list[JoinPredicate]:
         """All predicates with both tables inside ``subset``."""
         return [p for p in self.predicates if p.tables <= subset]
-
-    def connected_subsets(self, max_size: int | None = None
-                          ) -> list[frozenset[str]]:
-        """Enumerate all connected non-empty subsets (small queries only)."""
-        from itertools import combinations
-        limit = max_size if max_size is not None else len(self.tables)
-        out = []
-        for k in range(1, limit + 1):
-            for combo in combinations(self.tables, k):
-                subset = frozenset(combo)
-                if self.is_connected(subset):
-                    out.append(subset)
-        return out

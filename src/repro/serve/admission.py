@@ -66,11 +66,6 @@ class TokenBucket:
             return 0.0
         return (1.0 - self._tokens) / self.rate
 
-    @property
-    def tokens(self) -> float:
-        """Tokens currently in the bucket (as of the last acquire)."""
-        return self._tokens
-
 
 @dataclass(frozen=True)
 class Admission:

@@ -137,6 +137,8 @@ class GatewayClient:
         but bit-identical across runs, which is what lets the chaos
         benchmark gate retried results exactly.  A gateway-supplied
         ``Retry-After`` is honored as a floor.
+
+        Fault path: the delay before retrying a 429 or 503.
         """
         delay = min(self.backoff_cap,
                     self.backoff_base * (2.0 ** attempt))
@@ -289,7 +291,3 @@ class GatewayClient:
     def metrics(self) -> dict:
         """``GET /metrics``."""
         return self._request("GET", "/metrics").doc
-
-    def health(self) -> dict:
-        """``GET /healthz``."""
-        return self._request("GET", "/healthz").doc

@@ -134,6 +134,8 @@ def _discard(future) -> None:
     shard thread may be hung on an injected fault); consuming the
     exception here keeps asyncio's "exception was never retrieved"
     warning out of the logs.
+
+    Fault path: stop and disconnect paths abandon futures.
     """
     if not future.cancelled():
         future.exception()
@@ -327,6 +329,8 @@ class ServingGateway:
         New arrivals get HTTP 503 immediately.  Returns ``True`` once
         the gateway is idle, ``False`` if ``timeout`` elapsed first
         (drain mode stays on either way).
+
+        Fault path: graceful drain before an upgrade or a shutdown.
         """
         self.admission.draining = True
         deadline = (None if timeout is None
@@ -497,7 +501,10 @@ class ServingGateway:
 
     @staticmethod
     def _guess_tenant(body: bytes) -> str | None:
-        """Best-effort tenant attribution for malformed-request counts."""
+        """Best-effort tenant attribution for malformed-request counts.
+
+        Fault path: malformed requests reach it.
+        """
         try:
             doc = json.loads(body)
             tenant = doc.get("tenant")
@@ -894,6 +901,9 @@ class ServingGateway:
     # ------------------------------------------------------------------
 
     def health_doc(self) -> dict:
+        """Fault path: /healthz tells a load balancer that a gateway
+        drains.
+        """
         return {"status": "draining" if self.draining else "ok",
                 "shards": len(self.shards),
                 "pending": self.admission.pending}
@@ -952,7 +962,10 @@ class GatewayHandle:
         return f"http://{self.host}:{self.port}"
 
     def drain(self, timeout: float | None = 30.0) -> bool:
-        """Blocking :meth:`ServingGateway.drain`."""
+        """Blocking :meth:`ServingGateway.drain`.
+
+        Fault path: graceful drain before an upgrade or a shutdown.
+        """
         future = asyncio.run_coroutine_threadsafe(
             self.gateway.drain(timeout), self._loop)
         return future.result(None if timeout is None else timeout + 5)

@@ -25,6 +25,7 @@ See ``docs/serving.md`` for the endpoint-by-endpoint contract.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from ..catalog import Catalog, Column, Index, Table
@@ -163,21 +164,28 @@ class OptimizeRequest:
     deadline_seconds: float | None = None
     stream: bool = False
 
-    @property
-    def anytime(self) -> bool:
-        """Whether the request asked for anytime (budgeted) semantics."""
-        return (self.precision is not None or self.budget is not None
-                or self.deadline_seconds is not None)
+
+def _finite(value, key: str) -> float:
+    """``float(value)``, refusing anything but a finite number.
+
+    ``json.loads`` parses ``NaN`` and ``Infinity``, and ``float`` the
+    strings ``"nan"`` and ``"inf"``; none of them is a precision or a
+    time limit.
+    """
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise ProtocolError(f"{key} must be a number") from None
+    if not math.isfinite(value):
+        raise ProtocolError(f"{key} must be a finite number")
+    return value
 
 
 def _positive(doc: dict, key: str) -> float | None:
     value = doc.get(key)
     if value is None:
         return None
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ProtocolError(f"{key} must be a number") from None
+    value = _finite(value, key)
     if value <= 0:
         raise ProtocolError(f"{key} must be positive")
     return value
@@ -208,10 +216,7 @@ def parse_optimize_request(body: bytes | str) -> OptimizeRequest:
         raise ProtocolError("scenario must be a string")
     precision = doc.get("precision")
     if precision is not None:
-        try:
-            precision = float(precision)
-        except (TypeError, ValueError):
-            raise ProtocolError("precision must be a number") from None
+        precision = _finite(precision, "precision")
         if precision < 0:
             raise ProtocolError("precision must be >= 0")
     budget = doc.get("budget")
@@ -229,7 +234,7 @@ def parse_optimize_request(body: bytes | str) -> OptimizeRequest:
             if budget[key] is not None:
                 try:
                     budget[key] = int(budget[key])
-                except (TypeError, ValueError):
+                except (TypeError, ValueError, OverflowError):
                     raise ProtocolError(
                         f"budget {key} must be an integer") from None
                 if budget[key] < 0:

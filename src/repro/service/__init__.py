@@ -9,7 +9,7 @@ Public API:
   plus ``optimize_iter``, which steps its run in the calling thread on
   every session (see also :mod:`repro.api`).
 * :class:`Scenario` / :class:`ScenarioRegistry` /
-  :func:`register_scenario` / :func:`get_scenario` /
+  :func:`default_registry` / :func:`get_scenario` /
   :func:`available_scenarios` — the pluggable scenario registry with
   built-in ``"cloud"`` and ``"approx"`` workloads.
 * :class:`BatchItem` — outcome of one submitted query.
@@ -22,7 +22,7 @@ Public API:
 
 from .cache import WarmStartCache
 from .registry import (Scenario, ScenarioRegistry, available_scenarios,
-                       default_registry, get_scenario, register_scenario)
+                       default_registry, get_scenario)
 from .session import STATUSES, BatchItem, OptimizerSession
 from .signature import query_signature, signature_document
 
@@ -37,6 +37,5 @@ __all__ = [
     "default_registry",
     "get_scenario",
     "query_signature",
-    "register_scenario",
     "signature_document",
 ]

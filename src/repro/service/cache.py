@@ -16,7 +16,7 @@ Since the anytime redesign every entry carries an **alpha tag**: the
 approximation rung the producing run achieved (``0`` for exact results,
 the rung's alpha for plan sets an interrupted precision-ladder run left
 behind).  Lookups state the loosest guarantee they accept
-(``get(signature, max_alpha=...)``), so a partial anytime result can
+(``load(signature, max_alpha=...)``), so a partial anytime result can
 never masquerade as an exact one, and a coarser entry never overwrites a
 tighter one.
 """
@@ -130,18 +130,9 @@ class WarmStartCache:
             return tighter
         return entry
 
-    def get_entry(self, signature: str) -> tuple[dict, float] | None:
-        """Return ``(document, alpha)`` for a cached entry, or ``None``.
-
-        ``alpha`` is the approximation tag of the stored plan set: the
-        rung the producing run reached (``0`` for exact results).
-        """
-        entry = self._lookup(signature, None)
-        return None if entry is None else (entry.doc, entry.alpha)
-
-    def get(self, signature: str,
-            max_alpha: float | None = None) -> dict | None:
-        """Return the cached plan-set document, or ``None`` on a miss.
+    def load(self, signature: str,
+             max_alpha: float | None = None) -> StoredPlanSet | None:
+        """Return the cached plan set, or ``None`` on a miss.
 
         Args:
             signature: Cache key.
@@ -149,18 +140,10 @@ class WarmStartCache:
                 most this loose — an entry produced by an interrupted
                 anytime run (rung alpha above the caller's target) then
                 counts as a miss instead of silently serving a coarser
-                guarantee.  ``None`` accepts any tag (the pre-anytime
-                behavior, when every entry was exact for its signature).
-                When the in-memory entry is too coarse, the store tier is
-                still consulted — another shard or process sharing it may
+                guarantee.  ``None`` accepts any tag.  When the
+                in-memory entry is too coarse, the store tier is still
+                consulted — another shard or process sharing it may
                 have written a tighter one.
-        """
-        entry = self._lookup(signature, max_alpha)
-        return None if entry is None else entry.doc
-
-    def load(self, signature: str,
-             max_alpha: float | None = None) -> StoredPlanSet | None:
-        """Like :meth:`get`, but decoded into a :class:`StoredPlanSet`.
 
         The first load of a memory entry decodes its document; later
         loads return that same read-only instance until the entry is

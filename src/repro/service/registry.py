@@ -19,9 +19,10 @@ Built-in scenarios:
 
 Registering a new workload is one call::
 
-    from repro.api import register_scenario
-    register_scenario("energy", lambda query, resolution: EnergyModel(
-        query, resolution=resolution), metrics=ENERGY_METRICS)
+    from repro.api import default_registry
+    default_registry().register("energy", lambda query, resolution:
+                                EnergyModel(query, resolution=resolution),
+                                metrics=ENERGY_METRICS)
 
 Worker processes of a pooled session receive the :class:`Scenario`
 object itself inside each task payload whenever it pickles (built-in
@@ -96,19 +97,14 @@ class Scenario:
             query, precision_ladder=precision_ladder,
             seed_plans=seed_plans)
 
-    @property
-    def metric_names(self) -> tuple[str, ...]:
-        """Names of the scenario's metrics, in reporting order."""
-        return tuple(m.name for m in self.metrics)
-
 
 class ScenarioRegistry:
     """Mutable name -> :class:`Scenario` mapping.
 
-    A process-global default registry (with the built-in scenarios) backs
-    the module-level :func:`register_scenario` / :func:`get_scenario`
-    functions; independent registries can be created for tests or
-    embedding.
+    A process-global default registry (:func:`default_registry`, with the
+    built-in scenarios) backs the module-level :func:`get_scenario` and
+    :func:`available_scenarios`; independent registries can be created
+    for tests or embedding.
     """
 
     def __init__(self) -> None:
@@ -191,17 +187,6 @@ _DEFAULT.register(
 def default_registry() -> ScenarioRegistry:
     """The process-global registry holding the built-in scenarios."""
     return _DEFAULT
-
-
-def register_scenario(name: str,
-                      cost_model_factory: Callable[[Query, int], Any],
-                      metrics: Sequence[CostMetric],
-                      description: str = "",
-                      replace: bool = False) -> Scenario:
-    """Register a scenario in the default registry (see
-    :meth:`ScenarioRegistry.register`)."""
-    return _DEFAULT.register(name, cost_model_factory, metrics,
-                             description=description, replace=replace)
 
 
 def get_scenario(name: str) -> Scenario:

@@ -27,8 +27,8 @@ optimization calls:
   as a session-free :func:`repro.api.optimize_query` does, so an item's
   LP counts do not depend on which worker ran it;
 * the **scenario registry** — queries are optimized under a named
-  scenario (``"cloud"``, ``"approx"``, or anything registered via
-  :func:`repro.service.registry.register_scenario`), so new cost-model
+  scenario (``"cloud"``, ``"approx"``, or anything registered in
+  :func:`repro.service.registry.default_registry`), so new cost-model
   workloads need one registration instead of a new module of glue.
 
 Submission surfaces:
@@ -443,11 +443,6 @@ class OptimizerSession:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    @property
-    def closed(self) -> bool:
-        """``True`` once :meth:`close` ran."""
-        return self._closed
-
     def __enter__(self) -> OptimizerSession:
         self._check_open()
         return self
@@ -521,6 +516,9 @@ class OptimizerSession:
         cancellation cannot stop them, and leaving them running would
         both leak CPU and shrink the capacity every later call sees.  The
         next pooled call respawns a fresh pool lazily.
+
+        Fault path: a deadline miss with tasks still executing reaches
+        it.
         """
         pool, self._pool = self._pool, None
         if pool is None:

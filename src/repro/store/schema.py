@@ -81,6 +81,8 @@ def _migrate_v1_to_v2(conn: sqlite3.Connection) -> None:
     lookups and the ``signatures`` metadata side table.  Old rows keep
     working for exact hits; they simply have no feature vector, so they
     are invisible to nearest-neighbor search until rewritten.
+
+    Fault path: upgrading a store written by schema version 1.
     """
     conn.execute(
         "ALTER TABLE plan_sets ADD COLUMN stats_digest TEXT "
@@ -95,6 +97,8 @@ def _migrate_v2_to_v3(conn: sqlite3.Connection) -> None:
     Every plan set the built-in scenarios produce covers the whole
     parameter space, so every stored box was the unit box and the index
     answered nothing; no lookup reads it any more.
+
+    Fault path: upgrading a store written by schema version 2.
     """
     conn.execute("DROP TABLE IF EXISTS param_boxes")
 

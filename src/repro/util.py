@@ -51,5 +51,8 @@ class BoundedLRU:
             self._data.popitem(last=False)
 
     def pop(self, key: Hashable, default: Any = None) -> Any:
-        """Remove and return the stored value, or ``default``."""
+        """Remove and return the stored value, or ``default``.
+
+        Fault path: the warm-start cache drops an undecodable entry.
+        """
         return self._data.pop(key, default)

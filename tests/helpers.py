@@ -1,10 +1,13 @@
-"""Shared test helpers: brute-force plan enumeration and frontiers."""
+"""Shared test helpers: brute-force plan enumeration and frontiers,
+constant costs and a region's interior witness."""
 
 from __future__ import annotations
 
 from itertools import product
 
 from repro.core.enumeration import splits, subsets_in_size_order
+from repro.cost import MultiObjectivePWL, PiecewiseLinearFunction
+from repro.geometry import INTERIOR_EPS, subtract_polytopes
 from repro.plans import Plan, ScanPlan, combine
 from repro.query import Query
 
@@ -51,3 +54,21 @@ def dominates(cost_a: dict[str, float], cost_b: dict[str, float],
               tol: float = 1e-9) -> bool:
     """Vector dominance: a <= b on every metric (within tolerance)."""
     return all(cost_a[m] <= cost_b[m] + tol for m in cost_b)
+
+
+def constant_cost(space, values: dict[str, float]):
+    """The constant cost vector ``values`` on ``space``."""
+    return MultiObjectivePWL({
+        name: PiecewiseLinearFunction.constant(space, value)
+        for name, value in values.items()})
+
+
+def interior_witness(region, solver):
+    """A point of a :class:`~repro.geometry.RelevanceRegion` worked out
+    apart from it: the Chebyshev center of the first piece of its space
+    minus its cutouts that has an interior, or ``None``."""
+    for piece in subtract_polytopes(region.space, region.cutouts, solver):
+        center, radius = piece.chebyshev(solver)
+        if radius > INTERIOR_EPS:
+            return center
+    return None

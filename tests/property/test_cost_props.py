@@ -9,6 +9,8 @@ from repro.cost import (MultiObjectivePWL, ParamPolynomial, SharedPartition)
 from repro.geometry import ConvexPolytope
 from repro.lp import LinearProgramSolver, LPStats
 
+from tests.helpers import constant_cost
+
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False,
                    allow_infinity=False)
 positive = st.floats(min_value=0.0, max_value=5.0, allow_nan=False,
@@ -117,9 +119,9 @@ class TestDominanceProperties:
            st.lists(positive, min_size=2, max_size=2))
     def test_dominance_transitive_pointwise(self, a, b, c):
         space = ConvexPolytope.unit_box(1)
-        ca = MultiObjectivePWL.constant(space, {"m1": a[0], "m2": a[1]})
-        cb = MultiObjectivePWL.constant(space, {"m1": b[0], "m2": b[1]})
-        cc = MultiObjectivePWL.constant(space, {"m1": c[0], "m2": c[1]})
+        ca = constant_cost(space, {"m1": a[0], "m2": a[1]})
+        cb = constant_cost(space, {"m1": b[0], "m2": b[1]})
+        cc = constant_cost(space, {"m1": c[0], "m2": c[1]})
         x = [0.5]
         if ca.dominates_at(cb, x) and cb.dominates_at(cc, x):
             assert ca.dominates_at(cc, x, tol=1e-6)

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.serialize import _decode_polytope
-from repro.geometry import (GEOMETRY_EPS, ConvexPolytope, LinearConstraint,
+from repro.geometry import (GEOMETRY_EPS, ConvexPolytope,
                             RelevanceRegion, box_simplices,
                             subtract_polytope, subtract_polytopes)
 from repro.geometry.constraints import normalize_rows
 from repro.geometry.polytope import _add_row, _keyed, _merge
 from repro.lp import LinearProgramSolver, LPStats
+
+from tests.helpers import interior_witness
 
 
 def fresh_solver() -> LinearProgramSolver:
@@ -39,28 +41,34 @@ def boxes_2d(draw):
 
 
 class TestConstraintProperties:
+    """One halfspace ``a @ x <= b`` as a polytope's normalized row."""
+
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=2),
            st.floats(-10, 10))
     def test_normalization_preserves_halfspace(self, a, b):
         if all(abs(v) < 1e-9 for v in a):
             return
-        c = LinearConstraint.make(a, b)
+        c = ConvexPolytope(2).with_halfspace(a, b)
         rng = np.random.default_rng(0)
         for x in rng.uniform(-3, 3, size=(20, 2)):
             raw = float(np.dot(a, x)) <= b + 1e-7 * max(1, abs(b))
-            norm = c.contains(x, tol=1e-7)
+            norm = c.contains_point(x, tol=1e-7)
             assert raw == norm or abs(np.dot(a, x) - b) < 1e-5
 
+    @settings(deadline=None)
     @given(st.lists(st.floats(-5, 5), min_size=2, max_size=2),
            st.floats(-5, 5))
     def test_negation_covers_space(self, a, b):
         if all(abs(v) < 1e-9 for v in a):
             return
-        c = LinearConstraint.make(a, b)
-        n = c.negation()
+        # Subtracting the halfspace from the whole plane leaves its
+        # closed complement, the negated row.
+        c = ConvexPolytope(2).with_halfspace(a, b)
+        rest = subtract_polytope(ConvexPolytope(2), c, fresh_solver())
         rng = np.random.default_rng(1)
         for x in rng.uniform(-3, 3, size=(20, 2)):
-            assert c.contains(x) or n.contains(x)
+            assert c.contains_point(x) or any(
+                piece.contains_point(x) for piece in rest)
 
 
 class TestSubtractionProperties:
@@ -120,7 +128,7 @@ class TestRelevanceRegionProperties:
         for cut in cuts:
             rr.subtract(cut)
         empty = rr.is_empty(solver)
-        witness = rr.witness(solver)
+        witness = interior_witness(rr, solver)
         assert empty == (witness is None)
         if witness is not None:
             assert rr.contains_point(witness)
@@ -133,11 +141,8 @@ class TestRelevanceRegionProperties:
         ordered = [cuts[i % len(cuts)] for i in order[:len(cuts)]]
         rr1 = RelevanceRegion(ConvexPolytope.unit_box(1), cutouts=cuts)
         rr2 = RelevanceRegion(ConvexPolytope.unit_box(1), cutouts=ordered)
-        # Same cutout multiset (up to duplication) -> same emptiness.
-        if {frozenset(c.key() for c in cut.constraints)
-                for cut in cuts} == {
-                frozenset(c.key() for c in cut.constraints)
-                for cut in ordered}:
+        # Same cutout set (up to duplication) -> same emptiness.
+        if set(map(id, cuts)) == set(map(id, ordered)):
             assert rr1.is_empty(solver) == rr2.is_empty(solver)
 
 
@@ -147,9 +152,10 @@ class TestSimplexGridProperties:
            st.integers(min_value=1, max_value=2))
     def test_simplices_cover_box(self, resolution, dim):
         simplices = box_simplices([0.0] * dim, [1.0] * dim, resolution)
+        cells = [simplex.to_polytope() for simplex in simplices]
         rng = np.random.default_rng(4)
         for x in rng.uniform(0, 1, size=(40, dim)):
-            assert any(s.contains_point(x, tol=1e-9) for s in simplices)
+            assert any(cell.contains_point(x, tol=1e-9) for cell in cells)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=1, max_value=3))
@@ -164,14 +170,14 @@ class TestSimplexGridProperties:
 
 
 # ----------------------------------------------------------------------
-# Row representation against per-constraint object arithmetic.  The
-# references below are the object-at-a-time computations polytopes were
-# built with before they stored ``(A, b)`` rows, kept here test-only:
-# the row code must agree with them bit for bit.
+# Row representation against per-row arithmetic.  The references below
+# are the row-at-a-time computations polytopes were built with before
+# they stored rows in blocks, kept here test-only: the row code must
+# agree with them bit for bit.
 # ----------------------------------------------------------------------
 
 def reference_make(a, b):
-    """``LinearConstraint.make`` computed on one row with ``np.linalg.norm``."""
+    """One row normalized on its own, with ``np.linalg.norm``."""
     vec = np.asarray(a, dtype=float).reshape(-1)
     norm = float(np.linalg.norm(vec))
     if norm > GEOMETRY_EPS:
@@ -211,6 +217,13 @@ def assert_rows_match(poly, dim, kept):
     assert poly.has_trivially_infeasible() == any(
         bool(np.all(np.abs(row) <= GEOMETRY_EPS)) and rhs < -GEOMETRY_EPS
         for row, rhs in kept)
+
+
+def polytope(dim, rows) -> ConvexPolytope:
+    """``ConvexPolytope.from_arrays`` of raw ``(a, b)`` rows."""
+    return ConvexPolytope.from_arrays(
+        np.reshape([row for row, __ in rows], (len(rows), dim)),
+        [rhs for __, rhs in rows])
 
 
 def same_bits(x, y) -> bool:
@@ -271,15 +284,15 @@ class TestRowNormalizer:
         assert b.tobytes() == np.array(
             [rhs for __, rhs in expected]).tobytes()
         for (raw, rhs), (row, row_rhs) in zip(rows, expected):
-            made = LinearConstraint.make(raw, rhs)
-            assert made.a.tobytes() == row.tobytes()
-            assert same_bits(made.b, row_rhs)
-            # The negation path re-normalizes a stored row, whose norm
+            made_a, made_b = normalize_rows(np.reshape(raw, (1, -1)), [rhs])
+            assert made_a[0].tobytes() == row.tobytes()
+            assert same_bits(made_b[0], row_rhs)
+            # The negated cut rows re-normalize a stored row, whose norm
             # need not be exactly 1.
-            negated = made.negation()
+            neg_a, neg_b = normalize_rows(-made_a, -made_b)
             neg_row, neg_rhs = reference_make(-row, -row_rhs)
-            assert negated.a.tobytes() == neg_row.tobytes()
-            assert same_bits(negated.b, neg_rhs)
+            assert neg_a[0].tobytes() == neg_row.tobytes()
+            assert same_bits(neg_b[0], neg_rhs)
 
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_matches_on_seeded_random_rows(self, width):
@@ -311,27 +324,19 @@ class TestRowMerge:
         kept_left = reference_dedupe(left_made)
         kept_right = reference_dedupe(right_made)
 
-        built = ConvexPolytope(dim, [LinearConstraint.make(*row)
-                                     for row in left])
+        built = polytope(dim, left)
         assert_rows_match(built, dim, kept_left)
-        from_arrays = ConvexPolytope.from_arrays(
-            np.array([row for row, __ in left]), [rhs for __, rhs in left])
-        assert_rows_match(from_arrays, dim, kept_left)
         decoded = _decode_polytope({"dim": dim, "constraints": [
             {"a": row.tolist(), "b": rhs} for row, rhs in left]})
         assert_rows_match(decoded, dim, kept_left)
 
-        other = ConvexPolytope(dim, [LinearConstraint.make(*row)
-                                     for row in right])
+        other = polytope(dim, right)
         assert_rows_match(built.intersect(other), dim,
                           reference_dedupe(kept_left + kept_right))
         assert_rows_match(other.intersect(built), dim,
                           reference_dedupe(kept_right + kept_left))
         for raw, made in zip(right, right_made):
             expected = reference_dedupe(kept_left + [made])
-            assert_rows_match(
-                built.with_constraint(LinearConstraint.make(*raw)), dim,
-                expected)
             assert_rows_match(built.with_halfspace(*raw), dim, expected)
 
 
@@ -356,8 +361,7 @@ class TestOneRowMerge:
         st.just(width), raw_rows(width, min_size=0), raw_rows(width))))
     def test_matches_general_merge(self, case):
         dim, own_rows, new_rows = case
-        own = ConvexPolytope(dim, [LinearConstraint.make(*row)
-                                   for row in own_rows])
+        own = polytope(dim, own_rows)
         # Absent rows (and trivial or infeasible zero rows among them),
         # rows the polytope already holds, and an infeasible zero row.
         added = (new_rows
@@ -392,8 +396,7 @@ class TestBulkHalfspaces:
         dim, groups = case
         bases, rows, counts = [], [], []
         for index, (base_rows, new_rows, repeat_own) in enumerate(groups):
-            base = ConvexPolytope(dim, [LinearConstraint.make(*row)
-                                        for row in base_rows])
+            base = polytope(dim, base_rows)
             base.cell_tag = ("cell", index)
             if repeat_own and base.num_constraints:
                 # A row the base already holds.

@@ -21,14 +21,19 @@ import numpy as np
 import pytest
 
 from repro.cloud import CloudCostModel
-from repro.core import (Budget, PWLRRPA, RUN_COMPLETED, RUN_EXHAUSTED,
-                        encode_result, guarantee_bound, ladder_to,
-                        validate_ladder)
+from repro.core import (Budget, PWLRRPA, PWLRRPAOptions, RUN_COMPLETED,
+                        RUN_EXHAUSTED, encode_result, guarantee_bound,
+                        ladder_to, validate_ladder)
 from repro.core.run import DEFAULT_PRECISION_LADDER
 from repro.query import QueryGenerator
 from repro.service.registry import get_scenario
 
 from tests.helpers import enumerate_all_plans, pwl_plan_cost_at
+
+
+def finished(run) -> bool:
+    """Every rung of the run's ladder has completed."""
+    return len(run.completed) == len(run.ladder)
 
 
 def _doc_key(result) -> str:
@@ -46,11 +51,34 @@ class TestBudgetValidation:
                 Budget(**kwargs)
 
     def test_unlimited_and_roundtrip(self):
-        assert Budget().unlimited
+        assert Budget().as_dict() == {"seconds": None, "lps": None,
+                                      "steps": None}
         budget = Budget(seconds=1.5, lps=10)
-        assert not budget.unlimited
         assert Budget.from_dict(budget.as_dict()) == budget
         assert Budget.from_dict(None) is None
+
+
+class TestNaNRejected:
+    """``x < 0`` is false for NaN; every anytime validator refuses it."""
+
+    NAN = float("nan")
+
+    def test_ladder(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            validate_ladder((0.5, self.NAN))
+
+    def test_ladder_to(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            ladder_to(self.NAN)
+
+    @pytest.mark.parametrize("limit", ["seconds", "lps", "steps"])
+    def test_budget(self, limit):
+        with pytest.raises(ValueError, match=">= 0"):
+            Budget(**{limit: self.NAN})
+
+    def test_options(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            PWLRRPAOptions(approximation_factor=self.NAN)
 
 
 class TestLadderValidation:
@@ -92,7 +120,7 @@ class TestExactEquivalence:
         run = scenario.start_run(query,
                                  precision_ladder=(0.5, 0.2, 0.0))
         assert run.run() == RUN_COMPLETED
-        assert run.done
+        assert finished(run)
         final = run.result()
         assert final.achieved_alpha == 0.0
         assert final.guarantee == 1.0
@@ -106,7 +134,7 @@ class TestExactEquivalence:
         monolithic = optimizer.optimize(query)
         run = optimizer.start_run(query)
         steps = 0
-        while not run.done:
+        while not finished(run):
             run.step()
             steps += 1
         assert steps == len(run.events) - 1  # rung_started + 1/step
@@ -119,7 +147,7 @@ class TestResumption:
         exact = scenario.optimize(query)
         run = scenario.start_run(query, precision_ladder=(0.5, 0.0))
         statuses = []
-        while not run.done:
+        while not finished(run):
             statuses.append(run.run(Budget(steps=2)))
         assert statuses[-1] == RUN_COMPLETED
         assert RUN_EXHAUSTED in statuses[:-1]
@@ -134,7 +162,7 @@ class TestResumption:
         # Exhaust a small LP budget somewhere mid-ladder.
         status = run.run(Budget(lps=40))
         assert status == RUN_EXHAUSTED
-        assert not run.done
+        assert not finished(run)
         # Resume with unlimited budget: identical exact result.
         assert run.run() == RUN_COMPLETED
         assert run.result().achieved_alpha == 0.0
@@ -151,7 +179,7 @@ class TestResumption:
                 break
         events.close()
         assert run.last_status is None
-        assert not run.done
+        assert not finished(run)
         assert run.achieved_alpha == 0.5
         assert run.run() == RUN_COMPLETED
         assert run.last_status == RUN_COMPLETED
@@ -187,7 +215,7 @@ class TestGuaranteeAccounting:
         run = get_scenario("cloud").start_run(
             query, precision_ladder=(0.5, 0.0))
         assert run.run(Budget(steps=1)) == RUN_EXHAUSTED
-        assert not run.has_result
+        assert not run.completed
         assert run.result() is None
         assert run.achieved_alpha is None
         assert run.guarantee is None

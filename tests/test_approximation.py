@@ -14,11 +14,12 @@ import pytest
 
 from repro.cloud import CloudCostModel
 from repro.core import PWLRRPA, PWLRRPAOptions
-from repro.cost import MultiObjectivePWL, SharedPartition, ParamPolynomial
+from repro.cost import SharedPartition, ParamPolynomial
 from repro.geometry import ConvexPolytope
 from repro.query import QueryGenerator
 
-from tests.helpers import enumerate_all_plans, pwl_plan_cost_at
+from tests.helpers import (constant_cost, enumerate_all_plans,
+                           pwl_plan_cost_at)
 
 
 class TestAlphaDominanceRegions:
@@ -53,14 +54,14 @@ class TestAlphaDominanceRegions:
 
     def test_negative_relax_rejected(self, solver):
         space = ConvexPolytope.unit_box(1)
-        c = MultiObjectivePWL.constant(space, {"m": 1.0})
+        c = constant_cost(space, {"m": 1.0})
         with pytest.raises(ValueError):
             c.dominance_polytopes(c, solver, relax=-0.1)
 
     def test_general_path_relaxation(self, solver):
         space = ConvexPolytope.unit_box(1)
-        c1 = MultiObjectivePWL.constant(space, {"m1": 1.2, "m2": 1.2})
-        c2 = MultiObjectivePWL.constant(space, {"m1": 1.0, "m2": 1.0})
+        c1 = constant_cost(space, {"m1": 1.2, "m2": 1.2})
+        c2 = constant_cost(space, {"m1": 1.0, "m2": 1.0})
         assert not c1.dominance_polytopes(c2, solver, relax=0.1)
         assert c1.dominance_polytopes(c2, solver, relax=0.25)
 

@@ -116,4 +116,4 @@ def test_concurrent_puts_and_loads_keep_the_cache_invariants():
     for sig, doc in puts:
         tightest[sig] = min(tightest.get(sig, 1.0), doc["alpha"])
     for sig, alpha in tightest.items():
-        assert cache.get_entry(sig)[1] == alpha
+        assert cache.load(sig).alpha == alpha

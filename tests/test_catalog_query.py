@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
-from repro.catalog import (Catalog, Column, Index, Table,
-                           base_cardinality_polynomial, join_selectivity)
+from repro.catalog import Catalog, Column, Index, Table
+from repro.core import subsets_in_size_order
 from repro.errors import CatalogError, QueryError
 from repro.query import (JoinGraph, JoinPredicate, ParametricPredicate,
                          Query, QueryGenerator)
@@ -33,15 +35,12 @@ class TestCatalog:
     def test_lookup(self):
         cat = small_catalog()
         assert cat.table("t0").cardinality == 1000
-        assert cat.table("t0").column("a").distinct_values == 100
+        columns = {c.name: c for c in cat.table("t0").columns}
+        assert columns["a"].distinct_values == 100
 
     def test_unknown_table(self):
         with pytest.raises(CatalogError):
             small_catalog().table("nope")
-
-    def test_unknown_column(self):
-        with pytest.raises(CatalogError):
-            small_catalog().table("t0").column("nope")
 
     def test_duplicate_table_rejected(self):
         cat = small_catalog()
@@ -63,16 +62,11 @@ class TestCatalog:
         with pytest.raises(CatalogError):
             Table("t", 5, (Column("c", 1), Column("c", 2)))
 
-    def test_join_selectivity(self):
-        cat = small_catalog()
-        sel = join_selectivity(cat, "t0", "a", "t1", "a")
-        assert sel == pytest.approx(1 / 200)
-
     def test_base_cardinality_polynomial(self):
-        cat = small_catalog()
-        const = base_cardinality_polynomial(cat, "t1", None, 1)
+        query = small_query()
+        const = query.base_cardinality("t1")
         assert const.evaluate([0.7]) == pytest.approx(5000)
-        param = base_cardinality_polynomial(cat, "t0", 0, 1)
+        param = query.base_cardinality("t0")
         assert param.evaluate([0.25]) == pytest.approx(250)
 
 
@@ -153,16 +147,23 @@ class TestJoinGraph:
                                         frozenset(("t2",)))
 
     def test_connected_subsets_chain(self):
-        g = small_query().join_graph
-        subsets = g.connected_subsets()
+        query = small_query()
+        g = query.join_graph
+        subsets = [frozenset(combo) for k in range(1, 4)
+                   for combo in combinations(query.tables, k)
+                   if g.is_connected(frozenset(combo))]
         # Chain t0-t1-t2: singletons (3) + {t0,t1},{t1,t2} + full set.
         assert len(subsets) == 6
+        # The optimizer's table sets are the ones of two or more tables.
+        assert set(subsets_in_size_order(query)) == {
+            s for s in subsets if len(s) > 1}
 
     def test_degree_histogram_star(self):
         gen = QueryGenerator(seed=2)
         q = gen.generate(num_tables=5, shape="star", num_params=1)
         g = q.join_graph
-        degrees = sorted(len(g.neighbors(t)) for t in q.tables)
+        degrees = sorted(sum(t in p.tables for p in g.predicates)
+                         for t in q.tables)
         assert degrees == [1, 1, 1, 1, 4]  # four spokes, one hub
 
     def test_predicate_outside_graph_rejected(self):

@@ -18,7 +18,7 @@ from repro import config
 
 class TestRegistry:
     def test_every_knob_is_repro_prefixed_and_documented(self):
-        for declared in config.declared():
+        for declared in config.KNOBS:
             assert declared.name.startswith("REPRO_")
             assert declared.doc.strip()
 

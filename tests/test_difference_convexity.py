@@ -54,7 +54,7 @@ class TestSubtractPolytope:
 
     def test_subtracting_universe(self, solver):
         base = ConvexPolytope.unit_box(2)
-        assert subtract_polytope(base, ConvexPolytope.universe(2),
+        assert subtract_polytope(base, ConvexPolytope(2),
                                  solver) == []
 
     def test_boundary_touching_cut_is_noop(self, solver):

@@ -35,7 +35,8 @@ class TestExtendedOperators:
                                             BLOCK_NESTED_LOOP_JOIN)
         # When both inputs carry the same parameter the degree doubles;
         # here only one side is parameterized, so multilinearity holds.
-        assert polys["time"].is_multilinear()
+        assert all(max(exps, default=0) <= 1
+                   for exps in polys["time"].monomials)
 
     def test_sort_merge_more_expensive_than_hash(self, query):
         from repro.plans import SINGLE_NODE_HASH_JOIN

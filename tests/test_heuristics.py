@@ -8,6 +8,7 @@ import pytest
 from repro.baselines import (GreedyJoinOrderer, heuristic_coverage)
 from repro.cloud import CloudCostModel
 from repro.core import PWLRRPA
+from repro.plans import JoinPlan, ScanPlan
 from repro.query import QueryGenerator
 
 
@@ -31,7 +32,10 @@ class TestGreedyJoinOrderer:
         assert greedy.plans
         for plan in greedy.plans:
             assert plan.tables == query.table_set
-            assert plan.is_left_deep()
+            # Left-deep: every right join input is a base-table scan.
+            assert all(not isinstance(node, JoinPlan)
+                       or isinstance(node.right, ScanPlan)
+                       for node in plan.nodes())
 
     def test_no_duplicate_plans(self, greedy):
         sigs = [p.signature() for p in greedy.plans]

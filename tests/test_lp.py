@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from repro import faults
 from repro.errors import SolverError
 from repro.faults import InjectedFault
 from repro.lp import (LinearProgramSolver, LPResultCache, LPStats,
-                      default_stats, solve_simplex)
+                      solve_simplex)
+from repro.lp.simplex import _to_standard_form
 
 
 class TestSimplexCore:
@@ -17,7 +20,7 @@ class TestSimplexCore:
         # min x0 + x1 s.t. x0 >= 1, x1 >= 2 (via -x <= -bound).
         res = solve_simplex([1.0, 1.0],
                             a_ub=[[-1, 0], [0, -1]], b_ub=[-1, -2])
-        assert res.is_optimal
+        assert res.status == "optimal"
         assert res.objective == pytest.approx(3.0)
         assert res.x == pytest.approx([1.0, 2.0])
 
@@ -34,18 +37,18 @@ class TestSimplexCore:
     def test_bounds_handled(self):
         res = solve_simplex([-1.0, -1.0], a_ub=[[1, 1]], b_ub=[10],
                             bounds=[(0, 4), (0, 3)])
-        assert res.is_optimal
+        assert res.status == "optimal"
         assert res.objective == pytest.approx(-7.0)
 
     def test_negative_lower_bounds(self):
         res = solve_simplex([1.0], bounds=[(-5, 5)])
-        assert res.is_optimal
+        assert res.status == "optimal"
         assert res.x[0] == pytest.approx(-5.0)
 
     def test_free_variables_via_split(self):
         # min x s.t. x >= -3 expressed through constraints (x free).
         res = solve_simplex([1.0], a_ub=[[-1]], b_ub=[3])
-        assert res.is_optimal
+        assert res.status == "optimal"
         assert res.x[0] == pytest.approx(-3.0)
 
     def test_degenerate_constraints(self):
@@ -53,7 +56,7 @@ class TestSimplexCore:
         res = solve_simplex([1.0, 0.0],
                             a_ub=[[-1, 0], [-1, 0], [0, 1], [0, 1]],
                             b_ub=[-1, -1, 5, 5])
-        assert res.is_optimal
+        assert res.status == "optimal"
         assert res.x[0] == pytest.approx(1.0)
 
 
@@ -157,9 +160,12 @@ class TestLinearProgramSolver:
         with pytest.raises(ValueError):
             LinearProgramSolver(backend="cplex")
 
-    def test_default_stats_shared(self):
-        s = LinearProgramSolver()
-        assert s.stats is default_stats()
+    def test_solvers_without_stats_count_apart(self):
+        first, second = LinearProgramSolver(), LinearProgramSolver()
+        assert first.stats is not second.stats
+        first.solve(np.zeros(2), [[1.0, 0.0]], [1.0])
+        assert first.stats.solved == 1
+        assert second.stats.solved == 0
 
     def test_inconsistent_shapes_raise(self):
         s = LinearProgramSolver(backend="scipy")
@@ -228,7 +234,7 @@ class TestOneRequestPath:
             solver = LinearProgramSolver(stats=LPStats(),
                                          cache=LPResultCache(maxsize=1))
             solver.solve(*x)
-            solver.stats.reset()
+            solver.stats = LPStats()
             if batched:
                 solver.solve_many([x, y, x])
             else:
@@ -249,11 +255,6 @@ class TestOneRequestPath:
 
 
 class TestLPStats:
-    def test_lowdim_deferred_reset(self):
-        a = LPStats(lowdim_deferred=5)
-        a.reset()
-        assert a.lowdim_deferred == 0
-
     def test_record_counts(self):
         s = LPStats()
         s.record(purpose="p1")
@@ -264,12 +265,27 @@ class TestLPStats:
         assert s.feasibility_checks == 1
         assert s.by_purpose() == {"p1": 2, "p2": 1}
 
-    def test_reset(self):
-        s = LPStats()
-        s.record()
-        s.reset()
-        assert s.solved == 0
-        assert s.by_purpose() == {}
+
+class TestStandardForm:
+    """The simplex's all-free fast path against the generic loop it
+    vectorizes (same columns, same arithmetic, identical bits)."""
+
+    def test_free_fast_path_matches_generic_loop(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3):
+            c = rng.normal(size=n)
+            a = rng.normal(size=(4, n))
+            a[0, 0] = 0.0  # the sign of a negated zero
+            b = rng.normal(size=4)
+            fast = _to_standard_form(c, a, b, [(None, None)] * n)
+            # Infinite bounds leave the variables free but take the loop.
+            generic = _to_standard_form(c, a, b,
+                                        [(-math.inf, math.inf)] * n)
+            for got, want in zip(fast[:3], generic[:3]):
+                assert got.tobytes() == want.tobytes()
+            assert fast[4] == generic[4]
+            x_std = rng.normal(size=2 * n)
+            assert fast[3](x_std).tobytes() == generic[3](x_std).tobytes()
 
 
 class TestKnownDefects:
@@ -342,7 +358,7 @@ class TestKnownDefects:
     @pytest.mark.xfail(strict=True, reason="the simplex reports a false "
                        "'unbounded' for a zero objective")
     def test_false_unbounded_zero_objective(self):
-        assert solve_simplex([0.0, 0.0], self.A0, self.B0).is_optimal
+        assert solve_simplex([0.0, 0.0], self.A0, self.B0).status == "optimal"
 
     @pytest.mark.xfail(strict=True, reason="the simplex reports a false "
                        "'unbounded' on a split free-variable ray")

@@ -79,13 +79,6 @@ class TestLPResultCache:
             solver.solve(np.zeros(2), a, b)
         assert len(cache) == 2
 
-    def test_cache_hits_reset(self):
-        stats = LPStats()
-        stats.record_cache_hit()
-        assert stats.cache_hits == 1
-        stats.reset()
-        assert stats.cache_hits == 0
-
 
 class TestInstalledMemo:
     def test_installation_is_per_thread(self):

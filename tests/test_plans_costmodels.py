@@ -10,7 +10,7 @@ from repro.cloud import CloudCostModel, ClusterSpec, PricingModel
 from repro.errors import PlanError
 from repro.plans import (FULL_SCAN, INDEX_SEEK, PARALLEL_HASH_JOIN,
                          SAMPLED_SCAN_10, SINGLE_NODE_HASH_JOIN,
-                         ScanPlan, combine, one_line, render_plan)
+                         JoinPlan, ScanPlan, combine, one_line, render_plan)
 from repro.query import QueryGenerator
 
 
@@ -18,6 +18,13 @@ from repro.query import QueryGenerator
 def query():
     return QueryGenerator(seed=9).generate(num_tables=3, shape="chain",
                                            num_params=1)
+
+
+def height(plan) -> int:
+    """Height of a plan tree (1 for a bare scan)."""
+    if isinstance(plan, JoinPlan):
+        return 1 + max(height(plan.left), height(plan.right))
+    return 1
 
 
 def scan(table, op=FULL_SCAN):
@@ -30,24 +37,12 @@ class TestPlanTrees:
                                         SINGLE_NODE_HASH_JOIN),
                     PARALLEL_HASH_JOIN)
         assert p.tables == frozenset(("t0", "t1", "t2"))
-        assert p.num_joins == 2
-        assert p.depth == 3
+        assert sum(isinstance(node, JoinPlan) for node in p.nodes()) == 2
+        assert height(p) == 3
 
     def test_overlap_rejected(self):
         with pytest.raises(PlanError):
             combine(scan("t0"), scan("t0"), SINGLE_NODE_HASH_JOIN)
-
-    def test_left_deep_detection(self):
-        left_deep = combine(combine(scan("a"), scan("b"),
-                                    SINGLE_NODE_HASH_JOIN), scan("c"),
-                            SINGLE_NODE_HASH_JOIN)
-        bushy = combine(combine(scan("a"), scan("b"),
-                                SINGLE_NODE_HASH_JOIN),
-                        combine(scan("c"), scan("d"),
-                                SINGLE_NODE_HASH_JOIN),
-                        SINGLE_NODE_HASH_JOIN)
-        assert left_deep.is_left_deep()
-        assert not bushy.is_left_deep()
 
     def test_signature_distinguishes_operators(self):
         a = combine(scan("a"), scan("b"), SINGLE_NODE_HASH_JOIN)

@@ -5,45 +5,52 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.serialize import _decode_polytope
 from repro.errors import DimensionMismatchError, EmptyRegionError
-from repro.geometry import ConvexPolytope, LinearConstraint
+from repro.geometry import ConvexPolytope, subtract_polytope
+from repro.geometry.constraints import normalize_rows
 
 
 class TestLinearConstraint:
+    """A linear constraint ``a @ x <= b``: one normalized row of a
+    polytope."""
+
     def test_normalization(self):
-        c = LinearConstraint.make([2.0, 0.0], 4.0)
-        assert c.a == pytest.approx([1.0, 0.0])
-        assert c.b == pytest.approx(2.0)
+        a, b = normalize_rows([[2.0, 0.0]], [4.0])
+        assert a[0] == pytest.approx([1.0, 0.0])
+        assert b[0] == pytest.approx(2.0)
 
     def test_contains_and_slack(self):
-        c = LinearConstraint.make([1.0], 1.0)
-        assert c.contains([0.5])
-        assert not c.contains([1.5])
-        assert c.slack([0.25]) == pytest.approx(0.75)
+        c = ConvexPolytope(1).with_halfspace([1.0], 1.0)
+        assert c.contains_point([0.5])
+        assert not c.contains_point([1.5])
+        # The slack at 0.25 is 0.75.
+        assert c.contains_point([0.25], tol=-0.74)
+        assert not c.contains_point([0.25], tol=-0.76)
 
-    def test_negation_shares_boundary(self):
-        c = LinearConstraint.make([1.0, 1.0], 1.0)
-        n = c.negation()
+    def test_negation_shares_boundary(self, solver):
+        c = ConvexPolytope(2).with_halfspace([1.0, 1.0], 1.0)
+        [negation] = subtract_polytope(ConvexPolytope(2), c, solver)
         boundary = np.array([0.5, 0.5])
-        assert c.contains(boundary)
-        assert n.contains(boundary)
-        assert not n.contains([0.0, 0.0])
+        assert c.contains_point(boundary)
+        assert negation.contains_point(boundary)
+        assert not negation.contains_point([0.0, 0.0])
 
     def test_same_halfspace(self):
-        c1 = LinearConstraint.make([2.0, 0.0], 2.0)
-        c2 = LinearConstraint.make([4.0, 0.0], 4.0)
-        c3 = LinearConstraint.make([1.0, 0.0], 0.9)
-        assert c1.same_halfspace(c2)
-        assert not c1.same_halfspace(c3)
+        c1 = ConvexPolytope(2).with_halfspace([2.0, 0.0], 2.0)
+        assert c1.with_halfspace([4.0, 0.0], 4.0).num_constraints == 1
+        assert c1.with_halfspace([1.0, 0.0], 0.9).num_constraints == 2
 
     def test_trivial_detection(self):
-        assert LinearConstraint.make([0.0], 1.0).is_trivial()
-        assert LinearConstraint.make([0.0], -1.0).is_infeasible_trivial()
+        assert ConvexPolytope(1).with_halfspace([0.0], 1.0).num_constraints \
+            == 0
+        assert ConvexPolytope(1).with_halfspace(
+            [0.0], -1.0).has_trivially_infeasible()
 
     def test_dimension_mismatch(self):
-        c = LinearConstraint.make([1.0, 0.0], 1.0)
+        c = ConvexPolytope(2).with_halfspace([1.0, 0.0], 1.0)
         with pytest.raises(DimensionMismatchError):
-            c.contains([1.0])
+            c.contains_point([1.0])
 
 
 class TestPolytopeBasics:
@@ -72,61 +79,63 @@ class TestPolytopeBasics:
         assert lp_stats.solved == first
 
     def test_universe(self, solver):
-        u = ConvexPolytope.universe(3)
+        u = ConvexPolytope(3)
         assert not u.is_empty(solver)
         assert u.contains_point([100.0, -5.0, 3.0])
 
     def test_duplicate_constraints_deduped(self):
-        c = LinearConstraint.make([1.0], 1.0)
-        p = ConvexPolytope(1, [c, c, c])
+        p = ConvexPolytope.from_arrays([[1.0]] * 3, [1.0] * 3)
         assert p.num_constraints == 1
 
     def test_dimension_mismatch(self):
-        c = LinearConstraint.make([1.0, 0.0], 1.0)
         with pytest.raises(DimensionMismatchError):
-            ConvexPolytope(1, [c])
+            ConvexPolytope(1).with_halfspace([1.0, 0.0], 1.0)
+
+
+def decoded(dim: int, *rows: tuple) -> ConvexPolytope:
+    """A stored polytope document with ``(a, b)`` rows, decoded."""
+    return _decode_polytope({"dim": dim, "constraints": [
+        {"a": list(a), "b": b} for a, b in rows]})
 
 
 class TestOtherWidthZeroRows:
-    """A zero-coefficient row of another width is a zero row of width dim."""
+    """In a stored document, a zero-coefficient row of another width is
+    a zero row of width dim."""
 
     def test_infeasible_row_stored_at_polytope_width(self, solver):
-        p = ConvexPolytope(2, [LinearConstraint.make([0.0, 0.0, 0.0], -1.0)])
-        assert p._a.shape == (1, 2)
+        p = decoded(2, ([0.0, 0.0, 0.0], -1.0))
+        assert p.num_constraints == 1
         assert p.has_trivially_infeasible()
         assert not p.contains_point([0.5, 0.5])
         assert p.is_empty(solver)
 
     def test_ordinary_row_can_join(self, solver):
-        infeasible = LinearConstraint.make([0.0, 0.0, 0.0], -1.0)
-        ordinary = LinearConstraint.make([1.0, 0.0], 1.0)
-        p = ConvexPolytope(2, [infeasible, ordinary])
-        assert p._a.shape == (2, 2)
-        q = ConvexPolytope.unit_box(2).with_constraint(infeasible)
+        infeasible = decoded(2, ([0.0, 0.0, 0.0], -1.0))
+        p = decoded(2, ([0.0, 0.0, 0.0], -1.0), ([1.0, 0.0], 1.0))
+        assert p.num_constraints == 2
+        q = ConvexPolytope.unit_box(2).intersect(infeasible)
         assert q.num_constraints == 5
         assert q.has_trivially_infeasible()
         assert q.is_empty(solver)
-        assert ConvexPolytope(2, [infeasible]).with_constraint(
-            ordinary).num_constraints == 2
+        assert infeasible.with_halfspace([1.0, 0.0],
+                                         1.0).num_constraints == 2
 
     def test_zero_width_rows_mix_with_ordinary_rows(self):
-        p = ConvexPolytope(2, [LinearConstraint.make([], -1.0),
-                               LinearConstraint.make([0.0, 1.0], 1.0)])
-        assert p._a.shape == (2, 2)
+        p = decoded(2, ([], -1.0), ([0.0, 1.0], 1.0))
+        assert p.num_constraints == 2
         assert p.has_trivially_infeasible()
 
     def test_trivially_satisfied_row_of_other_width_is_dropped(self):
-        p = ConvexPolytope(2, [LinearConstraint.make([0.0, 0.0, 0.0], 1.0)])
+        p = decoded(2, ([0.0, 0.0, 0.0], 1.0))
         assert p.num_constraints == 0
 
     def test_nonzero_row_of_other_width_still_raises(self):
         with pytest.raises(DimensionMismatchError):
-            ConvexPolytope(2, [LinearConstraint.make([0.0, 0.0, 1.0], 1.0)])
+            decoded(2, ([0.0, 0.0, 1.0], 1.0))
         with pytest.raises(DimensionMismatchError):
             ConvexPolytope.unit_box(2).with_halfspace([1.0, 0.0, 1.0], 1.0)
 
     def test_decoded_document_with_such_a_row(self, solver):
-        from repro.core.serialize import _decode_polytope
         p = _decode_polytope({"dim": 2, "constraints": [
             {"a": [], "b": -1.0}, {"a": [1.0, 0.0], "b": 1.0}]})
         assert p._a.shape == (2, 2)
@@ -151,28 +160,12 @@ class TestRowArrays:
 
     def test_polytopes_share_unchanged_rows(self):
         box = ConvexPolytope.unit_box(2)
-        same = box.with_constraint(box.constraints[0])
+        # x0 <= 1 is the box's first row.
+        same = box.with_halfspace([1.0, 0.0], 1.0)
         assert same._lhs is box._lhs
         assert same._rhs is box._rhs
         assert same.num_constraints == box.num_constraints
 
-    def test_with_halfspace_matches_with_constraint(self):
-        box = ConvexPolytope.unit_box(2)
-        for a, b in (([0.3, -0.7], 0.2), ([0.0, 0.0], -1.0),
-                     ([0.0, 0.0], 1.0), ([2.0, 2.0], 2.0)):
-            left = box.with_halfspace(a, b)
-            right = box.with_constraint(LinearConstraint.make(a, b))
-            assert left._a.tobytes() == right._a.tobytes()
-            assert left._b.tobytes() == right._b.tobytes()
-            assert left._keys == right._keys
-            assert (left.has_trivially_infeasible()
-                    == right.has_trivially_infeasible())
-
-    def test_constraints_derived_from_rows(self):
-        p = ConvexPolytope.from_arrays([[3.0, 4.0], [0.0, -2.0]], [5.0, 1.0])
-        assert [c.key() for c in p.constraints] == list(p._keys)
-        assert p.constraints[0].a.tolist() == [0.6, 0.8]
-        assert p.constraints[1].b == 0.5
 
 
 class TestChebyshev:
@@ -198,14 +191,11 @@ class TestChebyshev:
         assert radius == np.inf
 
     def test_interior_point_inside(self, solver):
+        # The Chebyshev center is an interior point.
         p = ConvexPolytope.box([0.2, 0.4], [0.6, 0.9])
-        x = p.interior_point(solver)
-        assert p.contains_point(x)
-
-    def test_interior_point_of_empty_raises(self, solver):
-        p = ConvexPolytope.from_arrays([[1.0], [-1.0]], [-1.0, -1.0])
-        with pytest.raises(EmptyRegionError):
-            p.interior_point(solver)
+        x, radius = p.chebyshev(solver)
+        assert radius > 0
+        assert p.contains_point(x, tol=-radius / 2)
 
 
 class TestSetOperations:
@@ -234,7 +224,7 @@ class TestSetOperations:
 
     def test_remove_redundant(self, solver):
         box = ConvexPolytope.unit_box(1)
-        loose = box.with_constraint(LinearConstraint.make([1.0], 5.0))
+        loose = box.with_halfspace([1.0], 5.0)
         assert loose.num_constraints == 3
         cleaned = loose.remove_redundant(solver)
         assert cleaned.num_constraints == 2
@@ -245,7 +235,7 @@ class TestSetOperations:
     def test_cell_tag_propagation(self):
         box = ConvexPolytope.unit_box(2)
         box.cell_tag = ("cell", 7)
-        child = box.with_constraint(LinearConstraint.make([1.0, 0.0], 0.5))
+        child = box.with_halfspace([1.0, 0.0], 0.5)
         assert child.cell_tag == ("cell", 7)
         other = ConvexPolytope.unit_box(2)
         assert box.intersect(other).cell_tag == ("cell", 7)
@@ -263,14 +253,4 @@ class TestGeometryHelpers:
         empty = ConvexPolytope.from_arrays([[1.0], [-1.0]], [-1.0, -1.0])
         with pytest.raises(EmptyRegionError):
             empty.bounding_box(solver)
-
-    def test_vertices_of_square(self, solver):
-        p = ConvexPolytope.unit_box(2)
-        verts = sorted(tuple(np.round(v, 6)) for v in p.vertices(solver))
-        assert verts == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
-
-    def test_vertices_of_triangle(self, solver):
-        p = ConvexPolytope.from_arrays(
-            [[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, 1.0])
-        assert len(p.vertices(solver)) == 3
 

@@ -7,7 +7,9 @@ import pytest
 
 from repro.errors import DimensionMismatchError
 from repro.geometry import (ConvexPolytope, RelevanceRegion,
-                            default_relevance_points)
+                            default_relevance_points, subtract_polytopes)
+
+from tests.helpers import interior_witness
 
 
 def unit_region(solver, with_points=False, dim=1):
@@ -38,7 +40,7 @@ class TestBasicLifecycle:
 
     def test_universe_cut_empties_immediately(self, solver):
         rr = unit_region(solver)
-        rr.subtract(ConvexPolytope.universe(1))
+        rr.subtract(ConvexPolytope(1))
         assert rr.is_empty(solver)
 
     def test_duplicate_cutout_skipped(self, solver):
@@ -131,14 +133,16 @@ class TestMaintenance:
     def test_witness_inside_region(self, solver):
         rr = unit_region(solver)
         rr.subtract(ConvexPolytope.box([0.0], [0.6]))
-        w = rr.witness(solver)
+        assert not rr.is_empty(solver)
+        w = interior_witness(rr, solver)
         assert w is not None
         assert rr.contains_point(w)
 
     def test_witness_none_when_empty(self, solver):
         rr = unit_region(solver)
         rr.subtract(ConvexPolytope.box([0.0], [1.0]))
-        assert rr.witness(solver) is None
+        assert rr.is_empty(solver)
+        assert interior_witness(rr, solver) is None
 
     def test_sliver_answers_with_the_one_interior_tolerance(self, solver):
         # [0.98, 1] has Chebyshev radius 0.01, far above INTERIOR_EPS.
@@ -148,7 +152,7 @@ class TestMaintenance:
         rr = unit_region(solver)
         rr.subtract(ConvexPolytope.box([0.0], [0.98]))
         assert not rr.is_empty(solver)
-        w = rr.witness(solver)
+        w = interior_witness(rr, solver)
         assert w is not None and 0.98 <= w[0] <= 1.0
         with pytest.raises(TypeError):
             rr.is_empty(solver, interior_eps=0.05)
@@ -164,18 +168,11 @@ class TestMaintenance:
         assert not rr.contains_point([0.3])
         assert rr.contains_point([0.8])
 
-    def test_copy_is_independent(self, solver):
-        rr = unit_region(solver, with_points=True)
-        rr.subtract(ConvexPolytope.box([0.0], [0.3]))
-        clone = rr.copy()
-        clone.subtract(ConvexPolytope.box([0.3], [1.0]))
-        assert clone.is_empty(solver)
-        assert not rr.is_empty(solver)
-
     def test_to_polytopes_covers_region(self, solver):
         rr = unit_region(solver)
         rr.subtract(ConvexPolytope.box([0.4], [0.6]))
-        pieces = rr.to_polytopes(solver)
+        # The region as convex pieces: its space minus its cutouts.
+        pieces = subtract_polytopes(rr.space, rr.cutouts, solver)
         assert len(pieces) == 2
         for x in np.linspace(0, 1, 21):
             expected = rr.contains_point([x])

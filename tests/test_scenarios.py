@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.approx import ApproxCostModel
-from repro.bench import (QUICK, SweepPoint, format_table, figure12_report,
-                         queries_for_point, run_point,
-                         run_query_measurement, sweep_points)
+from repro.bench import (QUICK, SweepPoint, SweepProfile, format_table,
+                         figure12_report, queries_for_point, run_point,
+                         run_query_measurement, run_sweep, sweep_points)
 from repro.core import PWLRRPA, PlanSelector
 from repro.cost import MultiObjectivePWL, PiecewiseLinearFunction
 from repro.geometry import ConvexPolytope
@@ -88,6 +88,14 @@ class TestBenchHarness:
         agg = run_point(point, queries_per_point=2)
         assert agg.samples == 2
         assert agg.median_plans > 0
+
+    def test_sweep_runs_one_point_per_profile_entry(self):
+        profile = SweepProfile(name="tiny", table_counts_1p=(2, 3),
+                               table_counts_2p=(2,), queries_per_point=1)
+        points = run_sweep(profile, "star")
+        assert [(p.point.num_tables, p.point.num_params) for p in points] \
+            == [(2, 1), (3, 1), (2, 2)]
+        assert all(p.samples == 1 for p in points)
 
     def test_reporting_renders(self):
         point = SweepPoint(num_tables=2, shape="chain", num_params=1)

@@ -24,9 +24,10 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro import faults
-from repro.api import OptimizerSession, PlanSetStore, WarmStartCache
+from repro.api import (OptimizerSession, PlanSetStore, WarmStartCache,
+                       optimize_query)
 from repro.core import (Budget, decode_plan_set, encode_plan_set,
-                        guarantee_bound)
+                        encode_result, guarantee_bound)
 from repro.query import QueryGenerator
 from repro.serve import (AdmissionController, GatewayClient,
                          GatewayConfig, ProtocolError, ServingGateway,
@@ -79,12 +80,14 @@ class TestProtocol:
         assert request.precision == 0.2
         assert request.budget["lps"] == 100
         assert request.deadline_seconds == 2.0
-        assert request.stream and request.anytime
+        assert request.stream
 
     def test_defaults(self):
         request = parse_optimize_request(request_body(make_query()))
         assert request.tenant == "default"
-        assert not request.stream and not request.anytime
+        assert not request.stream
+        assert (request.precision, request.budget,
+                request.deadline_seconds) == (None, None, None)
 
     @pytest.mark.parametrize("body", [
         b"not json",
@@ -110,6 +113,28 @@ class TestProtocol:
     def test_invalid_fields_raise(self, fields):
         with pytest.raises(ProtocolError):
             parse_optimize_request(request_body(make_query(), **fields))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf"), "nan", "inf"])
+    @pytest.mark.parametrize("field", ["precision", "deadline_seconds",
+                                       "budget.seconds"])
+    def test_non_finite_numbers_raise(self, field, value):
+        """``json.loads`` reads ``NaN``/``Infinity`` (which ``json.dumps``
+        writes for these floats) and ``float`` the strings; none is a
+        precision or a time limit."""
+        fields = ({"budget": {"seconds": value}} if field == "budget.seconds"
+                  else {field: value})
+        body = request_body(make_query(), **fields)
+        if isinstance(value, float):
+            assert b"NaN" in body or b"Infinity" in body
+        with pytest.raises(ProtocolError, match="finite"):
+            parse_optimize_request(body)
+
+    @pytest.mark.parametrize("key", ["lps", "steps"])
+    def test_infinite_budget_counts_raise(self, key):
+        with pytest.raises(ProtocolError, match="integer"):
+            parse_optimize_request(request_body(
+                make_query(), budget={key: float("inf")}))
 
 
 # ----------------------------------------------------------------------
@@ -203,10 +228,30 @@ def client(gateway):
     return GatewayClient(gateway.host, gateway.port, timeout=120.0)
 
 
+def healthz(client: GatewayClient) -> dict:
+    """``GET /healthz`` on the client's gateway."""
+    connection = http.client.HTTPConnection(client.host, client.port,
+                                            timeout=client.timeout)
+    try:
+        connection.request("GET", "/healthz")
+        return json.loads(connection.getresponse().read())
+    finally:
+        connection.close()
+
+
 class TestGatewayEndToEnd:
     def test_health(self, client):
-        doc = client.health()
+        doc = healthz(client)
         assert doc["status"] == "ok" and doc["shards"] == 2
+
+    @pytest.mark.parametrize("fields", [
+        {"precision": float("nan")}, {"precision": "inf"},
+        {"deadline_seconds": float("nan")},
+        {"budget": {"seconds": float("inf")}}])
+    def test_non_finite_anytime_fields_are_a_400(self, gateway, fields):
+        status, body = raw_optimize(gateway, make_query(seed=45), **fields)
+        assert status == 400
+        assert "finite" in json.loads(body)["error"]
 
     def test_served_plan_set_bit_identical_to_direct(self, client):
         query = make_query(seed=11)
@@ -298,6 +343,21 @@ class TestGatewayEndToEnd:
             assert metrics["tenants"]["greedy"]["rejected_rate"] == 2
             assert metrics["tenants"]["patient"]["rejected_rate"] == 0
 
+    def test_retrying_client_waits_out_a_429(self):
+        with launch(GatewayConfig(shards=1, tenant_rate=0.5,
+                                  tenant_burst=1)) as strict:
+            client = GatewayClient(strict.host, strict.port, timeout=120.0,
+                                   retries=1, backoff_base=0.01)
+            query = make_query(seed=16)
+            assert client.optimize(query, tenant="burst").status_code \
+                == 200
+            # The bucket is empty: the next request is refused, waits
+            # out the Retry-After (under 2 s) and is admitted on retry.
+            assert client.optimize(query, tenant="burst").status_code \
+                == 200
+            metrics = client.metrics()
+        assert metrics["tenants"]["burst"]["rejected_rate"] == 1
+
     @pytest.mark.parametrize("method,path,body,expected", [
         ("POST", "/v1/optimize", b"not json", 400),
         ("POST", "/v1/optimize", b'{"tenant": "x"}', 400),
@@ -333,15 +393,16 @@ class TestCachedHitBytes:
     def test_two_parameter_hit_sends_the_canonical_encoding(self):
         """A warm hit answers from the cache's one decode of the stored
         document: same bytes as the first answer and as
-        ``encode_plan_set(decode_plan_set(stored_doc))``, on the session
-        and on the wire."""
+        ``encode_plan_set(decode_plan_set(doc))`` of the document a
+        session-free optimization encodes, on the session and on the
+        wire."""
         query = QueryGenerator(seed=71).generate(3, "chain", 2)
         with OptimizerSession("cloud", resolution=1) as session:
             first = session.optimize(query)
             second = session.optimize(query)
-            stored_doc = session.cache.get(first.signature)
         assert (first.status, second.status) == ("ok", "cached")
-        canonical = encode_plan_set(decode_plan_set(stored_doc))
+        doc = encode_result(optimize_query(query, "cloud", resolution=1))
+        canonical = encode_plan_set(decode_plan_set(doc))
         assert encode_plan_set(first.plan_set) == canonical
         assert encode_plan_set(second.plan_set) == canonical
         wire = json.dumps(canonical, sort_keys=True)
@@ -640,7 +701,7 @@ class TestGracefulDrain:
             # ...and new work is refused with 503.
             rejected = client.optimize(query, tenant="drainer")
             assert rejected.status_code == 503
-            assert client.health()["status"] == "draining"
+            assert healthz(client)["status"] == "draining"
             metrics = client.metrics()
             assert metrics["tenants"]["drainer"]["rejected_draining"] \
                 == 1

@@ -190,8 +190,8 @@ class TestWarmStartCache:
         for i in range(4):
             cache.put(f"sig{i}", {"version": 1, "entries": []})
         assert len(cache) == 2
-        assert cache.get("sig0") is None
-        assert cache.get("sig3") is not None
+        assert cache.load("sig0") is None
+        assert cache.load("sig3") is not None
 
     def test_undecodable_memory_entry_reoptimizes(self):
         queries = make_queries(1)
@@ -253,7 +253,7 @@ class TestWarmStartCache:
         cache.put("sig", coarse, alpha=0.5,
                   plan_set=decode_plan_set(coarse))
         assert cache.load("sig") is plan_set
-        assert cache.get_entry("sig") == (exact, 0.0)
+        assert cache.load("sig").alpha == 0.0
         assert decodes == []
         assert (cache.hits, cache.misses) == (3, 0)
 

@@ -217,9 +217,9 @@ class TestOptimizeIter:
                     break
             assert event.alpha == 0.5
             assert len(cache) == 1
-            assert cache.get_entry(signature)[1] == 0.5
+            assert cache.load(signature).alpha == 0.5
             assert [e.kind for e in iterator][-1] == "rung_completed"
-            assert cache.get_entry(signature)[1] == 0.0
+            assert cache.load(signature).alpha == 0.0
             assert session.pool_spawns == 0
 
     def test_memo_not_installed_between_yields(self):
@@ -262,9 +262,9 @@ class TestOptimizeIter:
             # exact rung finished.
             signature = session._signature(
                 query, "cloud", options=session._anytime_options(0.0))
-            entry = cache.get_entry(signature)
+            entry = cache.load(signature)
         assert entry is not None
-        assert entry[1] == 0.5
+        assert entry.alpha == 0.5
 
     def test_budget_spans_whole_ladder(self):
         query = make_query(seed=13)
@@ -399,16 +399,17 @@ class TestWarmStartAlphaTags:
         coarse_doc = {"version": 1, "alpha": 0.5, "entries": []}
         cache.put("sig", exact_doc, alpha=0.0)
         cache.put("sig", coarse_doc, alpha=0.5)
-        assert cache.get_entry("sig") == (exact_doc, 0.0)
+        assert cache.load("sig").alpha == 0.0
 
     def test_get_honors_max_alpha(self):
         cache = WarmStartCache()
         doc = {"version": 1, "entries": []}
         cache.put("sig", doc, alpha=0.2)
-        assert cache.get("sig") == doc  # permissive default
-        assert cache.get("sig", max_alpha=0.5) == doc
-        assert cache.get("sig", max_alpha=0.1) is None
-        assert cache.get("sig", max_alpha=0.2) == doc
+        plan_set = cache.load("sig")  # permissive default
+        assert plan_set is not None
+        assert cache.load("sig", max_alpha=0.5) is plan_set
+        assert cache.load("sig", max_alpha=0.1) is None
+        assert cache.load("sig", max_alpha=0.2) is plan_set
 
     def test_shared_store_keeps_the_tighter_entry(self):
         """Two caches share one store: a coarse put from the second
@@ -425,8 +426,8 @@ class TestWarmStartAlphaTags:
             second = WarmStartCache(store=store)
             second.put("sig", doc_coarse, alpha=0.5)
             assert store.get("sig") == doc_exact
-            assert first.get_entry("sig") == (doc_exact, 0.0)
-            assert second.get("sig", max_alpha=0.0) == doc_exact
+            assert first.load("sig").alpha == 0.0
+            assert second.load("sig", max_alpha=0.0).alpha == 0.0
             # A coarse entry already decoded in memory is no answer to
             # an exact load: the tighter stored document is decoded.
             late = WarmStartCache(store=store)

@@ -318,8 +318,8 @@ class TestGatewaySharedStore:
                 item = session0.optimize(base, precision=0.0,
                                          budget=Budget(seconds=1e9))
                 assert item.status == "ok"
-                hit = session1.cache.get_entry(item.signature)
-                assert hit is not None and hit[1] == 0.0
+                hit = session1.cache.load(item.signature)
+                assert hit is not None and hit.alpha == 0.0
                 # ... and seeds shard 1's near-miss runs.
                 warm = session1.optimize(drifted, precision=0.0,
                                          budget=Budget(seconds=1e9))

@@ -16,11 +16,15 @@ import numpy as np
 import pytest
 
 from repro.api import optimize_query
+from repro.cloud import CloudCostModel
+from repro.core import PWLBackend
 from repro.core.serialize import _encode_polytope
-from repro.cost import MultiObjectivePWL, batch_dominance_aligned
+from repro.cost import (LinearPiece, MultiObjectivePWL, PiecewiseLinearFunction,
+                        batch_dominance_aligned)
 from repro.cost.vector import _shared_pieces
 from repro.geometry import GEOMETRY_EPS, ConvexPolytope
 from repro.lp import LinearProgramSolver, LPStats
+from repro.plans import ScanPlan
 from repro.query import QueryGenerator
 
 
@@ -72,6 +76,24 @@ class TestBatchMatchesScalar:
         for cost, polys in zip(many, batch):
             scalar = cost.dominance_polytopes(one, solver, relax=0.15)
             assert _polys_key(polys) == _polys_key(scalar)
+
+    def test_backend_batch_equals_pairwise(self):
+        """``PWLBackend``'s batch overrides return what its pairwise
+        ``dominance`` does (the ``RRPABackend`` contract), on aligned
+        batches and on an unaligned one, which falls back to it."""
+        query = QueryGenerator(seed=0).generate(3, "chain", 1)
+        backend = PWLBackend(CloudCostModel(query, resolution=2))
+        costs = [backend.scan_cost(ScanPlan(table=table, operator=op))
+                 for table in query.tables
+                 for op in backend.scan_operators(table)]
+        one, many = costs[0], costs[1:]
+        unaligned = _aligned_costs(0, num_tables=2)[:1]
+        for batch in (many, unaligned):
+            assert ([_polys_key(p) for p in backend.dominance_many(batch, one)]
+                    == [_polys_key(backend.dominance(c, one)) for c in batch])
+            assert ([_polys_key(p)
+                     for p in backend.dominance_many_rev(one, batch)]
+                    == [_polys_key(backend.dominance(one, c)) for c in batch])
 
     def test_empty_batch(self):
         costs = _aligned_costs(0)
@@ -162,8 +184,11 @@ def _with_metrics(cost: MultiObjectivePWL, shifts: dict | None = None,
     partition is kept."""
     shifts, scales = shifts or {}, scales or {}
     return MultiObjectivePWL({
-        name: f.scale(scales.get(name, 1.0)).add_constant(
-            shifts.get(name, 0.0))
+        name: PiecewiseLinearFunction(f.dim, [
+            LinearPiece(region=p.region,
+                        w=np.asarray(p.w) * scales.get(name, 1.0),
+                        b=p.b * scales.get(name, 1.0) + shifts.get(name, 0.0))
+            for p in f.pieces], f.partition_token)
         for name, f in cost.components.items()})
 
 

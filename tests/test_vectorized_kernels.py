@@ -8,8 +8,8 @@ independent reference:
   of the single-base :func:`repro.geometry.subtract_polytope`, per call and
   over whole optimizations under both built-in scenarios;
 * the unaligned PWL operations (general ``Dom``, ``add``, ``maximum`` /
-  ``minimum`` and ``bounds_on``, the paper's per-piece-pair loops) against
-  pointwise evaluation at seeded sample points;
+  ``minimum``, the paper's per-piece-pair loops) against pointwise
+  evaluation at seeded sample points;
 * ``solve_many`` against a loop of ``solve``.
 """
 
@@ -24,10 +24,9 @@ import repro.geometry.difference as difference_module
 import repro.geometry.region as region_module
 from repro.core import PWLRRPAOptions, encode_result
 from repro.core.serialize import _encode_polytope
-from repro.cost import MultiObjectivePWL, PiecewiseLinearFunction
-from repro.errors import EmptyRegionError
-from repro.geometry import (ConvexPolytope, LinearConstraint,
-                            subtract_polytope, subtract_polytope_many)
+from repro.cost import LinearPiece, MultiObjectivePWL, PiecewiseLinearFunction
+from repro.geometry import (ConvexPolytope, subtract_polytope,
+                            subtract_polytope_many)
 from repro.lp import LinearProgramSolver, LPStats
 from repro.query import QueryGenerator
 from repro.service.registry import get_scenario
@@ -48,13 +47,14 @@ def _random_unaligned_pwl(rng, space: ConvexPolytope, pieces: int
     bounds = [0.0] + list(cuts) + [1.0]
     regions = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        region = space.with_constraint(
-            LinearConstraint.make([1.0] + [0.0] * (space.dim - 1), hi))
-        regions.append(region.with_constraint(
-            LinearConstraint.make([-1.0] + [0.0] * (space.dim - 1), -lo)))
-    return PiecewiseLinearFunction.from_values_on_partition(
-        regions, [rng.uniform(-1, 1, space.dim) for __ in regions],
-        [float(b) for b in rng.uniform(0, 3, len(regions))])
+        region = space.with_halfspace([1.0] + [0.0] * (space.dim - 1), hi)
+        regions.append(region.with_halfspace(
+            [-1.0] + [0.0] * (space.dim - 1), -lo))
+    weights = [rng.uniform(-1, 1, space.dim) for __ in regions]
+    bases = [float(b) for b in rng.uniform(0, 3, len(regions))]
+    return PiecewiseLinearFunction(space.dim, [
+        LinearPiece(region=r, w=w, b=b)
+        for r, w, b in zip(regions, weights, bases)])
 
 
 def _solver() -> LinearProgramSolver:
@@ -177,38 +177,7 @@ class TestUnalignedKernelEquivalence:
 
 
 class TestBoundsAndExtremumEquivalence:
-    """``bounds_on`` / ``maximum`` / ``minimum`` against pointwise
-    evaluation."""
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_bounds_on_identical(self, seed):
-        """Every sample of the region lies within ``[lo, hi]``."""
-        rng = np.random.default_rng(300 + seed)
-        space = ConvexPolytope.unit_box(2)
-        function = _random_unaligned_pwl(rng, space, 3)
-        lo = rng.uniform(0.0, 0.4, 2)
-        hi = lo + rng.uniform(0.3, 0.5, 2)
-        region = ConvexPolytope.box(lo, hi)
-        low, high = function.bounds_on(region, _solver())
-        for x in rng.uniform(lo, hi, size=(SAMPLES, 2)):
-            assert low - 1e-9 <= function.evaluate(x) <= high + 1e-9, x
-
-    def test_bounds_on_raises_off_domain(self):
-        rng = np.random.default_rng(42)
-        space = ConvexPolytope.unit_box(2)
-        function = _random_unaligned_pwl(rng, space, 2)
-        outside = ConvexPolytope.box([2.0, 2.0], [3.0, 3.0])
-        with pytest.raises(EmptyRegionError):
-            function.bounds_on(outside, _solver())
-
-    def test_bounds_on_raises_when_unbounded(self):
-        """Non-empty overlaps whose min/max LPs are all unbounded must
-        raise rather than return the unusable (inf, -inf) pair."""
-        universe = ConvexPolytope.universe(2)
-        function = PiecewiseLinearFunction.affine(universe, [1.0, 0.0],
-                                                  0.0)
-        with pytest.raises(EmptyRegionError, match="bounded"):
-            function.bounds_on(universe, _solver())
+    """``maximum`` / ``minimum`` against pointwise evaluation."""
 
     @pytest.mark.parametrize("seed,take_max", [
         (0, True), (1, True), (2, False), (3, False)])
@@ -253,7 +222,7 @@ class TestBatchedDifferenceEquivalence:
     def test_empty_inputs(self):
         cut = ConvexPolytope.box([0.2, 0.2], [0.5, 0.5])
         assert subtract_polytope_many([], cut, _solver()) == []
-        universe = ConvexPolytope.universe(2)
+        universe = ConvexPolytope(2)
         # Subtracting the (unconstrained) universe leaves nothing.
         assert subtract_polytope_many(
             [ConvexPolytope.unit_box(2)], universe, _solver()) == [[]]
@@ -264,10 +233,8 @@ class TestSolveManyEquivalence:
 
     def _problems(self):
         box = ConvexPolytope.unit_box(2)
-        slanted = box.with_constraint(
-            LinearConstraint.make([1.0, 1.0], 0.8))
-        empty = box.with_constraint(
-            LinearConstraint.make([1.0, 0.0], -0.5))
+        slanted = box.with_halfspace([1.0, 1.0], 0.8)
+        empty = box.with_halfspace([1.0, 0.0], -0.5)
         return [
             (np.zeros(2), box._a, box._b, None),
             (np.array([1.0, 0.0]), slanted._a, slanted._b, None),

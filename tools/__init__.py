@@ -1,5 +1,6 @@
 """Repository maintenance tooling (not part of the ``repro`` package).
 
-Currently: :mod:`tools.reprolint`, the project-invariant static
-analyzer wired into CI.
+:mod:`tools.reprolint`, the project-invariant static analyzer wired
+into CI, and :mod:`tools.reach`, the audit of which ``src/repro``
+functions the repository's own traffic enters.
 """
